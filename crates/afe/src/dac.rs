@@ -8,9 +8,9 @@
 //! nonlinearity only.
 
 use crate::error::{ensure_in_range, ensure_positive};
-use crate::noise::standard_normal;
 use crate::AfeError;
 use hotwire_units::Volts;
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 /// A thermometer-coded DAC with per-element mismatch.
@@ -64,7 +64,7 @@ impl ThermometerDac {
         ensure_in_range("element_sigma", element_sigma, 0.0, 0.05)?;
         let n = 1usize << bits;
         let mut weights: Vec<f64> = (0..n - 1)
-            .map(|_| 1.0 + element_sigma * standard_normal(rng))
+            .map(|_| 1.0 + element_sigma * rng.sample::<f64, _>(StandardNormal))
             .collect();
         // Elements are physical resistor/current cells: never negative.
         for w in &mut weights {

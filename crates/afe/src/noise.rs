@@ -1,6 +1,10 @@
 //! Electronic noise helpers: Johnson–Nyquist and amplifier noise.
+//!
+//! Every Gaussian draw comes from the vendored `rand`'s ziggurat
+//! [`StandardNormal`], one 64-bit word per draw on the common path.
 
 use hotwire_units::{Kelvin, Ohms, Volts};
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 /// Boltzmann constant, J/K.
@@ -23,20 +27,13 @@ pub fn johnson_rms(r: Ohms, temperature: Kelvin, bandwidth_hz: f64) -> Volts {
 
 /// Draws one sample of zero-mean Gaussian voltage noise with the given rms.
 pub fn noise_sample<R: Rng + ?Sized>(rng: &mut R, rms: Volts) -> Volts {
-    Volts::new(rms.get() * standard_normal(rng))
+    Volts::new(rms.get() * rng.sample::<f64, _>(StandardNormal))
 }
 
-/// Standard-normal draw (Box–Muller), kept local so `hotwire-afe` does not
-/// depend on the physics crate.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
-}
-
-/// A stateful 1/f ("flicker") noise generator: the sum of three octave-spaced
-/// first-order low-passed white sources, a standard behavioural approximation
-/// good to ~1 dB over three decades.
+/// A stateful 1/f ("flicker") noise generator: the sum of three
+/// decade-spaced first-order low-passed white sources (poles at fs/20,
+/// fs/200 and fs/2000), a standard behavioural approximation good to ~1 dB
+/// over three decades.
 #[derive(Debug, Clone)]
 pub struct FlickerNoise {
     states: [f64; 3],
@@ -68,7 +65,7 @@ impl FlickerNoise {
 
     /// Draws the next flicker sample.
     pub fn next_sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let w = standard_normal(rng);
+        let w: f64 = rng.sample(StandardNormal);
         let mut sum = 0.0;
         for (s, a) in self.states.iter_mut().zip(self.alphas) {
             *s += a * (w - *s);

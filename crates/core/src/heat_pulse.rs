@@ -49,11 +49,11 @@ use crate::meter::Meter;
 use crate::obs::{CalSlot, EventKind, ObsEvent, Observer};
 use hotwire_afe::ThermometerDac;
 use hotwire_isif::eeprom::CalibrationStore;
-use hotwire_physics::stochastic::standard_normal;
 use hotwire_physics::SensorEnvironment;
 use hotwire_units::{MetersPerSecond, Seconds, ThermalConductance, Watts};
+use rand::distributions::StandardNormal;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Thermistor positions along the pipe axis, metres from the heater
 /// (positive = downstream for forward flow): near/far pairs on both sides,
@@ -711,7 +711,7 @@ impl HeatPulseMeter {
                 self.plume_k(i, diffusivity)
             };
             self.sensor_k[i] += lag * (target - self.sensor_k[i]);
-            let noise = standard_normal(&mut self.rng) * self.config.noise_codes_rms;
+            let noise = self.rng.sample::<f64, _>(StandardNormal) * self.config.noise_codes_rms;
             let dc = 500.0 + 20.0 * (env.fluid_temperature.get() - 15.0);
             let raw = (dc + self.config.gain_codes_per_k * self.sensor_k[i] + noise)
                 .clamp(i16::MIN as f64, i16::MAX as f64) as i32;

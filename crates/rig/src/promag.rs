@@ -8,8 +8,8 @@
 //! profile dependence (electrode geometry averages the profile), with a
 //! low-flow cutoff and a ~10 Hz internal update rate.
 
-use hotwire_physics::stochastic::gaussian;
 use hotwire_units::{MetersPerSecond, Seconds};
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 /// The Promag 50 behavioural model.
@@ -66,7 +66,8 @@ impl Promag50 {
         self.since_update += dt.get();
         if self.since_update >= self.update_period.get() {
             self.since_update = 0.0;
-            let noise = gaussian(rng, self.noise_fs * self.full_scale.get());
+            let noise =
+                rng.sample::<f64, _>(StandardNormal) * (self.noise_fs * self.full_scale.get());
             let noisy = bulk.get() + noise;
             self.reading = if noisy.abs() < self.cutoff.get() {
                 MetersPerSecond::ZERO
