@@ -9,7 +9,7 @@
 //! correlation time.
 
 use crate::error::ensure_positive;
-use crate::fluid::Fluid;
+use crate::fluid::{Fluid, Water};
 use crate::stochastic::OrnsteinUhlenbeck;
 use crate::PhysicsError;
 use hotwire_units::{Celsius, Meters, MetersPerSecond, Seconds};
@@ -146,16 +146,26 @@ impl Pipe {
 #[derive(Debug, Clone)]
 pub struct ProbeFlow {
     pipe: Pipe,
+    water: Water,
     turbulence: OrnsteinUhlenbeck,
+    /// Memo of the profile-corrected mean velocity and the turbulence
+    /// intensity, keyed on the bit patterns of temperature and bulk
+    /// velocity (the pipe and the water are fixed). Both are pure functions
+    /// of the two, so steady flow skips the property snapshot, the Reynolds
+    /// number and both `powf`s on every tick; a hit returns the exact
+    /// values a recomputation would.
+    flow_cache: Option<(u64, u64, MetersPerSecond, f64)>,
 }
 
 impl ProbeFlow {
-    /// Creates a probe-flow generator for the given pipe. The OU correlation
-    /// time approximates one eddy turnover at mid-range flow.
-    pub fn new(pipe: Pipe) -> Self {
+    /// Creates a probe-flow generator for `water` in the given pipe. The OU
+    /// correlation time approximates one eddy turnover at mid-range flow.
+    pub fn new(pipe: Pipe, water: Water) -> Self {
         ProbeFlow {
             pipe,
+            water,
             turbulence: OrnsteinUhlenbeck::new(Seconds::from_millis(50.0), 1.0),
+            flow_cache: None,
         }
     }
 
@@ -168,17 +178,24 @@ impl ProbeFlow {
     /// Advances by `dt` and returns the instantaneous local velocity at the
     /// probe for bulk velocity `bulk` (sign preserved — the probe senses
     /// direction through the dual heaters).
-    pub fn step<F: Fluid + ?Sized, R: Rng + ?Sized>(
+    pub fn step<R: Rng + ?Sized>(
         &mut self,
         dt: Seconds,
-        fluid: &F,
         temperature: Celsius,
         bulk: MetersPerSecond,
         rng: &mut R,
     ) -> MetersPerSecond {
-        let re = self.pipe.reynolds(fluid, temperature, bulk);
-        let mean = bulk * Pipe::profile_factor(re);
-        let intensity = Pipe::turbulence_intensity(re);
+        let (t_bits, v_bits) = (temperature.get().to_bits(), bulk.get().to_bits());
+        let (mean, intensity) = match self.flow_cache {
+            Some((t, v, mean, intensity)) if (t, v) == (t_bits, v_bits) => (mean, intensity),
+            _ => {
+                let re = self.pipe.reynolds(&self.water, temperature, bulk);
+                let mean = bulk * Pipe::profile_factor(re);
+                let intensity = Pipe::turbulence_intensity(re);
+                self.flow_cache = Some((t_bits, v_bits, mean, intensity));
+                (mean, intensity)
+            }
+        };
         let xi = self.turbulence.step(dt, rng);
         mean * (1.0 + intensity * xi)
     }
@@ -233,19 +250,17 @@ mod tests {
 
     #[test]
     fn probe_flow_fluctuates_around_mean() {
-        let mut probe = ProbeFlow::new(Pipe::dn50());
+        let water = Water::potable();
+        let mut probe = ProbeFlow::new(Pipe::dn50(), water);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let bulk = MetersPerSecond::new(1.0);
-        let water = Water::potable();
         let dt = Seconds::from_millis(1.0);
         let n = 50_000;
         let mut sum = 0.0;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for _ in 0..n {
-            let v = probe
-                .step(dt, &water, Celsius::new(15.0), bulk, &mut rng)
-                .get();
+            let v = probe.step(dt, Celsius::new(15.0), bulk, &mut rng).get();
             sum += v;
             min = min.min(v);
             max = max.max(v);
@@ -260,25 +275,13 @@ mod tests {
 
     #[test]
     fn laminar_probe_flow_is_noiseless() {
-        let mut probe = ProbeFlow::new(Pipe::dn50());
+        let mut probe = ProbeFlow::new(Pipe::dn50(), Water::potable());
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let water = Water::potable();
         // 1 cm/s in DN50: Re ≈ 440 → laminar.
         let bulk = MetersPerSecond::from_cm_per_s(1.0);
-        let a = probe.step(
-            Seconds::from_millis(1.0),
-            &water,
-            Celsius::new(15.0),
-            bulk,
-            &mut rng,
-        );
-        let b = probe.step(
-            Seconds::from_millis(1.0),
-            &water,
-            Celsius::new(15.0),
-            bulk,
-            &mut rng,
-        );
+        let dt = Seconds::from_millis(1.0);
+        let a = probe.step(dt, Celsius::new(15.0), bulk, &mut rng);
+        let b = probe.step(dt, Celsius::new(15.0), bulk, &mut rng);
         assert_eq!(a, b, "laminar flow must carry no turbulence");
         assert!((a.get() - 2.0 * bulk.get()).abs() < 1e-12);
     }

@@ -17,7 +17,6 @@ use rand::SeedableRng;
 pub struct WaterLine {
     scenario: Scenario,
     probe: ProbeFlow,
-    water: Water,
     rng: StdRng,
     time: f64,
     /// Most recent bulk velocity (signed, m/s).
@@ -32,8 +31,7 @@ impl WaterLine {
     pub fn new(scenario: Scenario, seed: u64) -> Self {
         WaterLine {
             scenario,
-            probe: ProbeFlow::new(Pipe::dn50()),
-            water: Water::potable(),
+            probe: ProbeFlow::new(Pipe::dn50(), Water::potable()),
             rng: StdRng::seed_from_u64(seed),
             time: 0.0,
             bulk: MetersPerSecond::ZERO,
@@ -79,9 +77,7 @@ impl WaterLine {
         self.bulk = MetersPerSecond::from_cm_per_s(self.scenario.flow_cm_s.value_at(t));
         let temperature = Celsius::new(self.scenario.temperature_c.value_at(t));
         let pressure = Pascals::from_bar(self.scenario.pressure_bar.value_at(t));
-        self.local = self
-            .probe
-            .step(dt, &self.water, temperature, self.bulk, &mut self.rng);
+        self.local = self.probe.step(dt, temperature, self.bulk, &mut self.rng);
         SensorEnvironment {
             fluid_temperature: temperature,
             velocity: self.local,
@@ -94,6 +90,45 @@ impl WaterLine {
 mod tests {
     use super::*;
     use crate::scenario::Schedule;
+    use rand::distributions::StandardNormal;
+    use rand::Rng;
+
+    /// The probe's memos (mean velocity and turbulence intensity per
+    /// temperature and bulk velocity, OU coefficients per step) return
+    /// exactly what recomputing the model every tick returns: over a
+    /// steady day (a hit on every tick) and a diurnal one (ramps miss,
+    /// plateaus hit).
+    #[test]
+    fn memoized_line_matches_fresh_recomputation_bit_for_bit() {
+        let dt = Seconds::from_millis(1.0);
+        let (pipe, water) = (Pipe::dn50(), Water::potable());
+        // `ProbeFlow`'s turbulence: τ = 50 ms, σ = 1.
+        let rho = (-dt.get() / 0.05).exp();
+        let innovation = (1.0 - rho * rho).sqrt();
+        for scenario in [
+            Scenario::steady(100.0, 4.0),
+            Scenario::diurnal_demand(20.0, 200.0, 4.0),
+        ] {
+            let mut line = WaterLine::new(scenario.clone(), 11);
+            let mut rng = StdRng::seed_from_u64(11);
+            let (mut t, mut xi) = (0.0, 0.0);
+            while !line.finished() {
+                let env = line.step(dt);
+                t += dt.get();
+                let bulk = MetersPerSecond::from_cm_per_s(scenario.flow_cm_s.value_at(t));
+                let temperature = Celsius::new(scenario.temperature_c.value_at(t));
+                let re = pipe.reynolds(&water, temperature, bulk);
+                xi = rho * xi + innovation * rng.sample::<f64, _>(StandardNormal);
+                let local =
+                    bulk * Pipe::profile_factor(re) * (1.0 + Pipe::turbulence_intensity(re) * xi);
+                assert_eq!(
+                    env.velocity.get().to_bits(),
+                    local.get().to_bits(),
+                    "t = {t}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn steady_line_produces_steady_env() {
