@@ -56,6 +56,7 @@
 //! ```
 
 use hotwire_bench::experiments::{f2_fleet, f4_maintenance};
+use hotwire_bench::json::{json_number, parse_number};
 use hotwire_core::config::{fnv1a64, AfeTier, FlowMeterConfig};
 use hotwire_rig::fleet::{FleetOutcome, FleetSpec, LineSummary, LineVariation};
 use hotwire_rig::{LineConfig, Modality, ReferenceKind, Scenario, Windows};
@@ -344,14 +345,6 @@ fn checkpoint_exercise(
     ExitCode::SUCCESS
 }
 
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn run_json(run: &FleetRun, jobs: usize) -> String {
     format!(
         "{{\"jobs\": {jobs}, \"lines\": {}, \"samples\": {}, \"wall_s\": {}, \"lines_per_s\": {}, \
@@ -366,18 +359,6 @@ fn run_json(run: &FleetRun, jobs: usize) -> String {
         run.summary_bytes_per_line,
         run.digest
     )
-}
-
-/// Pulls `"headline_lines_per_s": <number>` out of a baseline report
-/// without a JSON parser (the repo vendors no serde_json).
-fn parse_headline(baseline: &str) -> Option<f64> {
-    let key = "\"headline_lines_per_s\":";
-    let at = baseline.find(key)? + key.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -680,7 +661,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(expected) = parse_headline(&baseline) else {
+        let Some(expected) = parse_number(&baseline, "headline_lines_per_s") else {
             eprintln!("baseline {baseline_path} has no headline_lines_per_s");
             return ExitCode::FAILURE;
         };

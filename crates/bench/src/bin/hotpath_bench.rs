@@ -21,6 +21,7 @@
 //! fast/scalar), not the absolute samples/s: ratios transfer between
 //! machines, absolute throughput does not.
 
+use hotwire_bench::json::{json_number, parse_number};
 use hotwire_core::config::AfeTier;
 use hotwire_core::{FlowMeter, FlowMeterConfig};
 use hotwire_physics::{MafParams, SensorEnvironment};
@@ -121,14 +122,6 @@ fn measure_frames(tier: AfeTier, frames: u64, warmup_frames: u64) -> TierRun {
     }
 }
 
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn tier_json(run: &TierRun) -> String {
     format!(
         "{{\"samples\": {}, \"wall_s\": {}, \"samples_per_s\": {}}}",
@@ -136,18 +129,6 @@ fn tier_json(run: &TierRun) -> String {
         json_number(run.wall_s),
         json_number(run.samples_per_s())
     )
-}
-
-/// Pulls `"<key>": <number>` out of a baseline report without a JSON
-/// parser (the repo vendors no serde_json).
-fn parse_number(baseline: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = baseline.find(&needle)? + needle.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {

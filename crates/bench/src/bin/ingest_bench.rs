@@ -32,6 +32,7 @@
 //! more than 10 %.
 
 use hotwire_bench::experiments::f3_ingest;
+use hotwire_bench::json::{json_number, parse_number};
 use hotwire_core::config::{fnv1a64, AfeTier};
 use hotwire_rig::ingest::{absorb, feed, IngestConfig, IngestReport, LineIngest, MeterSession};
 use hotwire_rig::record::{HealthCensus, PolicyRecorder, RecordPolicy};
@@ -210,14 +211,6 @@ fn ledger_holds(r: &Replay) -> bool {
     r.bytes == link.resyncs + frame_bytes + link.discarded_bytes
 }
 
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn replay_json(r: &Replay, jobs: usize) -> String {
     let s = &r.report.stats;
     format!(
@@ -238,18 +231,6 @@ fn replay_json(r: &Replay, jobs: usize) -> String {
         json_number(r.report.fidelity.detection_accuracy()),
         r.digest()
     )
-}
-
-/// Pulls `"headline_frames_per_s": <number>` out of a baseline report
-/// without a JSON parser (the repo vendors no serde_json).
-fn parse_headline(baseline: &str) -> Option<f64> {
-    let key = "\"headline_frames_per_s\":";
-    let at = baseline.find(key)? + key.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -382,7 +363,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(expected) = parse_headline(&baseline) else {
+        let Some(expected) = parse_number(&baseline, "headline_frames_per_s") else {
             eprintln!("baseline {baseline_path} has no headline_frames_per_s");
             return ExitCode::FAILURE;
         };

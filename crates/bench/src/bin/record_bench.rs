@@ -23,6 +23,7 @@
 //! against the committed baseline and exits non-zero if it regressed by
 //! more than 10 %.
 
+use hotwire_bench::json::{json_number, parse_number};
 use hotwire_core::config::FlowMeterConfig;
 use hotwire_core::HealthState;
 use hotwire_rig::{
@@ -140,14 +141,6 @@ fn endurance_spec(policy: RecordPolicy, duration_s: f64) -> RunSpec {
     .with_record(policy)
 }
 
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn path_json(run: &PathRun) -> String {
     format!(
         "{{\"samples\": {}, \"wall_s\": {}, \"samples_per_s\": {}, \"trace_heap_bytes\": {}}}",
@@ -156,18 +149,6 @@ fn path_json(run: &PathRun) -> String {
         json_number(run.samples_per_s()),
         run.trace_heap_bytes
     )
-}
-
-/// Pulls `"headline_samples_per_s": <number>` out of a baseline report
-/// without a JSON parser (the repo vendors no serde_json).
-fn parse_headline(baseline: &str) -> Option<f64> {
-    let key = "\"headline_samples_per_s\":";
-    let at = baseline.find(key)? + key.len();
-    let rest = baseline[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -304,7 +285,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(expected) = parse_headline(&baseline) else {
+        let Some(expected) = parse_number(&baseline, "headline_samples_per_s") else {
             eprintln!("baseline {baseline_path} has no headline_samples_per_s");
             return ExitCode::FAILURE;
         };

@@ -13,6 +13,7 @@
 //! ```
 
 use hotwire_bench::experiments::{self, Speed};
+use hotwire_bench::json::{json_escape, json_number};
 use hotwire_rig::obs::{self, ScopeObs};
 use hotwire_rig::{exec, Campaign, Histogram};
 use std::collections::BTreeMap;
@@ -322,32 +323,6 @@ const ALL: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "a1", "a2", "a3",
     "f1", "f2", "f3", "f4", "m1",
 ];
-
-/// Minimal JSON string escaping (we have no JSON dependency by design).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A finite f64 as JSON; NaN/∞ become `null` (JSON has no spelling for them).
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Flat counters as a JSON object, in the stable `as_pairs` order.
 fn json_counters(c: &obs::Counters) -> String {

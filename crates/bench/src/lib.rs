@@ -11,6 +11,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
+pub mod json;
 pub mod table;
 
 pub use experiments::Speed;

@@ -4,7 +4,8 @@
 //! IPs optimized for low power consumption such as ΣΔ modulator and channel
 //! demodulators, DAC controllers, filters (FIR and IIR) and sine wave
 //! generator", with an exactly-matching library of *software* peripherals run
-//! on the LEON core. This crate is that IP library: every block is
+//! on the LEON core. This crate holds the blocks of that library the
+//! constant-temperature conditioning chain runs: every block is
 //! integer/fixed-point exactly as silicon (or LEON assembly) would compute
 //! it, because the quantization of these blocks is what bounds the
 //! measurement resolution the paper reports.
@@ -13,12 +14,9 @@
 //!
 //! * [`fix`] — saturating Q-format arithmetic ([`fix::Fx`], [`fix::Q15`], …)
 //! * [`cic`] — CIC decimator for the ΣΔ bitstream
-//! * [`fir`] — windowed-sinc FIR design + Q15 direct-form filter
 //! * [`iir`] — Butterworth biquad design + Q30 fixed-point biquads and the
 //!   single-pole 0.1 Hz output filter
 //! * [`pi`] — the PI controller closing the constant-temperature loop
-//! * [`dds`] — phase-accumulator sine generator
-//! * [`demod`] — I/Q demodulator (mixer + low-pass)
 //! * [`despike`] — median despiker and moving-average smoother
 //!
 //! # Example: decimating a ΣΔ bitstream
@@ -43,25 +41,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cic;
-pub mod dds;
-pub mod decimate;
-pub mod demod;
 pub mod despike;
 pub mod error;
-pub mod fir;
 pub mod fix;
-pub mod goertzel;
 pub mod iir;
 pub mod pi;
 
 pub use cic::CicDecimator;
-pub use dds::SineGenerator;
-pub use decimate::PolyphaseDecimator;
-pub use demod::IqDemodulator;
 pub use despike::{Median5, MovingAverage};
 pub use error::DspError;
-pub use fir::FirFilter;
 pub use fix::{Fx, Q15, Q16, Q30};
-pub use goertzel::Goertzel;
 pub use iir::{Biquad, SinglePoleLp};
 pub use pi::PiController;

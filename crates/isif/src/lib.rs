@@ -15,7 +15,7 @@
 //! * [`channel`] — one analog input channel: readout mode → in-amp →
 //!   anti-alias → ΣΔ modulator → decimation chain to 16-bit samples
 //! * [`sched`] — the software-IP scheduler with a per-tick LEON cycle budget
-//! * [`timer`] — periodic timers and the watchdog
+//! * [`timer`] — the watchdog
 //! * [`eeprom`] — CRC-protected calibration storage
 //! * [`uart`] — telemetry framing (encoder/decoder state machine)
 //! * [`platform`] — the assembled [`platform::IsifPlatform`]
@@ -34,7 +34,6 @@ pub mod error;
 pub mod platform;
 pub mod regs;
 pub mod sched;
-pub mod spi;
 pub mod timer;
 pub mod uart;
 
@@ -44,5 +43,4 @@ pub use error::IsifError;
 pub use platform::IsifPlatform;
 pub use regs::RegisterFile;
 pub use sched::{IpTask, Scheduler};
-pub use spi::{SpiDevice, SpiEeprom, SpiMaster};
-pub use timer::{Timer, Watchdog};
+pub use timer::Watchdog;

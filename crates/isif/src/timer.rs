@@ -1,53 +1,4 @@
-//! Timers and the watchdog — ISIF's "standard IPs such as timers, watchdog".
-
-/// A periodic down-counting timer clocked in control ticks.
-#[derive(Debug, Clone)]
-pub struct Timer {
-    period: u32,
-    counter: u32,
-    fires: u64,
-}
-
-impl Timer {
-    /// Creates a timer firing every `period` ticks (clamped to ≥ 1).
-    pub fn new(period: u32) -> Self {
-        let period = period.max(1);
-        Timer {
-            period,
-            counter: period,
-            fires: 0,
-        }
-    }
-
-    /// The configured period.
-    #[inline]
-    pub fn period(&self) -> u32 {
-        self.period
-    }
-
-    /// Advances one tick; returns `true` on the tick the timer fires.
-    pub fn tick(&mut self) -> bool {
-        self.counter -= 1;
-        if self.counter == 0 {
-            self.counter = self.period;
-            self.fires += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total number of firings.
-    #[inline]
-    pub fn fire_count(&self) -> u64 {
-        self.fires
-    }
-
-    /// Restarts the countdown from the full period.
-    pub fn restart(&mut self) {
-        self.counter = self.period;
-    }
-}
+//! The watchdog — one of ISIF's "standard IPs such as timers, watchdog".
 
 /// A windowless watchdog: must be kicked at least every `timeout` ticks or it
 /// records a reset event (the conditioning firmware kicks it once per healthy
@@ -130,34 +81,6 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_fires_periodically() {
-        let mut t = Timer::new(4);
-        let fires: Vec<bool> = (0..12).map(|_| t.tick()).collect();
-        assert_eq!(
-            fires,
-            vec![false, false, false, true, false, false, false, true, false, false, false, true]
-        );
-        assert_eq!(t.fire_count(), 3);
-    }
-
-    #[test]
-    fn timer_restart() {
-        let mut t = Timer::new(3);
-        t.tick();
-        t.restart();
-        assert!(!t.tick());
-        assert!(!t.tick());
-        assert!(t.tick());
-    }
-
-    #[test]
-    fn zero_period_clamps_to_one() {
-        let mut t = Timer::new(0);
-        assert!(t.tick());
-        assert!(t.tick());
-    }
 
     #[test]
     fn kicked_watchdog_never_fires() {

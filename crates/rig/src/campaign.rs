@@ -104,9 +104,8 @@ impl FieldCalibration {
     /// (up to `jobs` replicas at a time), adopt the converged
     /// fluid-temperature estimate, fit and install King's law. **The**
     /// single field-calibration path — [`build_meter`]'s
-    /// [`Calibration::Field`] arm and the deprecated
-    /// [`field_calibrate`](crate::runner::field_calibrate) shims both
-    /// come through here, so every caller gets bit-identical fits.
+    /// [`Calibration::Field`] arm comes through here, so every caller
+    /// gets bit-identical fits.
     ///
     /// Returns the calibration points used.
     ///
@@ -240,8 +239,7 @@ impl From<(f64, f64)> for Windows {
 /// same instrument configuration onto many specs. `LineConfig` is that
 /// template: build it once, hand it to [`RunSpec::with_config`] or
 /// [`FleetSpec::with_config`](crate::fleet::FleetSpec::with_config),
-/// clone it freely. The per-knob spec builders survive as deprecated
-/// shims pinned bit-identical to the grouped path.
+/// clone it freely.
 ///
 /// ```
 /// use hotwire_rig::campaign::LineConfig;
@@ -459,19 +457,6 @@ impl RunSpec {
         self
     }
 
-    /// Selects the sensing modality of the device under test. The rest of
-    /// the spec (scenario, faults, windows, record policy) is
-    /// modality-agnostic, so the same template can be stamped out across
-    /// modalities for head-to-head comparisons (experiment `m1`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "group the per-line instrument knobs in a `LineConfig` and use `with_config`"
-    )]
-    pub fn with_modality(mut self, modality: Modality) -> Self {
-        self.modality = modality;
-        self
-    }
-
     /// Overrides the die parameters.
     pub fn with_params(mut self, params: MafParams) -> Self {
         self.params = params;
@@ -502,32 +487,9 @@ impl RunSpec {
         self
     }
 
-    /// Injects a seeded fault schedule during the run.
-    #[deprecated(
-        since = "0.1.0",
-        note = "group the per-line instrument knobs in a `LineConfig` and use `with_config`"
-    )]
-    pub fn with_faults(mut self, schedule: FaultSchedule) -> Self {
-        self.faults = Some(schedule);
-        self
-    }
-
     /// Sets the trace recording cadence.
     pub fn with_sample_period(mut self, seconds: f64) -> Self {
         self.sample_period_s = seconds;
-        self
-    }
-
-    /// Selects the AFE fidelity tier for this run's meter (default
-    /// [`AfeTier::Exact`]). [`AfeTier::Fast`] opts into the quasi-static
-    /// once-per-frame front end — orders of magnitude faster, with the
-    /// error bound pinned by the core tier tests.
-    #[deprecated(
-        since = "0.1.0",
-        note = "group the per-line instrument knobs in a `LineConfig` and use `with_config`"
-    )]
-    pub fn with_afe_tier(mut self, tier: AfeTier) -> Self {
-        self.config.afe_tier = tier;
         self
     }
 
@@ -547,16 +509,6 @@ impl RunSpec {
     /// ```
     pub fn with_windows(mut self, windows: impl Into<Windows>) -> Self {
         self.windows = windows.into();
-        self
-    }
-
-    /// Overrides the observability configuration.
-    #[deprecated(
-        since = "0.1.0",
-        note = "group the per-line instrument knobs in a `LineConfig` and use `with_config`"
-    )]
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
         self
     }
 
@@ -1162,10 +1114,8 @@ mod tests {
     }
 
     #[test]
-    fn with_config_matches_the_deprecated_builders() {
-        // The grouped entry point must pin the deprecated per-knob
-        // builders bit-identically: same final spec (specs derive
-        // PartialEq over every field), therefore same execution.
+    fn with_config_sets_every_knob_and_routes_maintenance() {
+        // with_config stamps each LineConfig knob onto its spec field.
         let schedule = FaultSchedule::new(derive_seed(0xC0FE, 1)).with_event(
             0.5,
             0.4,
@@ -1175,25 +1125,19 @@ mod tests {
             enabled: false,
             ..ObsConfig::default()
         };
-        #[allow(deprecated)]
-        let sprawl = spec(0)
-            .with_modality(Modality::HeatPulse)
-            .with_afe_tier(AfeTier::Fast)
-            .with_obs(obs)
-            .with_faults(schedule.clone());
-        let mut grouped_spec = spec(0).with_config(
+        let grouped = spec(0).with_config(
             LineConfig::new()
                 .with_modality(Modality::HeatPulse)
                 .with_afe_tier(AfeTier::Fast)
                 .with_obs(obs)
-                .with_faults(schedule),
+                .with_faults(schedule.clone()),
         );
-        // The deprecated surface has no maintenance builder — the knob
-        // only exists grouped; equalize it before comparing.
-        grouped_spec.maintenance = Maintenance::default();
-        assert_eq!(sprawl, grouped_spec);
+        assert_eq!(grouped.modality, Modality::HeatPulse);
+        assert_eq!(grouped.config.afe_tier, AfeTier::Fast);
+        assert_eq!(grouped.obs, obs);
+        assert_eq!(grouped.faults, Some(schedule));
 
-        // And with maintenance on, the grouped spec routes it through
+        // With maintenance on, the grouped spec routes it through
         // execution: the engine installs and its counters come back on
         // the outcome (zero-drift line ⇒ the scheduled trigger falls
         // back to re-zeros, never refits).

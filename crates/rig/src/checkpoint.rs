@@ -421,8 +421,9 @@ impl FleetCheckpoint {
         shard.err_rms_cm_s = sketch("err_sketch")?;
 
         let (n, l) = next("summaries")?;
-        let count = parse(n, "summary count", &fields(n, l, "summaries", 1)?[0])? as usize;
-        shard.summaries.reserve_exact(count);
+        // The count is untrusted: it bounds the loop, which fails at end
+        // of file when the count lies, but sizes no allocation.
+        let count = parse(n, "summary count", &fields(n, l, "summaries", 1)?[0])?;
         for _ in 0..count {
             let (n, l) = next("summary record")?;
             let tokens: Vec<&str> = l.split_whitespace().collect();
@@ -610,5 +611,107 @@ mod tests {
             FleetCheckpoint::decode("not a checkpoint"),
             Err(CheckpointError::Parse { line: 1, .. })
         ));
+        // A summary count the file cannot back: the decoder must run out
+        // of records, not reserve room for them (u64::MAX overflows the
+        // capacity; 4e12 records would abort on allocation).
+        for count in ["18446744073709551615", "4000000000000"] {
+            let lying = good.replace("summaries 3", &format!("summaries {count}"));
+            assert_ne!(lying, good);
+            assert!(
+                matches!(
+                    FleetCheckpoint::decode(&lying),
+                    Err(CheckpointError::Parse { .. })
+                ),
+                "summaries {count}"
+            );
+        }
+    }
+
+    mod hostile_text {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Stand-ins for a corrupted number: zero, a byte's maximum, a
+        /// count whose allocation would abort, `u64::MAX`, and a sign.
+        const HOSTILE_TOKENS: [&str; 5] =
+            ["0", "255", "4000000000000", "18446744073709551615", "-1"];
+
+        /// Applies mutation `op` to `text`; `a` and `b` pick the position
+        /// and the variant.
+        fn mutate(text: &str, op: u8, a: usize, b: usize) -> String {
+            let mut lines: Vec<&str> = text.lines().collect();
+            let pick = |k: usize, n: usize| k % n;
+            match op {
+                // Truncate at byte k (the codec is ASCII, so every byte
+                // index is a char boundary).
+                0 => return text[..pick(a, text.len() + 1)].to_string(),
+                // Flip one of bits 0–6 of one byte: still ASCII.
+                1 => {
+                    let mut bytes = text.as_bytes().to_vec();
+                    let i = pick(a, bytes.len());
+                    bytes[i] ^= 1 << (b % 7);
+                    return String::from_utf8(bytes).expect("ASCII stays ASCII");
+                }
+                2 => {
+                    let i = pick(a, lines.len());
+                    lines.insert(i, lines[i]);
+                }
+                3 => {
+                    let (i, j) = (pick(a, lines.len()), pick(b, lines.len()));
+                    lines.swap(i, j);
+                }
+                4 => {
+                    lines.remove(pick(a, lines.len()));
+                }
+                // Replace one token: a run between spaces, line breaks and
+                // the sketch's `=`, `,` and `:` separators.
+                _ => {
+                    let is_sep = |c: char| matches!(c, ' ' | '\n' | '=' | ',' | ':');
+                    let mut tokens = Vec::new();
+                    let mut start = None;
+                    for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+                        match (start, is_sep(c)) {
+                            (None, false) => start = Some(i),
+                            (Some(s), true) => {
+                                tokens.push(s..i);
+                                start = None;
+                            }
+                            _ => {}
+                        }
+                    }
+                    let range = tokens[pick(a, tokens.len())].clone();
+                    let token = HOSTILE_TOKENS[b % HOSTILE_TOKENS.len()];
+                    return format!("{}{token}{}", &text[..range.start], &text[range.end..]);
+                }
+            }
+            let mut out = lines.join("\n");
+            out.push('\n');
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// A checkpoint file is untrusted input: after any one
+            /// mutation, decode returns `Ok` or a typed error and never
+            /// panics or sizes an allocation by a count it read. What it
+            /// accepts re-encodes to a file that decodes to the same value.
+            #[test]
+            fn decode_survives_one_mutation(
+                with_summaries in any::<bool>(),
+                op in 0u8..6,
+                a in any::<usize>(),
+                b in any::<usize>(),
+            ) {
+                let good = FleetCheckpoint::new(1, 12, sample_shard(with_summaries)).encode();
+                let text = mutate(&good, op, a, b);
+                let decoded = std::panic::catch_unwind(|| FleetCheckpoint::decode(&text));
+                prop_assert!(decoded.is_ok(), "decode panicked on {:?}", text);
+                if let Ok(Ok(ck)) = decoded {
+                    let again = FleetCheckpoint::decode(&ck.encode()).unwrap();
+                    prop_assert_eq!(format!("{ck:?}"), format!("{again:?}"));
+                }
+            }
+        }
     }
 }

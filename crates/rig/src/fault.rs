@@ -161,7 +161,7 @@ impl FaultEvent {
 /// A declarative, seeded schedule of faults for one run.
 ///
 /// The schedule travels inside a [`RunSpec`](crate::campaign::RunSpec)
-/// (see [`RunSpec::with_faults`](crate::campaign::RunSpec::with_faults)),
+/// (see [`LineConfig::with_faults`](crate::campaign::LineConfig::with_faults)),
 /// so a fault campaign is exactly as deterministic as a healthy one: the
 /// injected byte noise is driven by `seed`, never by wall-clock or thread
 /// scheduling.

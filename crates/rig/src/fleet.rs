@@ -101,7 +101,7 @@ use crate::modality::{Modality, ReferenceKind};
 use crate::record::{HealthCensus, RecordPolicy};
 use crate::scenario::Scenario;
 use crate::sketch::QuantileSketch;
-use hotwire_core::config::{fnv1a64, AfeTier};
+use hotwire_core::config::fnv1a64;
 use hotwire_core::{CoreError, FlowMeterConfig, Meter};
 use hotwire_physics::MafParams;
 
@@ -507,19 +507,6 @@ impl FleetSpec {
         self
     }
 
-    /// Selects the sensing modality every DUT line runs (default
-    /// [`Modality::Cta`]). The rest of the spec is modality-agnostic, so
-    /// the same template stamps out head-to-head fleets across modalities.
-    #[deprecated(
-        since = "0.1.0",
-        note = "group the per-line instrument knobs in a `LineConfig` and use `with_config`"
-    )]
-    #[must_use]
-    pub fn with_modality(mut self, modality: Modality) -> Self {
-        self.modality = modality;
-        self
-    }
-
     /// Sets the number of lines.
     #[must_use]
     pub fn with_lines(mut self, lines: usize) -> Self {
@@ -568,20 +555,6 @@ impl FleetSpec {
     #[must_use]
     pub fn with_variation(mut self, variation: LineVariation) -> Self {
         self.variation = variation;
-        self
-    }
-
-    /// Selects the AFE fidelity tier for every line's meter (default
-    /// [`AfeTier::Exact`]). [`AfeTier::Fast`] opts the whole fleet into
-    /// the quasi-static once-per-frame front end — orders of magnitude
-    /// faster, with the error bound pinned by the core tier tests.
-    #[deprecated(
-        since = "0.1.0",
-        note = "group the per-line instrument knobs in a `LineConfig` and use `with_config`"
-    )]
-    #[must_use]
-    pub fn with_afe_tier(mut self, tier: AfeTier) -> Self {
-        self.config.afe_tier = tier;
         self
     }
 
@@ -1508,24 +1481,6 @@ mod tests {
         );
         assert_eq!(a.record, RecordPolicy::MetricsOnly);
         assert!(!a.obs.enabled);
-    }
-
-    #[test]
-    fn fleet_with_config_matches_the_deprecated_builders() {
-        // The grouped entry point pins the deprecated per-knob builders:
-        // identical FleetSpec (PartialEq over every field), identical
-        // line specs, therefore identical runs.
-        #[allow(deprecated)]
-        let sprawl = small_fleet()
-            .with_modality(Modality::HeatPulse)
-            .with_afe_tier(AfeTier::Fast);
-        let grouped = small_fleet().with_config(
-            LineConfig::new()
-                .with_modality(Modality::HeatPulse)
-                .with_afe_tier(AfeTier::Fast),
-        );
-        assert_eq!(sprawl, grouped);
-        assert_eq!(sprawl.line_spec(5), grouped.line_spec(5));
     }
 
     #[test]

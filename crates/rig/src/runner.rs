@@ -1,12 +1,10 @@
 //! Co-simulation of the device under test and the reference meters.
 //!
-//! The runner drives one [`FlowMeter`] and both commercial references
-//! through a [`Scenario`] on *shared true flow* — the semantics of the
-//! paper's evaluation line, where the MAF prototype and the Promag 50 see
-//! the same water.
+//! The runner drives one device under test (any [`Meter`]) and both
+//! commercial references through a [`Scenario`] on *shared true flow* —
+//! the semantics of the paper's evaluation line, where the MAF prototype
+//! and the Promag 50 see the same water.
 
-use crate::campaign::FieldCalibration;
-use crate::exec;
 use crate::fault::{FaultInjector, FaultSchedule, UartStats};
 use crate::line::WaterLine;
 use crate::maintain::{MaintenanceCounters, MaintenanceEngine};
@@ -16,8 +14,7 @@ use crate::promag::Promag50;
 use crate::record::{CsvSink, Recorder, TraceStore};
 use crate::scenario::Scenario;
 use crate::turbine::TurbineMeter;
-use hotwire_core::calibration::CalPoint;
-use hotwire_core::{CoreError, FlowMeter, HealthState, Meter};
+use hotwire_core::{HealthState, Meter};
 use hotwire_physics::SensorEnvironment;
 use hotwire_units::Seconds;
 use rand::rngs::StdRng;
@@ -112,11 +109,9 @@ pub struct RunTail {
 
 /// The co-simulation runner, generic over the device under test: any
 /// [`Meter`] modality (CTA, heat-pulse, reference adapters) drives the
-/// same line, references, fault injector and recording machinery. The
-/// default parameter keeps every existing `LineRunner` mention compiling
-/// against the CTA meter unchanged.
+/// same line, references, fault injector and recording machinery.
 #[derive(Debug)]
-pub struct LineRunner<M: Meter = FlowMeter> {
+pub struct LineRunner<M: Meter> {
     line: WaterLine,
     meter: M,
     promag: Promag50,
@@ -381,81 +376,13 @@ pub fn expected_samples(duration_s: f64, sample_period_s: f64) -> usize {
     }
 }
 
-/// Runs the paper's field-calibration procedure: visits each setpoint on a
-/// steady line, averages the Promag reference and the DUT conductance, fits
-/// King's law and installs it into the meter.
-///
-/// The setpoints execute as a campaign: each runs on a replica of `meter`'s
-/// build (same config, die parameters and seed), up to the process default
-/// job count at a time (see [`exec::default_jobs`]). Results are
-/// jobs-invariant; the converged fluid-temperature estimate from the
-/// calibration runs is adopted by `meter` before fitting, so temperature
-/// compensation learns the same reference-resistor skew it would have
-/// learned running the setpoints itself.
-///
-/// Returns the calibration points used.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Calibration`] if the fit fails.
-#[deprecated(
-    since = "0.1.0",
-    note = "CTA-only direct path: build a `FieldCalibration` and call its `apply`, \
-            or put `Calibration::Field` on a `RunSpec` and let the campaign \
-            route it per modality"
-)]
-pub fn field_calibrate(
-    meter: &mut FlowMeter,
-    setpoints_cm_s: &[f64],
-    settle_s: f64,
-    average_s: f64,
-    seed: u64,
-) -> Result<Vec<CalPoint>, CoreError> {
-    #[allow(deprecated)]
-    field_calibrate_jobs(
-        meter,
-        setpoints_cm_s,
-        settle_s,
-        average_s,
-        seed,
-        exec::default_jobs(),
-    )
-}
-
-/// [`field_calibrate`] with an explicit job count (`1` = serial).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Calibration`] if the fit fails.
-#[deprecated(
-    since = "0.1.0",
-    note = "CTA-only direct path: build a `FieldCalibration` and call its `apply`, \
-            or put `Calibration::Field` on a `RunSpec` and let the campaign \
-            route it per modality"
-)]
-pub fn field_calibrate_jobs(
-    meter: &mut FlowMeter,
-    setpoints_cm_s: &[f64],
-    settle_s: f64,
-    average_s: f64,
-    seed: u64,
-    jobs: usize,
-) -> Result<Vec<CalPoint>, CoreError> {
-    // Thin shim over the routed path — bit-identical by construction.
-    FieldCalibration {
-        setpoints_cm_s: setpoints_cm_s.to_vec(),
-        settle_s,
-        average_s,
-        seed,
-    }
-    .apply(meter, jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
+    use crate::campaign::FieldCalibration;
+    use crate::{exec, metrics};
     use hotwire_core::config::FlowMeterConfig;
+    use hotwire_core::FlowMeter;
     use hotwire_physics::MafParams;
 
     fn test_meter(seed: u64) -> FlowMeter {
@@ -501,28 +428,6 @@ mod tests {
             (mean - 120.0).abs() < 8.0,
             "calibrated DUT mean {mean} cm/s at 120 cm/s true"
         );
-    }
-
-    #[test]
-    fn deprecated_field_calibrate_shim_matches_routed_path() {
-        // The CTA-only free functions are shims over
-        // `FieldCalibration::apply` — equal points and equal meter state,
-        // bit for bit.
-        let mut via_shim = test_meter(21);
-        #[allow(deprecated)]
-        let shim_points =
-            field_calibrate(&mut via_shim, &[20.0, 90.0, 180.0], 0.5, 0.3, 21).unwrap();
-        let mut via_recipe = test_meter(21);
-        let recipe_points = FieldCalibration {
-            setpoints_cm_s: vec![20.0, 90.0, 180.0],
-            settle_s: 0.5,
-            average_s: 0.3,
-            seed: 21,
-        }
-        .apply(&mut via_recipe, exec::default_jobs())
-        .unwrap();
-        assert_eq!(shim_points, recipe_points);
-        assert_eq!(via_shim.state_digest(), via_recipe.state_digest());
     }
 
     #[test]

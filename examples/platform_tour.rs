@@ -1,7 +1,6 @@
 //! A tour of the ISIF platform facilities outside the flow-metering path:
 //! configuration registers, the software-IP scheduler and its LEON cycle
-//! budget, the calibration EEPROM, telemetry framing, the SPI bus, and the
-//! watchdog.
+//! budget, the calibration EEPROM, telemetry framing, and the watchdog.
 //!
 //! ```sh
 //! cargo run --release --example platform_tour
@@ -9,7 +8,6 @@
 
 use hotwire::isif::regs::addr;
 use hotwire::isif::sched::IpTask;
-use hotwire::isif::spi::{SpiEeprom, SpiMaster};
 use hotwire::isif::uart::{encode_frame, FrameDecoder};
 use hotwire::isif::{CalibrationStore, IsifPlatform, Scheduler};
 use hotwire::prelude::*;
@@ -85,19 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "uart: {} frame(s) decoded: {:?}",
         decoded.len(),
         String::from_utf8_lossy(&decoded[0])
-    );
-
-    // --- SPI bus to the external log EEPROM ---
-    let mut spi = SpiMaster::new(Hertz::from_megahertz(1.0))?;
-    let mut ext = SpiEeprom::new_4k();
-    spi.transaction(&mut ext, &[0x06]); // WREN
-    spi.transaction(&mut ext, &[0x02, 0x00, 0x40, 0xDE, 0xAD]); // WRITE @0x40
-    let rx = spi.transaction(&mut ext, &[0x03, 0x00, 0x40, 0x00, 0x00]); // READ
-    println!(
-        "spi: wrote+read back {:02X?} ({} bytes on the bus, {:.0} µs)",
-        &rx[3..],
-        spi.bytes_transferred(),
-        spi.transfer_time(spi.bytes_transferred() as usize).get() * 1e6
     );
 
     // --- watchdog ---

@@ -64,8 +64,6 @@ pub mod prelude {
     };
     pub use hotwire_rig::ingest::{ingest_fleet, IngestConfig, IngestReport, MeterSession};
     pub use hotwire_rig::modality::{AnyMeter, Modality, ReferenceKind, ReferenceMeter};
-    #[allow(deprecated)]
-    pub use hotwire_rig::runner::field_calibrate;
     pub use hotwire_rig::sketch::QuantileSketch;
     pub use hotwire_rig::{
         metrics, Campaign, FaultKind, FaultSchedule, LineConfig, LineRunner, Maintenance,

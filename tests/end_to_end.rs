@@ -132,7 +132,7 @@ fn direction_and_magnitude_through_the_whole_stack() {
 
 #[test]
 fn whole_stack_is_deterministic() {
-    fn build() -> LineRunner {
+    fn build() -> LineRunner<FlowMeter> {
         let m = FlowMeter::new(FlowMeterConfig::test_profile(), MafParams::nominal(), 42)
             .expect("meter builds");
         LineRunner::new(Scenario::steady(77.0, 2.0), m, 42)
