@@ -23,16 +23,18 @@
 //!
 //! ```sh
 //! cargo run -p hotwire-bench --release --bin ingest_bench
-//! cargo run -p hotwire-bench --release --bin ingest_bench -- --smoke --out out.json
-//! cargo run -p hotwire-bench --release --bin ingest_bench -- --smoke --check BENCH_ingest.json
+//! cargo run -p hotwire-bench --release --bin ingest_bench -- --out out.json
+//! cargo run -p hotwire-bench --release --bin ingest_bench -- --check BENCH_ingest.json
 //! ```
 //!
-//! `--check BASELINE` compares the freshly measured headline frames/s
-//! against the committed baseline and exits non-zero if it regressed by
-//! more than 10 %.
+//! `--check BASELINE` compares the fresh run against the committed
+//! baseline and exits non-zero if the headline frames/s regressed by more
+//! than 10 % or the jobs-invariance digest differs — so any change to the
+//! decode or ingest counters fails the gate until the baseline is
+//! re-recorded.
 
 use hotwire_bench::experiments::f3_ingest;
-use hotwire_bench::json::{json_number, parse_number};
+use hotwire_bench::json::{json_number, parse_number, parse_string};
 use hotwire_core::config::{fnv1a64, AfeTier};
 use hotwire_rig::ingest::{absorb, feed, IngestConfig, IngestReport, LineIngest, MeterSession};
 use hotwire_rig::record::{HealthCensus, PolicyRecorder, RecordPolicy};
@@ -40,15 +42,12 @@ use hotwire_rig::{exec, Fidelity, IngestStats, LineConfig};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const USAGE: &str = "usage: ingest_bench [--smoke] [--out PATH] [--check BASELINE]
+const USAGE: &str = "usage: ingest_bench [--out PATH] [--check BASELINE]
 options:
-  --smoke          scaled-down jobs-invariance replays for CI (512 virtual
-                   lines instead of 4096); the headline replay keeps its
-                   full 4096 lines so frames/s stays comparable with a
-                   committed full baseline
   --out PATH       where to write the JSON report (default: BENCH_ingest.json)
   --check BASELINE compare against a committed BENCH_ingest.json; exit 1 if
-                   the headline frames/s regressed more than 10 %";
+                   the headline frames/s regressed more than 10 % or the
+                   jobs-invariance digest differs";
 
 /// Fraction of the baseline's throughput the fresh measurement may lose
 /// before `--check` fails (the ISSUE's soak gate: a ≥ 10 % frames/s drop
@@ -132,8 +131,8 @@ impl Replay {
 
 /// Best-of-`rounds` replay (after one warmup pass): the replay is
 /// deterministic, so every round produces the same report and the max
-/// frames/s is the least noise-contaminated measurement — this keeps the
-/// smoke and full headlines comparable on loaded CI machines.
+/// frames/s is the least noise-contaminated measurement on a loaded CI
+/// machine.
 fn best_replay(
     corpus: &[CapturedLine],
     virtual_lines: usize,
@@ -234,13 +233,11 @@ fn replay_json(r: &Replay, jobs: usize) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
     let mut out_path = "BENCH_ingest.json".to_string();
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--out" => match args.next() {
                 Some(path) => out_path = path,
                 None => {
@@ -266,12 +263,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // The headline replay is full-size in both modes — a short timed
-    // region would systematically under-measure frames/s (thread-spawn
-    // overhead dominates) and trip the 10 % gate without any regression.
-    // Smoke only shrinks the three jobs-invariance replays.
     let virtual_lines = 4096;
-    let invariance_lines = if smoke { 512 } else { virtual_lines };
 
     eprintln!(
         "ingest: wiretapping corpus ({CORPUS_LINES} lines × {CORPUS_DURATION_S} s at \
@@ -309,10 +301,10 @@ fn main() -> ExitCode {
     }
 
     // Hard gate: the merged report must be bit-identical at any job count.
-    eprintln!("ingest: jobs-invariance ({invariance_lines} lines at --jobs 1/2/3)…");
-    let d1 = replay(&corpus, invariance_lines, 1).digest();
-    let d2 = replay(&corpus, invariance_lines, 2).digest();
-    let d3 = replay(&corpus, invariance_lines, 3).digest();
+    eprintln!("ingest: jobs-invariance ({virtual_lines} lines at --jobs 1/2/3)…");
+    let d1 = replay(&corpus, virtual_lines, 1).digest();
+    let d2 = replay(&corpus, virtual_lines, 2).digest();
+    let d3 = replay(&corpus, virtual_lines, 3).digest();
     if d1 != d2 || d2 != d3 {
         eprintln!("ingest report DIVERGED across jobs: {d1:016x} / {d2:016x} / {d3:016x}");
         return ExitCode::FAILURE;
@@ -337,7 +329,7 @@ fn main() -> ExitCode {
 
     let headline = pinned.frames_per_s();
     let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"headline_frames_per_s\": {},\n  \
+        "{{\n  \"headline_frames_per_s\": {},\n  \
          \"headline_jobs\": {HEADLINE_JOBS},\n  \"corpus\": {{\"lines\": {CORPUS_LINES}, \
          \"seconds_per_line\": {CORPUS_DURATION_S}, \"cadence_s\": {CORPUS_CADENCE_S}, \
          \"frames\": {corpus_frames}, \"bytes\": {corpus_bytes}}},\n  \"replay\": {{\n    \
@@ -376,6 +368,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("throughput check passed: {headline:.0} frames/s vs baseline {expected:.0}");
+        let digest = format!("{d2:016x}");
+        match parse_string(&baseline, "jobs_invariance_digest") {
+            Some(expected) if expected == digest => {
+                eprintln!("digest check passed: {digest}");
+            }
+            Some(expected) => {
+                eprintln!(
+                    "ingest report digest changed: {digest} vs baseline {expected} — a \
+                     change to the decode or ingest counters must re-record the baseline"
+                );
+                return ExitCode::FAILURE;
+            }
+            None => {
+                eprintln!("baseline {baseline_path} has no jobs_invariance_digest");
+                return ExitCode::FAILURE;
+            }
+        }
     }
     ExitCode::SUCCESS
 }

@@ -3,7 +3,8 @@
 //! The workspace vendors no JSON crate, so both directions are
 //! hand-rolled: writers format their objects with `format!` around
 //! [`json_number`] and [`json_escape`], and each `--check` gate reads its
-//! one baseline figure back with [`parse_number`].
+//! baseline figures back with [`parse_number`] (and a digest with
+//! [`parse_string`]).
 
 /// Minimal JSON string escaping.
 pub fn json_escape(s: &str) -> String {
@@ -43,6 +44,16 @@ pub fn parse_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Pulls the string after the first `"<key>":` out of a report, without
+/// unescaping (written digests and labels need none). `None` when the key
+/// is absent or not followed by a string.
+pub fn parse_string<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle)? + needle.len();
+    let rest = text[at..].trim_start().strip_prefix('"')?;
+    rest.find('"').map(|end| &rest[..end])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,5 +82,14 @@ mod tests {
             let text = format!("{{\"x\": {}}}", json_number(x));
             assert_eq!(parse_number(&text, "x"), Some(x));
         }
+    }
+
+    #[test]
+    fn parse_string_reads_the_first_match_of_its_key() {
+        let text = "{\"digest\": \"0e9112fc72ff1bf7\", \"n\": 3,\n \"digest\": \"x\"}";
+        assert_eq!(parse_string(text, "digest"), Some("0e9112fc72ff1bf7"));
+        assert_eq!(parse_string(text, "n"), None);
+        assert_eq!(parse_string(text, "missing"), None);
+        assert_eq!(parse_string("{\"s\": \"open", "s"), None);
     }
 }

@@ -9,7 +9,7 @@ use crate::direction::FlowDirection;
 use crate::flow_meter::Measurement;
 use crate::health::HealthState;
 use crate::CoreError;
-use hotwire_isif::uart::{encode_frame, FrameDecoder};
+use hotwire_isif::uart::{encode_frame, FrameDecoder, FrameEvent};
 use hotwire_units::MetersPerSecond;
 
 /// Wire version tag of the record layout.
@@ -240,21 +240,22 @@ impl TelemetryRecord {
     ///
     /// Unlike the historical `decode_stream`, no frame is consumed invisibly:
     /// each CRC-valid payload either becomes a returned record (`records`) or
-    /// increments one of the malformed counters.
+    /// increments one of the malformed counters. A frame split across calls
+    /// waits in `decoder` and decodes in the call that completes it.
     pub fn decode_stream_counted(
         decoder: &mut FrameDecoder,
         bytes: &[u8],
         stats: &mut RecordDecodeStats,
     ) -> Vec<TelemetryRecord> {
-        bytes
-            .iter()
-            .filter_map(|&b| decoder.push(b))
-            .filter_map(|payload| {
-                let outcome = TelemetryRecord::parse(&payload);
+        let mut records = Vec::new();
+        decoder.feed(bytes, |event| {
+            if let FrameEvent::Payload(payload) = event {
+                let outcome = TelemetryRecord::parse(payload);
                 stats.tally(&outcome);
-                outcome.ok()
-            })
-            .collect()
+                records.extend(outcome.ok());
+            }
+        });
+        records
     }
 }
 
@@ -455,5 +456,71 @@ mod tests {
             ..sample_measurement()
         };
         assert!(!TelemetryRecord::from_measurement(&m).saturated);
+    }
+
+    /// A telemetry stream from `parts`: good records, malformed records,
+    /// records with a flipped bit, and SOH-led garbage.
+    fn record_stream(parts: &[(u8, u32, u16)]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for &(kind, tick, at) in parts {
+            let rec = TelemetryRecord {
+                tick,
+                ..TelemetryRecord::from_measurement(&sample_measurement())
+            };
+            let mut frame = rec.to_frame().unwrap();
+            let at = at as usize;
+            match kind {
+                0 => {}
+                1 => {
+                    let mut bytes = rec.to_bytes();
+                    bytes[0] = RECORD_VERSION + 1;
+                    frame = encode_frame(&bytes).unwrap();
+                }
+                2 => {
+                    let n = frame.len();
+                    frame[at % n] ^= 1 << (at / n % 8);
+                }
+                _ => frame = vec![hotwire_isif::uart::SOH, at as u8, (at >> 8) as u8],
+            }
+            wire.extend(frame);
+        }
+        wire
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_stream_counted_is_invariant_to_slicing(
+            parts in proptest::collection::vec((0u8..4, proptest::arbitrary::any::<u32>(), proptest::arbitrary::any::<u16>()), 0..16),
+            lens in proptest::collection::vec(1usize..48, 1..8),
+        ) {
+            // The records and tallies of one stream do not depend on how
+            // it is sliced across calls.
+            let wire = record_stream(&parts);
+            let decode = |slices: Vec<&[u8]>| {
+                let mut decoder = FrameDecoder::new();
+                let mut stats = RecordDecodeStats::default();
+                let records: Vec<TelemetryRecord> = slices
+                    .into_iter()
+                    .flat_map(|s| TelemetryRecord::decode_stream_counted(&mut decoder, s, &mut stats))
+                    .collect();
+                (records, stats, decoder.stats(), decoder.in_flight_bytes())
+            };
+            let whole = decode(vec![&wire]);
+            proptest::prop_assert_eq!(decode(wire.chunks(1).collect()), whole.clone());
+            let mut split = Vec::new();
+            let mut rest = &wire[..];
+            for &n in lens.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (slice, tail) = rest.split_at(n.min(rest.len()));
+                split.push(slice);
+                rest = tail;
+            }
+            proptest::prop_assert_eq!(decode(split), whole.clone());
+            let (records, stats, link, _) = whole;
+            proptest::prop_assert_eq!(records.len() as u64, stats.records);
+            proptest::prop_assert_eq!(link.good_frames, stats.records + stats.malformed());
+        }
     }
 }

@@ -11,18 +11,59 @@ pub const SLOT_COUNT: usize = 8;
 /// Payload capacity of one slot in bytes.
 pub const SLOT_CAPACITY: usize = 64;
 
-/// Computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
-pub fn crc16_ccitt(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
+/// CRC-16/CCITT generator polynomial.
+const CRC16_POLY: u16 = 0x1021;
+
+/// Slice-by-4 tables for [`crc16_ccitt`], built at compile time:
+/// `CRC16_TABLES[k][i]` is the CRC contribution of byte `i` followed by
+/// `k` zero bytes, i.e. `i·x^(16+8k) mod P`.
+static CRC16_TABLES: [[u16; 256]; 4] = {
+    let mut tables = [[0u16; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
+                (crc << 1) ^ CRC16_POLY
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 4 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
+///
+/// Four bytes per step through independent table lookups (slice-by-4),
+/// then one byte per step for the tail.
+pub fn crc16_ccitt(data: &[u8]) -> u16 {
+    let [t0, t1, t2, t3] = &CRC16_TABLES;
+    let mut crc: u16 = 0xFFFF;
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        let [hi, lo] = crc.to_be_bytes();
+        crc = t3[(hi ^ w[0]) as usize]
+            ^ t2[(lo ^ w[1]) as usize]
+            ^ t1[w[2] as usize]
+            ^ t0[w[3] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc << 8) ^ t0[((crc >> 8) as u8 ^ byte) as usize];
     }
     crc
 }

@@ -17,7 +17,8 @@
 //! * [`sched`] — the software-IP scheduler with a per-tick LEON cycle budget
 //! * [`timer`] — the watchdog
 //! * [`eeprom`] — CRC-protected calibration storage
-//! * [`uart`] — telemetry framing (encoder/decoder state machine)
+//! * [`uart`] — telemetry framing (frame encoder and resynchronizing
+//!   slice decoder)
 //! * [`platform`] — the assembled [`platform::IsifPlatform`]
 //!
 //! The substitution from the real chip is documented in `DESIGN.md`: no

@@ -1,13 +1,13 @@
 //! UART telemetry framing — the link carrying measurements off the probe.
 //!
 //! Frame format: `0xA5 | len(1) | payload(len) | crc16(2, big-endian)`,
-//! CRC-16/CCITT over the payload. The decoder is a resynchronizing byte
-//! state machine: garbage between frames is skipped, truncated or corrupt
-//! frames are counted and dropped.
+//! CRC-16/CCITT over the payload. The decoder resynchronizes over whatever
+//! slices of the stream it is fed: garbage between frames is skipped,
+//! truncated or corrupt frames are counted and dropped, and a frame that
+//! lies whole inside one slice is checked and delivered in place.
 
 use crate::eeprom::crc16_ccitt;
 use crate::IsifError;
-use std::collections::VecDeque;
 
 /// Frame start-of-header byte.
 pub const SOH: u8 = 0xA5;
@@ -35,47 +35,11 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, IsifError> {
     Ok(out)
 }
 
-/// Decoder state machine.
-#[derive(Debug, Clone, Default)]
-enum DecodeState {
-    #[default]
-    Hunt,
-    Length,
-    Payload {
-        expected: usize,
-    },
-    Crc {
-        have_high: bool,
-        high: u8,
-    },
-}
-
-/// What one pushed byte did to the decoder — the edge-resolved variant of
-/// [`FrameDecoder::push`]'s `Option`, for callers that must react to frame
-/// *errors* (observability, link diagnostics) rather than only to good
-/// frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The byte advanced the state machine; nothing concluded yet.
-    Pending,
-    /// The byte closed a frame with a valid CRC; here is its payload.
-    Frame(Vec<u8>),
-    /// The byte closed a frame whose CRC mismatched; the frame was dropped.
-    CrcError {
-        /// Genuine frames recovered by re-scanning the dropped frame's
-        /// bytes for an embedded start-of-header. A false `0xA5` in line
-        /// noise whose bogus length field spans a real frame used to
-        /// swallow that frame; the re-hunt decodes it instead. Usually
-        /// empty (a plain corrupt frame contains no embedded frame).
-        recovered: Vec<Vec<u8>>,
-    },
-}
-
 /// A snapshot of the decoder's cumulative link counters.
 ///
 /// The first three counters keep their historical semantics exactly; the
 /// remaining three were added with the re-hunt/flush accounting fixes and
-/// together close the byte ledger: every byte pushed is either skipped
+/// together close the byte ledger: every byte fed is either skipped
 /// while hunting (`resyncs`), part of a decoded frame, discarded
 /// (`discarded_bytes`), or still in flight inside the decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
@@ -142,40 +106,54 @@ fn frame_at(span: &[u8], i: usize) -> FrameAt {
     }
 }
 
-/// A resynchronizing frame decoder.
+/// A resynchronizing frame decoder, fed the wire a slice at a time.
+///
+/// Decoded frames and CRC failures go to a sink, a closure taking
+/// [`FrameEvent`]s; payloads are borrowed, not copied.
 ///
 /// ```
-/// use hotwire_isif::uart::{encode_frame, FrameDecoder};
+/// use hotwire_isif::uart::{encode_frame, FrameDecoder, FrameEvent};
 ///
 /// let mut dec = FrameDecoder::new();
 /// let wire = encode_frame(b"v=123")?;
-/// let mut got = None;
-/// for b in wire {
-///     if let Some(frame) = dec.push(b) {
-///         got = Some(frame);
-///     }
+/// let mut got = Vec::new();
+/// // Any split of the stream decodes the same.
+/// for slice in wire.chunks(3) {
+///     dec.feed(slice, |event| {
+///         if let FrameEvent::Payload(payload) = event {
+///             got.push(payload.to_vec());
+///         }
+///     });
 /// }
-/// assert_eq!(got.as_deref(), Some(&b"v=123"[..]));
+/// assert_eq!(got, [b"v=123"]);
 /// # Ok::<(), hotwire_isif::IsifError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FrameDecoder {
-    state: DecodeState,
-    /// Payload bytes of the in-flight frame.
-    buf: Vec<u8>,
-    /// Every raw byte consumed since (not including) the committed SOH —
-    /// length byte, payload and CRC bytes. This is what gets re-hunted
-    /// when the frame is dropped (CRC mismatch) or aborted (flush).
-    raw: Vec<u8>,
-    /// Recovered frames queued for delivery through [`push`](Self::push)
-    /// (which can only return one frame per byte).
-    queued: VecDeque<Vec<u8>>,
-    good_frames: u64,
-    crc_errors: u64,
-    resyncs: u64,
-    recovered_frames: u64,
-    aborted_frames: u64,
-    discarded_bytes: u64,
+    /// Whether a start-of-header is committed (the decoder is inside a
+    /// frame rather than hunting).
+    in_frame: bool,
+    /// The bytes consumed since (not including) the committed SOH of a
+    /// frame that did not lie whole inside one slice — length byte,
+    /// payload and CRC bytes, at most `3 + MAX_PAYLOAD`. This is what gets
+    /// re-hunted when the frame is dropped (CRC mismatch) or aborted
+    /// (flush). Empty while hunting.
+    carry: Vec<u8>,
+    stats: LinkStats,
+}
+
+/// What a [`FrameDecoder`] hands its sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameEvent<'a> {
+    /// A frame closed with a valid CRC (frames recovered by a re-hunt
+    /// included); here is its payload.
+    Payload(&'a [u8]),
+    /// A frame closed with a mismatched CRC and was dropped. Any frames
+    /// recovered by re-scanning its bytes for an embedded start-of-header
+    /// follow as [`Payload`](Self::Payload)s: a false `0xA5` in line noise
+    /// whose bogus length field spans a real frame would otherwise
+    /// swallow that frame.
+    CrcError,
 }
 
 impl FrameDecoder {
@@ -184,226 +162,170 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Feeds one wire byte; returns a completed payload when a frame closes
-    /// with a valid CRC.
-    ///
-    /// Frames recovered from the bytes of a dropped frame (see
-    /// [`PushOutcome::CrcError`]) are delivered too, one per call, in wire
-    /// order — drain the remainder with [`flush`](Self::flush) if the
-    /// stream ends.
-    pub fn push(&mut self, byte: u8) -> Option<Vec<u8>> {
-        match self.push_described(byte) {
-            PushOutcome::Frame(payload) => {
-                if self.queued.is_empty() {
-                    return Some(payload);
+    /// Feeds the next slice of the wire. Every frame it closes goes to
+    /// `sink` in wire order: a valid one as its payload, a CRC failure as
+    /// [`FrameEvent::CrcError`] followed by any frames recovered from the
+    /// dropped bytes. A frame still open at the end of the slice is
+    /// carried into the next call, so the events and counters do not
+    /// depend on how the stream is split.
+    pub fn feed(&mut self, bytes: &[u8], mut sink: impl FnMut(FrameEvent<'_>)) {
+        let mut pos = 0;
+        // A frame split across calls: top its carry up, then close it.
+        while self.in_frame {
+            let Some(used) = self.top_up(&bytes[pos..]) else {
+                return;
+            };
+            pos += used;
+            let mut span = std::mem::take(&mut self.carry);
+            match self.close(&span, &mut sink) {
+                Some(at) => {
+                    span.drain(..=at);
                 }
-                self.queued.push_back(payload);
+                None => {
+                    span.clear();
+                    self.in_frame = false;
+                }
             }
-            PushOutcome::CrcError { recovered } => self.queued.extend(recovered),
-            PushOutcome::Pending => {}
+            self.carry = span;
         }
-        self.queued.pop_front()
+        // Hunting: a frame that lies whole in `bytes` closes in place.
+        while let Some(skip) = bytes[pos..].iter().position(|&b| b == SOH) {
+            self.stats.resyncs += skip as u64;
+            let rest = &bytes[pos + skip + 1..];
+            let whole = rest.first().map(|&len| len as usize + 3);
+            let Some(span) = whole.and_then(|n| rest.get(..n)) else {
+                self.in_frame = true;
+                self.carry.extend_from_slice(rest);
+                return;
+            };
+            pos += skip + 1;
+            // A partial frame adopted by the re-hunt resumes at its SOH.
+            pos += self.close(span, &mut sink).unwrap_or(span.len());
+        }
+        self.stats.resyncs += (bytes.len() - pos) as u64;
     }
 
-    /// Feeds one wire byte and reports what it concluded — like
-    /// [`push`](Self::push), but a dropped frame is distinguishable from
-    /// an uneventful byte, so callers can emit a frame-error event at the
-    /// exact byte that killed the frame.
-    pub fn push_described(&mut self, byte: u8) -> PushOutcome {
-        match self.state {
-            DecodeState::Hunt => {
-                if byte == SOH {
-                    self.raw.clear();
-                    self.state = DecodeState::Length;
-                } else {
-                    self.resyncs += 1;
-                }
-                PushOutcome::Pending
-            }
-            DecodeState::Length => {
-                self.raw.push(byte);
-                self.buf.clear();
-                if byte == 0 {
-                    self.state = DecodeState::Crc {
-                        have_high: false,
-                        high: 0,
-                    };
-                } else {
-                    self.state = DecodeState::Payload {
-                        expected: byte as usize,
-                    };
-                }
-                PushOutcome::Pending
-            }
-            DecodeState::Payload { expected } => {
-                self.raw.push(byte);
-                self.buf.push(byte);
-                if self.buf.len() == expected {
-                    self.state = DecodeState::Crc {
-                        have_high: false,
-                        high: 0,
-                    };
-                }
-                PushOutcome::Pending
-            }
-            DecodeState::Crc { have_high, high } => {
-                self.raw.push(byte);
-                if !have_high {
-                    self.state = DecodeState::Crc {
-                        have_high: true,
-                        high: byte,
-                    };
-                    PushOutcome::Pending
-                } else {
-                    self.state = DecodeState::Hunt;
-                    let wire_crc = u16::from_be_bytes([high, byte]);
-                    if wire_crc == crc16_ccitt(&self.buf) {
-                        self.good_frames += 1;
-                        self.raw.clear();
-                        PushOutcome::Frame(std::mem::take(&mut self.buf))
-                    } else {
-                        self.crc_errors += 1;
-                        self.buf.clear();
-                        let span = std::mem::take(&mut self.raw);
-                        let recovered = self.rescan(&span);
-                        PushOutcome::CrcError { recovered }
-                    }
-                }
-            }
+    /// Moves bytes from the head of `bytes` into the carry until it holds
+    /// the in-flight frame whole; returns how many it took, or `None` when
+    /// `bytes` ran out first (all of it then sits in the carry).
+    fn top_up(&mut self, bytes: &[u8]) -> Option<usize> {
+        let mut used = 0;
+        if self.carry.is_empty() {
+            self.carry.push(*bytes.first()?);
+            used = 1;
+        }
+        let need = self.carry[0] as usize + 3;
+        let take = (need - self.carry.len()).min(bytes.len() - used);
+        self.carry.extend_from_slice(&bytes[used..used + take]);
+        used += take;
+        (self.carry.len() == need).then_some(used)
+    }
+
+    /// Closes the frame whose bytes after the SOH are `span` (exactly its
+    /// `3 + len` bytes). On a CRC mismatch the span is re-hunted; returns
+    /// the span offset of the SOH of a trailing partial frame that re-hunt
+    /// adopted as the new in-flight frame.
+    fn close(&mut self, span: &[u8], sink: &mut impl FnMut(FrameEvent<'_>)) -> Option<usize> {
+        let (payload, crc) = span[1..].split_at(span.len() - 3);
+        if u16::from_be_bytes([crc[0], crc[1]]) == crc16_ccitt(payload) {
+            self.stats.good_frames += 1;
+            sink(FrameEvent::Payload(payload));
+            None
+        } else {
+            self.stats.crc_errors += 1;
+            sink(FrameEvent::CrcError);
+            self.rescan(span, sink)
         }
     }
 
     /// Re-hunts a discarded in-flight span (the bytes that followed a
     /// committed SOH) for embedded genuine frames.
     ///
-    /// Complete CRC-valid frames decode and are returned; a complete but
+    /// Complete CRC-valid frames decode and go to `sink`; a complete but
     /// CRC-mismatched candidate is treated as a noise alignment (only its
     /// SOH is skipped, so a real frame starting inside it is still found);
     /// a trailing incomplete candidate is adopted as the new in-flight
-    /// frame so subsequent stream bytes can complete it. Bytes that end up
-    /// in none of those count into `discarded_bytes`, keeping the byte
-    /// ledger exact.
-    fn rescan(&mut self, span: &[u8]) -> Vec<Vec<u8>> {
-        let mut recovered = Vec::new();
+    /// frame so subsequent stream bytes can complete it — its SOH's span
+    /// offset is returned. Bytes that end up in none of those count into
+    /// `discarded_bytes`, keeping the byte ledger exact.
+    fn rescan(&mut self, span: &[u8], sink: &mut impl FnMut(FrameEvent<'_>)) -> Option<usize> {
         // The SOH that committed the discarded frame is itself lost.
-        self.discarded_bytes += 1;
+        self.stats.discarded_bytes += 1;
         let mut i = 0;
         while i < span.len() {
             if span[i] != SOH {
-                self.discarded_bytes += 1;
+                self.stats.discarded_bytes += 1;
                 i += 1;
                 continue;
             }
             match frame_at(span, i) {
                 FrameAt::Valid { payload_len } => {
-                    self.good_frames += 1;
-                    self.recovered_frames += 1;
-                    recovered.push(span[i + 2..i + 2 + payload_len].to_vec());
+                    self.stats.good_frames += 1;
+                    self.stats.recovered_frames += 1;
+                    sink(FrameEvent::Payload(&span[i + 2..i + 2 + payload_len]));
                     i += payload_len + 4;
                 }
                 FrameAt::BadCrc => {
-                    self.discarded_bytes += 1;
+                    self.stats.discarded_bytes += 1;
                     i += 1;
                 }
-                FrameAt::Incomplete => {
-                    self.adopt(&span[i + 1..]);
-                    return recovered;
-                }
+                FrameAt::Incomplete => return Some(i),
             }
         }
-        recovered
-    }
-
-    /// Adopts a partial frame found at the tail of a re-hunted span as the
-    /// live in-flight frame. `rest` holds the bytes after the candidate's
-    /// SOH (length byte onward) and is strictly shorter than a complete
-    /// frame.
-    fn adopt(&mut self, rest: &[u8]) {
-        self.raw.clear();
-        self.raw.extend_from_slice(rest);
-        self.buf.clear();
-        match rest.split_first() {
-            None => self.state = DecodeState::Length,
-            Some((&len, body)) => {
-                let len = len as usize;
-                if body.len() < len {
-                    self.buf.extend_from_slice(body);
-                    self.state = DecodeState::Payload { expected: len };
-                } else {
-                    self.buf.extend_from_slice(&body[..len]);
-                    self.state = match body.len() - len {
-                        0 => DecodeState::Crc {
-                            have_high: false,
-                            high: 0,
-                        },
-                        1 => DecodeState::Crc {
-                            have_high: true,
-                            high: body[len],
-                        },
-                        _ => unreachable!("a complete candidate is never adopted"),
-                    };
-                }
-            }
-        }
+        None
     }
 
     /// Frames decoded successfully.
     #[inline]
     pub fn good_frames(&self) -> u64 {
-        self.good_frames
+        self.stats.good_frames
     }
 
     /// Frames dropped for CRC mismatch.
     #[inline]
     pub fn crc_errors(&self) -> u64 {
-        self.crc_errors
+        self.stats.crc_errors
     }
 
     /// Bytes skipped while hunting for a start-of-header.
     #[inline]
     pub fn resyncs(&self) -> u64 {
-        self.resyncs
+        self.stats.resyncs
     }
 
     /// Frames recovered by re-scanning dropped or aborted frame bytes.
     #[inline]
     pub fn recovered_frames(&self) -> u64 {
-        self.recovered_frames
+        self.stats.recovered_frames
     }
 
     /// In-flight frames abandoned by an idle-line flush.
     #[inline]
     pub fn aborted_frames(&self) -> u64 {
-        self.aborted_frames
+        self.stats.aborted_frames
     }
 
     /// Bytes discarded without decoding into any frame.
     #[inline]
     pub fn discarded_bytes(&self) -> u64 {
-        self.discarded_bytes
+        self.stats.discarded_bytes
     }
 
     /// Bytes currently held inside the decoder (the committed SOH plus
     /// everything consumed after it), zero when hunting.
     #[inline]
     pub fn in_flight_bytes(&self) -> u64 {
-        match self.state {
-            DecodeState::Hunt => 0,
-            _ => self.raw.len() as u64 + 1,
+        if self.in_frame {
+            self.carry.len() as u64 + 1
+        } else {
+            0
         }
     }
 
     /// Snapshot of all cumulative link counters.
     #[inline]
     pub fn stats(&self) -> LinkStats {
-        LinkStats {
-            good_frames: self.good_frames,
-            crc_errors: self.crc_errors,
-            resyncs: self.resyncs,
-            recovered_frames: self.recovered_frames,
-            aborted_frames: self.aborted_frames,
-            discarded_bytes: self.discarded_bytes,
-        }
+        self.stats
     }
 
     /// Idle-line flush: a UART receiver detects inter-frame silence and
@@ -414,23 +336,27 @@ impl FrameDecoder {
     ///
     /// The abandoned in-flight bytes are re-hunted exactly as on a CRC
     /// mismatch, so a genuine frame buried inside a false frame still
-    /// decodes: it is returned here, after any frames recovered earlier
-    /// that [`push`](Self::push) has not delivered yet. Each abandoned
-    /// partial counts into `aborted_frames` and its unrecovered bytes into
+    /// decodes: its payload goes to `sink`. Each abandoned partial counts
+    /// into `aborted_frames` and its unrecovered bytes into
     /// `discarded_bytes`; the three historical counters are untouched.
-    pub fn flush(&mut self) -> Vec<Vec<u8>> {
-        let mut out: Vec<Vec<u8>> = self.queued.drain(..).collect();
-        while !matches!(self.state, DecodeState::Hunt) {
-            self.aborted_frames += 1;
-            self.buf.clear();
-            self.state = DecodeState::Hunt;
-            let span = std::mem::take(&mut self.raw);
+    pub fn flush(&mut self, mut sink: impl FnMut(FrameEvent<'_>)) {
+        let mut span = std::mem::take(&mut self.carry);
+        while self.in_frame {
+            self.stats.aborted_frames += 1;
             // The re-hunt may adopt a shorter trailing partial; an idle
             // line truncates that too, so the loop aborts it as well. Each
             // pass strictly shrinks the span, so this terminates.
-            out.extend(self.rescan(&span));
+            match self.rescan(&span, &mut sink) {
+                Some(at) => {
+                    span.drain(..=at);
+                }
+                None => {
+                    span.clear();
+                    self.in_frame = false;
+                }
+            }
         }
-        out
+        self.carry = span;
     }
 }
 
@@ -438,8 +364,25 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    /// Every event `feed` (then `flush`, when `flush` is set) hands the
+    /// sink, payloads copied out.
+    fn events(dec: &mut FrameDecoder, bytes: &[u8], flush: bool) -> Vec<Option<Vec<u8>>> {
+        let mut out = Vec::new();
+        let mut sink = |event: FrameEvent<'_>| {
+            out.push(match event {
+                FrameEvent::Payload(p) => Some(p.to_vec()),
+                FrameEvent::CrcError => None,
+            })
+        };
+        dec.feed(bytes, &mut sink);
+        if flush {
+            dec.flush(&mut sink);
+        }
+        out
+    }
+
     fn decode_all(dec: &mut FrameDecoder, bytes: &[u8]) -> Vec<Vec<u8>> {
-        bytes.iter().filter_map(|&b| dec.push(b)).collect()
+        events(dec, bytes, false).into_iter().flatten().collect()
     }
 
     #[test]
@@ -512,23 +455,23 @@ mod tests {
     }
 
     #[test]
-    fn push_described_distinguishes_crc_errors() {
+    fn crc_errors_reach_the_sink_as_edges() {
         let mut dec = FrameDecoder::new();
         let mut wire = encode_frame(b"payload").unwrap();
         let n = wire.len();
         wire[n - 1] ^= 0x01; // corrupt the CRC low byte
-        let mut outcomes: Vec<PushOutcome> = wire.iter().map(|&b| dec.push_described(b)).collect();
-        // The dropped span contains no embedded SOH, so nothing recovers.
-        assert_eq!(
-            outcomes.pop(),
-            Some(PushOutcome::CrcError { recovered: vec![] })
-        );
-        assert!(outcomes.iter().all(|o| *o == PushOutcome::Pending));
+                             // Fed a byte at a time, only the frame's last byte concludes
+                             // anything; the dropped span contains no embedded SOH, so nothing
+                             // recovers.
+        let (last, head) = wire.split_last().unwrap();
+        for &b in head {
+            assert!(events(&mut dec, &[b], false).is_empty());
+        }
+        assert_eq!(events(&mut dec, &[*last], false), vec![None]);
 
-        // A good frame closes with its payload on the final byte.
+        // A good frame closes with its payload.
         let wire = encode_frame(b"ok").unwrap();
-        let last = wire.iter().map(|&b| dec.push_described(b)).last().unwrap();
-        assert_eq!(last, PushOutcome::Frame(b"ok".to_vec()));
+        assert_eq!(events(&mut dec, &wire, false), vec![Some(b"ok".to_vec())]);
         assert_eq!(
             dec.stats(),
             LinkStats {
@@ -547,16 +490,15 @@ mod tests {
     fn false_soh_spanning_a_genuine_frame_recovers_it() {
         // Regression: a spurious 0xA5 whose bogus length field spans a
         // genuine frame used to swallow that frame silently. The re-hunt
-        // inside the dropped span must decode it.
+        // inside the dropped span must decode it, right after the edge.
         let mut dec = FrameDecoder::new();
         let inner = encode_frame(b"hello").unwrap(); // 9 wire bytes
         let mut wire = vec![SOH, 25]; // false header claiming 25 payload bytes
         wire.extend([0x11; 16]); // bogus "payload" prefix
         wire.extend(&inner); // the genuine frame, inside the false payload
         wire.extend([0x00, 0x00]); // false CRC (mismatches)
-        let mut frames: Vec<Vec<u8>> = wire.iter().filter_map(|&b| dec.push(b)).collect();
-        frames.extend(dec.flush());
-        assert_eq!(frames, vec![b"hello".to_vec()]);
+        let got = events(&mut dec, &wire, true);
+        assert_eq!(got, vec![None, Some(b"hello".to_vec())]);
         let stats = dec.stats();
         assert_eq!(stats.crc_errors, 1);
         assert_eq!(stats.good_frames, 1);
@@ -574,10 +516,13 @@ mod tests {
         let mut dec = FrameDecoder::new();
         let mut wire = vec![SOH, 0xFF]; // claims 255 payload bytes
         wire.extend(encode_frame(b"hello").unwrap());
-        let mid: Vec<Vec<u8>> = wire.iter().filter_map(|&b| dec.push(b)).collect();
-        assert!(mid.is_empty(), "frame is still swallowed mid-burst");
-        let recovered = dec.flush();
-        assert_eq!(recovered, vec![b"hello".to_vec()]);
+        assert!(
+            decode_all(&mut dec, &wire).is_empty(),
+            "frame is still swallowed mid-burst"
+        );
+        assert_eq!(dec.in_flight_bytes(), wire.len() as u64);
+        let recovered = events(&mut dec, &[], true);
+        assert_eq!(recovered, vec![Some(b"hello".to_vec())]);
         let stats = dec.stats();
         assert_eq!(stats.aborted_frames, 1);
         assert_eq!(stats.recovered_frames, 1);
@@ -589,11 +534,9 @@ mod tests {
     #[test]
     fn flush_counts_aborted_partial_frames() {
         let mut dec = FrameDecoder::new();
-        for b in [SOH, 0x05, 0x01, 0x02] {
-            assert_eq!(dec.push_described(b), PushOutcome::Pending);
-        }
+        assert!(events(&mut dec, &[SOH, 0x05, 0x01, 0x02], false).is_empty());
         assert_eq!(dec.in_flight_bytes(), 4);
-        assert!(dec.flush().is_empty());
+        assert!(events(&mut dec, &[], true).is_empty());
         let stats = dec.stats();
         assert_eq!(stats.aborted_frames, 1);
         assert_eq!(stats.discarded_bytes, 4);
@@ -603,7 +546,7 @@ mod tests {
             (0, 0, 0)
         );
         // Idempotent: flushing a hunting decoder counts nothing.
-        assert!(dec.flush().is_empty());
+        assert!(events(&mut dec, &[], true).is_empty());
         assert_eq!(dec.stats(), stats);
     }
 

@@ -29,7 +29,7 @@ use hotwire_afe::ThermometerDac;
 use hotwire_core::faults::AdcFault;
 use hotwire_core::obs::EventKind;
 use hotwire_core::{Measurement, Meter, TelemetryRecord};
-use hotwire_isif::uart::{FrameDecoder, PushOutcome};
+use hotwire_isif::uart::{FrameDecoder, FrameEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -352,40 +352,37 @@ impl FaultInjector {
             }
         }
         let record = TelemetryRecord::from_measurement(m);
-        let Ok(frame) = record.to_frame() else { return };
+        let Ok(mut frame) = record.to_frame() else {
+            return;
+        };
         self.stats.frames_sent += 1;
-        for byte in frame {
-            let mut b = byte;
+        // The frame's bytes as they reach the receiver: dropped bytes
+        // vanish, flipped ones arrive corrupted (two draws per byte, in
+        // wire order; the decoder draws none).
+        frame.retain_mut(|b| {
             if drop_p > 0.0 && self.rng.gen_bool(drop_p) {
                 self.stats.bytes_dropped += 1;
-                continue;
+                return false;
             }
             if flip_p > 0.0 && self.rng.gen_bool(flip_p) {
-                b ^= 1u8 << self.rng.gen_range(0u32..8);
+                *b ^= 1u8 << self.rng.gen_range(0u32..8);
                 self.stats.bytes_corrupted += 1;
             }
-            if let Some(wire) = &mut self.wire {
-                wire.push(b);
-            }
-            match self.decoder.push_described(b) {
-                PushOutcome::Frame(payload) => {
-                    if TelemetryRecord::from_bytes(&payload).is_ok() {
-                        self.stats.frames_received += 1;
-                    }
-                }
-                PushOutcome::CrcError { recovered } => {
-                    meter.observe(EventKind::UartFrameError);
-                    // Frames the decoder re-hunted out of the discarded span
-                    // still arrived intact — count them as received.
-                    for payload in recovered {
-                        if TelemetryRecord::from_bytes(&payload).is_ok() {
-                            self.stats.frames_received += 1;
-                        }
-                    }
-                }
-                PushOutcome::Pending => {}
-            }
+            true
+        });
+        if let Some(wire) = &mut self.wire {
+            wire.extend_from_slice(&frame);
         }
+        // Frames the decoder re-hunts out of a dropped span still arrived
+        // intact, so they count as received too.
+        self.decoder.feed(&frame, |event| match event {
+            FrameEvent::Payload(payload) => {
+                if TelemetryRecord::from_bytes(payload).is_ok() {
+                    self.stats.frames_received += 1;
+                }
+            }
+            FrameEvent::CrcError => meter.observe(EventKind::UartFrameError),
+        });
     }
 
     /// The telemetry-link statistics accumulated so far.

@@ -50,7 +50,7 @@ use crate::exec;
 use crate::fleet::FleetSpec;
 use crate::record::{HealthCensus, PolicyRecorder, RecordPolicy};
 use hotwire_core::{CoreError, HealthState, RecordDecodeStats, TelemetryRecord};
-use hotwire_isif::uart::{FrameDecoder, LinkStats};
+use hotwire_isif::uart::{FrameDecoder, FrameEvent, LinkStats};
 use std::collections::VecDeque;
 
 /// What a [`MeterSession`] does with bytes that arrive while its queue is
@@ -219,14 +219,23 @@ impl IngestStats {
 /// derived monitoring state for a single line.
 #[derive(Debug)]
 pub struct MeterSession {
-    line: usize,
     config: IngestConfig,
     queue: VecDeque<u8>,
     decoder: FrameDecoder,
-    records: RecordDecodeStats,
     bytes_in: u64,
     bytes_dropped: u64,
     bytes_deferred: u64,
+    fold: RecordFold,
+}
+
+/// The monitoring state a session derives from its decoded frames — kept
+/// apart from the queue and decoder so that `poll` can fold frames while
+/// the decoder reads the queue in place.
+#[derive(Debug)]
+struct RecordFold {
+    line: usize,
+    alert_capacity: usize,
+    records: RecordDecodeStats,
     records_lost: u64,
     tick_gaps: u64,
     health_transitions: u64,
@@ -244,24 +253,27 @@ impl MeterSession {
     /// A fresh session for `line`.
     pub fn new(line: usize, config: IngestConfig) -> Self {
         MeterSession {
-            line,
             queue: VecDeque::with_capacity(config.queue_capacity.min(4096)),
             decoder: FrameDecoder::new(),
-            records: RecordDecodeStats::default(),
             bytes_in: 0,
             bytes_dropped: 0,
             bytes_deferred: 0,
-            records_lost: 0,
-            tick_gaps: 0,
-            health_transitions: 0,
-            last_tick: None,
-            cadence: config.nominal_tick_gap,
-            last_health: None,
-            flags: FlagHistory::default(),
-            census: HealthCensus::default(),
-            alerts: Vec::new(),
-            alerts_raised: 0,
-            alerts_dropped: 0,
+            fold: RecordFold {
+                line,
+                alert_capacity: config.alert_capacity,
+                records: RecordDecodeStats::default(),
+                records_lost: 0,
+                tick_gaps: 0,
+                health_transitions: 0,
+                last_tick: None,
+                cadence: config.nominal_tick_gap,
+                last_health: None,
+                flags: FlagHistory::default(),
+                census: HealthCensus::default(),
+                alerts: Vec::new(),
+                alerts_raised: 0,
+                alerts_dropped: 0,
+            },
             config,
         }
     }
@@ -300,15 +312,20 @@ impl MeterSession {
     }
 
     /// Drains the queue through the frame decoder, folding every decoded
-    /// record into the session state. Returns records processed.
+    /// record into the session state. Returns frames processed.
     pub fn poll(&mut self) -> usize {
         let mut processed = 0;
-        while let Some(b) = self.queue.pop_front() {
-            if let Some(payload) = self.decoder.push(b) {
-                self.accept_frame(&payload);
-                processed += 1;
-            }
+        let fold = &mut self.fold;
+        let (head, tail) = self.queue.as_slices();
+        for slice in [head, tail] {
+            self.decoder.feed(slice, |event| {
+                if let FrameEvent::Payload(payload) = event {
+                    fold.accept_frame(payload);
+                    processed += 1;
+                }
+            });
         }
+        self.queue.clear();
         processed
     }
 
@@ -316,11 +333,55 @@ impl MeterSession {
     /// idle line is end-of-stream), folding any frames the flush recovers.
     pub fn finish(&mut self) {
         self.poll();
-        for payload in self.decoder.flush() {
-            self.accept_frame(&payload);
-        }
+        let fold = &mut self.fold;
+        self.decoder.flush(|event| {
+            if let FrameEvent::Payload(payload) = event {
+                fold.accept_frame(payload);
+            }
+        });
     }
 
+    /// The line index this session monitors.
+    pub fn line(&self) -> usize {
+        self.fold.line
+    }
+
+    /// The health census of every record seen so far.
+    pub fn census(&self) -> &HealthCensus {
+        &self.fold.census
+    }
+
+    /// The most recent health state reported on the wire.
+    pub fn last_health(&self) -> Option<HealthState> {
+        self.fold.last_health
+    }
+
+    /// The alerts retained so far (capped at the config's
+    /// `alert_capacity`).
+    pub fn alerts(&self) -> &[Alert] {
+        &self.fold.alerts
+    }
+
+    /// A snapshot of every counter the session maintains.
+    pub fn stats(&self) -> IngestStats {
+        let fold = &self.fold;
+        IngestStats {
+            bytes_in: self.bytes_in,
+            bytes_dropped: self.bytes_dropped,
+            bytes_deferred: self.bytes_deferred,
+            link: self.decoder.stats(),
+            records: fold.records,
+            records_lost: fold.records_lost,
+            tick_gaps: fold.tick_gaps,
+            health_transitions: fold.health_transitions,
+            alerts_raised: fold.alerts_raised,
+            alerts_dropped: fold.alerts_dropped,
+            flags: fold.flags,
+        }
+    }
+}
+
+impl RecordFold {
     fn accept_frame(&mut self, payload: &[u8]) {
         let outcome = TelemetryRecord::parse(payload);
         self.records.tally(&outcome);
@@ -372,7 +433,7 @@ impl MeterSession {
 
     fn raise(&mut self, tick: u32, kind: AlertKind) {
         self.alerts_raised += 1;
-        if self.alerts.len() < self.config.alert_capacity {
+        if self.alerts.len() < self.alert_capacity {
             self.alerts.push(Alert {
                 line: self.line,
                 tick,
@@ -380,44 +441,6 @@ impl MeterSession {
             });
         } else {
             self.alerts_dropped += 1;
-        }
-    }
-
-    /// The line index this session monitors.
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// The health census of every record seen so far.
-    pub fn census(&self) -> &HealthCensus {
-        &self.census
-    }
-
-    /// The most recent health state reported on the wire.
-    pub fn last_health(&self) -> Option<HealthState> {
-        self.last_health
-    }
-
-    /// The alerts retained so far (capped at the config's
-    /// `alert_capacity`).
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
-    }
-
-    /// A snapshot of every counter the session maintains.
-    pub fn stats(&self) -> IngestStats {
-        IngestStats {
-            bytes_in: self.bytes_in,
-            bytes_dropped: self.bytes_dropped,
-            bytes_deferred: self.bytes_deferred,
-            link: self.decoder.stats(),
-            records: self.records,
-            records_lost: self.records_lost,
-            tick_gaps: self.tick_gaps,
-            health_transitions: self.health_transitions,
-            alerts_raised: self.alerts_raised,
-            alerts_dropped: self.alerts_dropped,
-            flags: self.flags,
         }
     }
 }
@@ -541,18 +564,31 @@ pub fn ingest_line(
     ingest_spec(&spec, config, line)
 }
 
+/// Rejects a config no session can ingest through: a zero-capacity queue
+/// holds no byte under any [`DropPolicy`].
+fn check_config(config: &IngestConfig) -> Result<(), CoreError> {
+    if config.queue_capacity == 0 {
+        return Err(CoreError::Config {
+            reason: "ingest queue_capacity must be at least 1",
+        });
+    }
+    Ok(())
+}
+
 /// [`ingest_line`] for an explicit [`RunSpec`] — the load-generator entry
 /// point `ingest_bench` uses to capture a corpus once and replay it many
 /// times.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError`] if the spec cannot execute.
+/// Returns [`CoreError`] if the spec cannot execute, or
+/// [`CoreError::Config`] for a zero `queue_capacity`.
 pub fn ingest_spec(
     spec: &RunSpec,
     config: &IngestConfig,
     line: usize,
 ) -> Result<LineIngest, CoreError> {
+    check_config(config)?;
     let mut recorder = PolicyRecorder::new(RecordPolicy::MetricsOnly, spec.reduction_plan());
     let (tail, _meter, wire) = spec.execute_wiretapped(&mut recorder)?;
     let (_, reduced) = recorder.finish();
@@ -572,13 +608,22 @@ pub fn ingest_spec(
 
 /// Feeds a captured wire into a session in `chunk_bytes` reads, polling
 /// between offers so a [`DropPolicy::Backpressure`] queue always drains.
+///
+/// A zero-capacity backpressure queue takes nothing even right after a
+/// poll emptied it; `feed` then moves on to the next chunk, leaving the
+/// refused bytes counted in `bytes_deferred`.
 pub fn feed(session: &mut MeterSession, wire: &[u8], chunk_bytes: usize) {
     let chunk_bytes = chunk_bytes.max(1);
     for chunk in wire.chunks(chunk_bytes) {
         let mut rest = chunk;
+        let mut polled = false;
         loop {
             let consumed = session.offer(rest);
+            if consumed == 0 && polled {
+                break;
+            }
             session.poll();
+            polled = true;
             rest = &rest[consumed..];
             if rest.is_empty() {
                 break;
@@ -594,7 +639,7 @@ pub fn feed(session: &mut MeterSession, wire: &[u8], chunk_bytes: usize) {
 /// # Errors
 ///
 /// Returns the first per-line [`CoreError`] in line order, or
-/// [`CoreError::Config`] for an invalid fleet spec.
+/// [`CoreError::Config`] for an invalid fleet spec or ingest config.
 pub fn ingest_fleet(
     fleet: &FleetSpec,
     config: &IngestConfig,
@@ -603,6 +648,7 @@ pub fn ingest_fleet(
     fleet.validate().map_err(|_| CoreError::Config {
         reason: "invalid fleet spec for ingest",
     })?;
+    check_config(config)?;
     let lines: Vec<usize> = (0..fleet.lines).collect();
     let results =
         exec::parallel_map_indexed(&lines, jobs, |_, &line| ingest_line(fleet, config, line));
@@ -791,6 +837,59 @@ mod tests {
             "the tiny queue must have pushed back"
         );
         assert_eq!(stats.records_lost, 0);
+    }
+
+    #[test]
+    fn zero_capacity_backpressure_feed_returns() {
+        // Regression: a queue that takes nothing even when empty used to
+        // spin `feed` forever. The worker thread lets the test fail on a
+        // timeout instead of hanging the suite.
+        let wire = wire_of(&[record(0, HealthState::Healthy)]);
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut s = MeterSession::new(
+                0,
+                IngestConfig {
+                    queue_capacity: 0,
+                    ..session_config()
+                },
+            );
+            feed(&mut s, &wire, 7);
+            s.finish();
+            done.send(s.stats()).expect("the test thread is waiting");
+        });
+        let stats = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("feed returns on a zero-capacity queue");
+        worker.join().expect("feed worker panicked");
+        assert_eq!(stats.bytes_in, 0);
+        assert_eq!(stats.records.records, 0);
+        // Each 7-byte read is refused twice: before and after the poll
+        // that found nothing to drain.
+        assert_eq!(stats.bytes_deferred, 2 * 20);
+    }
+
+    #[test]
+    fn zero_capacity_queue_is_a_config_error() {
+        let fleet = FleetSpec::new(
+            "zero-capacity",
+            hotwire_core::config::FlowMeterConfig::test_profile(),
+            crate::scenario::Scenario::steady(50.0, 0.1),
+            1,
+        )
+        .with_lines(2);
+        let config = IngestConfig {
+            queue_capacity: 0,
+            ..IngestConfig::default()
+        };
+        assert!(matches!(
+            ingest_fleet(&fleet, &config, 1),
+            Err(CoreError::Config { .. })
+        ));
+        assert!(matches!(
+            ingest_spec(&fleet.line_spec(0), &config, 0),
+            Err(CoreError::Config { .. })
+        ));
     }
 
     #[test]

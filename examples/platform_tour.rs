@@ -8,7 +8,7 @@
 
 use hotwire::isif::regs::addr;
 use hotwire::isif::sched::IpTask;
-use hotwire::isif::uart::{encode_frame, FrameDecoder};
+use hotwire::isif::uart::{encode_frame, FrameDecoder, FrameEvent};
 use hotwire::isif::{CalibrationStore, IsifPlatform, Scheduler};
 use hotwire::prelude::*;
 
@@ -72,13 +72,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut wire = vec![0x00, 0x37, 0xA5]; // noise, incl. a fake SOH
     wire.extend(encode_frame(b"v=101.3cm/s dir=fwd")?);
     let mut decoder = FrameDecoder::new();
-    decoder.flush(); // idle-line reset after the noise burst
     let mut decoded = Vec::new();
-    for b in &wire[3..] {
-        if let Some(frame) = decoder.push(*b) {
-            decoded.push(frame);
+    let mut sink = |event: FrameEvent<'_>| {
+        if let FrameEvent::Payload(frame) = event {
+            decoded.push(frame.to_vec());
         }
-    }
+    };
+    decoder.feed(&wire[..3], &mut sink);
+    decoder.flush(&mut sink); // idle-line reset after the noise burst
+    decoder.feed(&wire[3..], &mut sink);
     println!(
         "uart: {} frame(s) decoded: {:?}",
         decoded.len(),

@@ -5,7 +5,7 @@
 use hotwire::core::config::FlowMeterConfig;
 use hotwire::core::telemetry::TelemetryRecord;
 use hotwire::core::FlowMeter;
-use hotwire::isif::uart::FrameDecoder;
+use hotwire::isif::uart::{FrameDecoder, FrameEvent};
 use hotwire::physics::{MafParams, SensorEnvironment};
 use hotwire::units::MetersPerSecond;
 
@@ -37,15 +37,16 @@ fn measurements_survive_the_telemetry_link() {
     // Far-end receiver: a real UART flushes framing on inter-burst idle.
     let mut decoder = FrameDecoder::new();
     let mut received = Vec::new();
-    for burst in &bursts {
-        decoder.flush(); // idle gap preceding every burst
-        for &b in burst {
-            if let Some(payload) = decoder.push(b) {
-                if let Ok(r) = TelemetryRecord::from_bytes(&payload) {
-                    received.push(r);
-                }
+    let mut sink = |event: FrameEvent<'_>| {
+        if let FrameEvent::Payload(payload) = event {
+            if let Ok(r) = TelemetryRecord::from_bytes(payload) {
+                received.push(r);
             }
         }
+    };
+    for burst in &bursts {
+        decoder.flush(&mut sink); // idle gap preceding every burst
+        decoder.feed(burst, &mut sink);
     }
     assert_eq!(
         received.len(),
@@ -90,11 +91,11 @@ fn burst_probe_reports_over_the_link() {
     let frame = record.to_frame().expect("encodes");
     let mut decoder = FrameDecoder::new();
     let mut got = None;
-    for b in frame {
-        if let Some(p) = decoder.push(b) {
-            got = Some(TelemetryRecord::from_bytes(&p).expect("valid record"));
+    decoder.feed(&frame, |event| {
+        if let FrameEvent::Payload(p) = event {
+            got = Some(TelemetryRecord::from_bytes(p).expect("valid record"));
         }
-    }
+    });
     let got = got.expect("frame decoded");
     assert_eq!(got, record);
     // Burst reading and telemetry record tell a consistent story.
