@@ -120,17 +120,6 @@ pub fn shared_calibration_with(
     })
 }
 
-/// Builds a field-calibrated meter — the common starting point of most
-/// experiments (the paper calibrated against the Promag 50 before
-/// evaluating).
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the meter cannot be built or calibrated.
-pub fn calibrated_meter(speed: Speed, seed: u64) -> Result<FlowMeter, CoreError> {
-    calibrated_meter_with(speed.config(), MafParams::nominal(), speed, seed)
-}
-
 /// Builds a field-calibrated meter from explicit configuration and die
 /// parameters. The calibration setpoints run as a (parallel) campaign; the
 /// result is identical to the historical serial procedure on replicas.

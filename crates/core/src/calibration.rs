@@ -10,6 +10,8 @@
 //! `A, B` at each candidate — and stores the constants in the platform
 //! EEPROM.
 
+use crate::health::HealthMonitor;
+use crate::obs::{CalSlot, EventKind};
 use crate::CoreError;
 use hotwire_isif::eeprom::CalibrationStore;
 use hotwire_units::{KelvinDelta, MetersPerSecond, ThermalConductance, Watts};
@@ -123,11 +125,6 @@ impl KingCalibration {
         }
     }
 
-    /// The conductance King's law predicts at a velocity (forward model).
-    pub fn conductance_at(&self, v: MetersPerSecond) -> ThermalConductance {
-        ThermalConductance::new(self.a + self.b * v.get().abs().powf(self.n))
-    }
-
     /// Velocity sensitivity `dv/dG` at an operating velocity — the factor
     /// that turns the electronics' conductance resolution into the velocity
     /// resolution the paper reports (degrading as `v^(1−n)`).
@@ -169,58 +166,116 @@ impl KingCalibration {
 
     /// Persists the calibration to the platform EEPROM, writing the primary
     /// slot *and* the redundant mirror so a single corrupt record can be
-    /// survived by [`load_slot`](Self::load_slot) fallback.
+    /// survived by [`recover`](Self::recover).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Platform`] on storage errors.
     pub fn store(&self, eeprom: &mut CalibrationStore) -> Result<(), CoreError> {
-        self.store_slot(eeprom, Self::EEPROM_SLOT)?;
-        self.store_slot(eeprom, Self::REDUNDANT_SLOT)?;
-        Ok(())
+        store_mirrored(
+            eeprom,
+            Self::EEPROM_SLOT,
+            Self::REDUNDANT_SLOT,
+            &[self.a, self.b, self.n, self.overheat.get()],
+        )
     }
 
-    /// Persists the calibration into one specific slot (mirror repair).
+    /// Reads the calibration back from the EEPROM, degrading to the
+    /// redundant mirror (and repairing the primary from it) when the
+    /// primary record is missing, corrupt or malformed.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Platform`] on storage errors.
-    pub fn store_slot(&self, eeprom: &mut CalibrationStore, slot: usize) -> Result<(), CoreError> {
-        let payload = CalibrationStore::encode_f64s(&[self.a, self.b, self.n, self.overheat.get()]);
-        eeprom.write_record(slot, &payload)?;
-        Ok(())
+    /// Returns the primary slot's error — [`CoreError::Platform`] for an
+    /// empty or corrupt slot, [`CoreError::Calibration`] for a malformed
+    /// record — when the mirror fails too.
+    pub fn recover(eeprom: &mut CalibrationStore) -> Result<(Self, CalSlot), CoreError> {
+        recover_mirrored(
+            eeprom,
+            Self::EEPROM_SLOT,
+            Self::REDUNDANT_SLOT,
+            |values| match *values {
+                [a, b, n, overheat] => Ok(KingCalibration {
+                    a,
+                    b,
+                    n,
+                    overheat: KelvinDelta::new(overheat),
+                }),
+                _ => Err(CoreError::Calibration {
+                    reason: "calibration record has wrong length",
+                }),
+            },
+        )
     }
+}
 
-    /// Loads a calibration from the primary EEPROM slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Platform`] for empty/corrupt slots, or
-    /// [`CoreError::Calibration`] for a malformed record.
-    pub fn load(eeprom: &CalibrationStore) -> Result<Self, CoreError> {
-        Self::load_slot(eeprom, Self::EEPROM_SLOT)
-    }
+/// Writes one calibration record to its `primary` slot, then to its
+/// `mirror`.
+pub(crate) fn store_mirrored(
+    eeprom: &mut CalibrationStore,
+    primary: usize,
+    mirror: usize,
+    values: &[f64],
+) -> Result<(), CoreError> {
+    let payload = CalibrationStore::encode_f64s(values);
+    eeprom.write_record(primary, &payload)?;
+    eeprom.write_record(mirror, &payload)?;
+    Ok(())
+}
 
-    /// Loads a calibration from one specific EEPROM slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Platform`] for empty/corrupt slots, or
-    /// [`CoreError::Calibration`] for a malformed record.
-    pub fn load_slot(eeprom: &CalibrationStore, slot: usize) -> Result<Self, CoreError> {
+/// Reads a record written by [`store_mirrored`] through `decode`.
+///
+/// A primary that fails its read, its CRC or `decode` degrades to the
+/// mirror, which is then written back over the primary so the next power
+/// cycle reads clean again. When both copies fail, the primary's error is
+/// returned: it is the more diagnostic of the two.
+pub(crate) fn recover_mirrored<T>(
+    eeprom: &mut CalibrationStore,
+    primary: usize,
+    mirror: usize,
+    decode: impl Fn(&[f64]) -> Result<T, CoreError>,
+) -> Result<(T, CalSlot), CoreError> {
+    let read = |eeprom: &CalibrationStore, slot| -> Result<(Vec<f64>, T), CoreError> {
         let values = CalibrationStore::decode_f64s(eeprom.read_record(slot)?)?;
-        if values.len() != 4 {
-            return Err(CoreError::Calibration {
-                reason: "calibration record has wrong length",
-            });
+        let record = decode(&values)?;
+        Ok((values, record))
+    };
+    let primary_err = match read(eeprom, primary) {
+        Ok((_, record)) => return Ok((record, CalSlot::Primary)),
+        Err(e) => e,
+    };
+    let (values, record) = read(eeprom, mirror).map_err(|_| primary_err)?;
+    eeprom.write_record(primary, &CalibrationStore::encode_f64s(&values))?;
+    Ok((record, CalSlot::Redundant))
+}
+
+/// The power-cycle calibration reload every meter runs on the outcome of
+/// its calibration type's `recover`: a mirror fallback takes `health` to
+/// `Recovering` and a lost calibration takes it to `Faulted`.
+///
+/// Returns the reload's outcome and the events the meter emits, in order:
+/// the reload event, then the health edge the reload caused (surfaced now
+/// rather than at the next control tick's poll).
+pub(crate) fn reload<T>(
+    recovered: Result<(T, CalSlot), CoreError>,
+    health: &mut HealthMonitor,
+) -> (Result<T, CoreError>, [Option<EventKind>; 2]) {
+    let (outcome, event) = match recovered {
+        Ok((record, slot)) => {
+            if slot == CalSlot::Redundant {
+                health.note_eeprom_fallback();
+            }
+            (Ok(record), EventKind::CalibrationReloaded { slot })
         }
-        Ok(KingCalibration {
-            a: values[0],
-            b: values[1],
-            n: values[2],
-            overheat: KelvinDelta::new(values[3]),
-        })
-    }
+        Err(e) => {
+            health.note_unrecoverable();
+            (Err(e), EventKind::CalibrationReloadFailed)
+        }
+    };
+    let edge = health
+        .take_transition()
+        .map(|(from, to)| EventKind::HealthTransition { from, to });
+    (outcome, [Some(event), edge])
 }
 
 /// Hot-wire ambient-temperature correction (the classic `TempCorrect` of
@@ -281,12 +336,6 @@ impl TempCorrect {
     ) -> ThermalConductance {
         let f = self.factor(operating);
         ThermalConductance::new(apparent.get() * f * f)
-    }
-
-    /// Refers a measured bridge power back to calibration conditions.
-    pub fn corrected_power(&self, apparent: Watts, operating: hotwire_units::Celsius) -> Watts {
-        let f = self.factor(operating);
-        Watts::new(apparent.get() * f * f)
     }
 }
 
@@ -528,45 +577,74 @@ mod tests {
         assert!(correct.factor(Celsius::new(60.0)) <= 10.0);
     }
 
+    fn stored_calibration() -> (KingCalibration, CalibrationStore) {
+        let king = KingsLaw::water_default();
+        let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
+        let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
+        let mut eeprom = CalibrationStore::new();
+        cal.store(&mut eeprom).unwrap();
+        (cal, eeprom)
+    }
+
     #[test]
     fn eeprom_round_trip() {
-        let king = KingsLaw::water_default();
-        let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
-        let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
-        let mut eeprom = CalibrationStore::new();
-        cal.store(&mut eeprom).unwrap();
-        let loaded = KingCalibration::load(&eeprom).unwrap();
-        assert_eq!(loaded, cal);
-    }
-
-    #[test]
-    fn load_detects_corruption() {
-        let king = KingsLaw::water_default();
-        let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
-        let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
-        let mut eeprom = CalibrationStore::new();
-        cal.store(&mut eeprom).unwrap();
-        eeprom.corrupt(KingCalibration::EEPROM_SLOT, 3);
-        assert!(KingCalibration::load(&eeprom).is_err());
-    }
-
-    #[test]
-    fn store_writes_redundant_mirror() {
-        let king = KingsLaw::water_default();
-        let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
-        let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
-        let mut eeprom = CalibrationStore::new();
-        cal.store(&mut eeprom).unwrap();
-        // The mirror is a byte-identical, independently loadable copy.
-        let mirror = KingCalibration::load_slot(&eeprom, KingCalibration::REDUNDANT_SLOT).unwrap();
-        assert_eq!(mirror, cal);
-        // Corrupting the primary leaves the mirror intact.
-        eeprom.corrupt(KingCalibration::EEPROM_SLOT, 5);
-        assert!(KingCalibration::load(&eeprom).is_err());
+        // A healthy primary serves the reload and nothing is rewritten.
+        let (cal, mut eeprom) = stored_calibration();
         assert_eq!(
-            KingCalibration::load_slot(&eeprom, KingCalibration::REDUNDANT_SLOT).unwrap(),
-            cal
+            KingCalibration::recover(&mut eeprom).unwrap(),
+            (cal, CalSlot::Primary)
         );
+        assert_eq!(eeprom.write_cycles(), 2);
+    }
+
+    #[test]
+    fn corrupt_primary_falls_back_to_the_mirror_and_is_repaired() {
+        let (cal, mut eeprom) = stored_calibration();
+        eeprom.corrupt(KingCalibration::EEPROM_SLOT, 5);
+        assert_eq!(
+            KingCalibration::recover(&mut eeprom).unwrap(),
+            (cal, CalSlot::Redundant)
+        );
+        // The primary was rewritten from the mirror: the next reload
+        // reads it clean.
+        assert_eq!(eeprom.slot_write_cycles(KingCalibration::EEPROM_SLOT), 2);
+        assert_eq!(
+            KingCalibration::recover(&mut eeprom).unwrap(),
+            (cal, CalSlot::Primary)
+        );
+
+        // A CRC-valid primary that is not a King record falls back too.
+        eeprom
+            .write_record(
+                KingCalibration::EEPROM_SLOT,
+                &CalibrationStore::encode_f64s(&[1.0, 2.0, 3.0]),
+            )
+            .unwrap();
+        assert_eq!(
+            KingCalibration::recover(&mut eeprom).unwrap(),
+            (cal, CalSlot::Redundant)
+        );
+    }
+
+    #[test]
+    fn recover_reports_the_primary_error_when_both_copies_fail() {
+        let (_, mut eeprom) = stored_calibration();
+        eeprom.corrupt(KingCalibration::EEPROM_SLOT, 3);
+        eeprom.corrupt(KingCalibration::REDUNDANT_SLOT, 1);
+        assert!(matches!(
+            KingCalibration::recover(&mut eeprom),
+            Err(CoreError::Platform(
+                hotwire_isif::IsifError::CorruptRecord { slot: 0 }
+            ))
+        ));
+        // Nothing was repaired from a dead mirror.
+        assert_eq!(eeprom.write_cycles(), 2);
+        assert!(matches!(
+            KingCalibration::recover(&mut CalibrationStore::new()),
+            Err(CoreError::Platform(hotwire_isif::IsifError::EmptySlot {
+                slot: 0
+            }))
+        ));
     }
 
     #[test]

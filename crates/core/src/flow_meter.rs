@@ -21,14 +21,14 @@
 //! [`AfeTier::Exact`], or through a quasi-static once-per-frame AFE
 //! evaluation at the opt-in approximate [`AfeTier::Fast`].
 
-use crate::calibration::{CalPoint, KingCalibration};
+use crate::calibration::{self, CalPoint, KingCalibration};
 use crate::config::{AfeTier, FlowMeterConfig, OperatingMode, PulsedConfig};
 use crate::cta::{ConductanceEstimator, CtaLoop, SUPPLY_CODE_MAX};
 use crate::direction::{DirectionDetector, FlowDirection};
 use crate::faults::{AdcFault, DriftMonitor, FaultFlags, SaturationMonitor, SpikeMonitor};
 use crate::health::{HealthMonitor, HealthState, RecoveryAction};
 use crate::modes::{ConstantCurrentDrive, ConstantPowerDrive, WireStateEstimator};
-use crate::obs::{CalSlot, EventKind, ObsEvent, Observer};
+use crate::obs::{EventKind, ObsEvent, Observer};
 use crate::output::OutputPipeline;
 use crate::pulsed::{PulsePhase, PulsedScheduler};
 use crate::CoreError;
@@ -1121,43 +1121,13 @@ impl FlowMeter {
     /// Returns the primary slot's [`CoreError::Platform`] error if every
     /// calibration copy is missing or corrupt.
     pub fn reload_calibration(&mut self) -> Result<(), CoreError> {
-        let outcome = match KingCalibration::load(self.platform.eeprom()) {
-            Ok(cal) => {
-                self.calibration = Some(cal);
-                self.observe(EventKind::CalibrationReloaded {
-                    slot: CalSlot::Primary,
-                });
-                Ok(())
-            }
-            Err(primary) => match KingCalibration::load_slot(
-                self.platform.eeprom(),
-                KingCalibration::REDUNDANT_SLOT,
-            ) {
-                Ok(cal) => {
-                    // Repair the primary from the surviving mirror so the
-                    // next power cycle reads clean again.
-                    cal.store_slot(self.platform.eeprom_mut(), KingCalibration::EEPROM_SLOT)?;
-                    self.calibration = Some(cal);
-                    self.health.note_eeprom_fallback();
-                    self.observe(EventKind::CalibrationReloaded {
-                        slot: CalSlot::Redundant,
-                    });
-                    Ok(())
-                }
-                Err(_) => {
-                    self.health.note_unrecoverable();
-                    self.observe(EventKind::CalibrationReloadFailed);
-                    Err(primary)
-                }
-            },
-        };
-        // Surface any health edge the reload caused (fallback → Recovering,
-        // unrecoverable → Faulted) without waiting for the next control
-        // tick's poll.
-        if let Some((from, to)) = self.health.take_transition() {
-            self.observe(EventKind::HealthTransition { from, to });
+        let recovered = KingCalibration::recover(self.platform.eeprom_mut());
+        let (outcome, events) = calibration::reload(recovered, &mut self.health);
+        for kind in events.into_iter().flatten() {
+            self.observe(kind);
         }
-        outcome
+        self.calibration = Some(outcome?);
+        Ok(())
     }
 
     /// Accepts the current conductance operating point as the new drift
@@ -1289,12 +1259,6 @@ impl FlowMeter {
     #[inline]
     pub fn health(&self) -> HealthState {
         self.health.state()
-    }
-
-    /// The graceful-degradation supervisor (transition diagnostics).
-    #[inline]
-    pub fn health_monitor(&self) -> &HealthMonitor {
-        &self.health
     }
 
     /// Installs an injected ADC fault on the CTA acquisition channel, or
@@ -1825,8 +1789,8 @@ mod tests {
         assert_eq!(m.health(), crate::health::HealthState::Recovering);
         // The primary was repaired in place from the mirror.
         assert_eq!(
-            KingCalibration::load(m.platform_mut().eeprom()).unwrap(),
-            fitted
+            KingCalibration::recover(m.platform_mut().eeprom_mut()).unwrap(),
+            (fitted, crate::obs::CalSlot::Primary)
         );
     }
 

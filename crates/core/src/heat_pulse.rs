@@ -39,6 +39,7 @@
 //! `ticks_per_frame() == 1` and the frame path is trivially bit-identical
 //! to per-tick stepping.
 
+use crate::calibration::{self, recover_mirrored, store_mirrored};
 use crate::config::{fnv1a64, FlowMeterConfig};
 use crate::direction::FlowDirection;
 use crate::error::CoreError;
@@ -250,49 +251,39 @@ impl HeatPulseCalibration {
     ///
     /// Returns [`CoreError::Platform`] if a slot write fails.
     pub fn store(&self, eeprom: &mut CalibrationStore) -> Result<(), CoreError> {
-        self.store_slot(eeprom, Self::EEPROM_SLOT)?;
-        self.store_slot(eeprom, Self::REDUNDANT_SLOT)
+        store_mirrored(
+            eeprom,
+            Self::EEPROM_SLOT,
+            Self::REDUNDANT_SLOT,
+            &[self.scale, self.diffusivity, self.spacing_m],
+        )
     }
 
-    /// Writes the record to one explicit slot.
+    /// Reads the record back, degrading to the redundant mirror (and
+    /// repairing the primary from it) when the primary is missing, corrupt
+    /// or malformed.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Platform`] if the write fails.
-    pub fn store_slot(&self, eeprom: &mut CalibrationStore, slot: usize) -> Result<(), CoreError> {
-        let payload =
-            CalibrationStore::encode_f64s(&[self.scale, self.diffusivity, self.spacing_m]);
-        eeprom.write_record(slot, &payload)?;
-        Ok(())
-    }
-
-    /// Reads the record from the primary slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Platform`] on a missing or corrupt record.
-    pub fn load(eeprom: &CalibrationStore) -> Result<Self, CoreError> {
-        Self::load_slot(eeprom, Self::EEPROM_SLOT)
-    }
-
-    /// Reads the record from one explicit slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Platform`] on a missing or corrupt record, or
-    /// [`CoreError::Calibration`] on a malformed payload.
-    pub fn load_slot(eeprom: &CalibrationStore, slot: usize) -> Result<Self, CoreError> {
-        let values = CalibrationStore::decode_f64s(eeprom.read_record(slot)?)?;
-        if values.len() != 3 {
-            return Err(CoreError::Calibration {
-                reason: "heat-pulse calibration record holds three values",
-            });
-        }
-        Ok(HeatPulseCalibration {
-            scale: values[0],
-            diffusivity: values[1],
-            spacing_m: values[2],
-        })
+    /// Returns the primary slot's error — [`CoreError::Platform`] for an
+    /// empty or corrupt slot, [`CoreError::Calibration`] for a malformed
+    /// payload — when the mirror fails too.
+    pub fn recover(eeprom: &mut CalibrationStore) -> Result<(Self, CalSlot), CoreError> {
+        recover_mirrored(
+            eeprom,
+            Self::EEPROM_SLOT,
+            Self::REDUNDANT_SLOT,
+            |values| match *values {
+                [scale, diffusivity, spacing_m] => Ok(HeatPulseCalibration {
+                    scale,
+                    diffusivity,
+                    spacing_m,
+                }),
+                _ => Err(CoreError::Calibration {
+                    reason: "heat-pulse calibration record holds three values",
+                }),
+            },
+        )
     }
 }
 
@@ -484,26 +475,9 @@ impl HeatPulseMeter {
         self.calibration.as_ref()
     }
 
-    /// Installs a calibration record and persists it to both slots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Platform`] if a storage write fails.
-    pub fn install_calibration(&mut self, cal: HeatPulseCalibration) -> Result<(), CoreError> {
-        cal.store(&mut self.eeprom)?;
-        self.calibration = Some(cal);
-        self.cal_tick = self.control_tick;
-        Ok(())
-    }
-
     /// The seed this meter was built with.
     pub fn build_seed(&self) -> u64 {
         self.build_seed
-    }
-
-    /// Velocity decodes attempted / accepted so far.
-    pub fn decode_counts(&self) -> (u64, u64) {
-        (self.decodes, self.valid_decodes)
     }
 
     /// Direct access to the calibration storage (tests, fault hooks).
@@ -909,40 +883,13 @@ impl Meter for HeatPulseMeter {
     }
 
     fn reload_calibration(&mut self) -> Result<(), CoreError> {
-        let outcome = match HeatPulseCalibration::load(&self.eeprom) {
-            Ok(cal) => {
-                self.calibration = Some(cal);
-                self.emit(EventKind::CalibrationReloaded {
-                    slot: CalSlot::Primary,
-                });
-                Ok(())
-            }
-            Err(primary) => {
-                match HeatPulseCalibration::load_slot(
-                    &self.eeprom,
-                    HeatPulseCalibration::REDUNDANT_SLOT,
-                ) {
-                    Ok(cal) => {
-                        cal.store_slot(&mut self.eeprom, HeatPulseCalibration::EEPROM_SLOT)?;
-                        self.calibration = Some(cal);
-                        self.health.note_eeprom_fallback();
-                        self.emit(EventKind::CalibrationReloaded {
-                            slot: CalSlot::Redundant,
-                        });
-                        Ok(())
-                    }
-                    Err(_) => {
-                        self.health.note_unrecoverable();
-                        self.emit(EventKind::CalibrationReloadFailed);
-                        Err(primary)
-                    }
-                }
-            }
-        };
-        if let Some((from, to)) = self.health.take_transition() {
-            self.emit(EventKind::HealthTransition { from, to });
+        let recovered = HeatPulseCalibration::recover(&mut self.eeprom);
+        let (outcome, events) = calibration::reload(recovered, &mut self.health);
+        for kind in events.into_iter().flatten() {
+            self.emit(kind);
         }
-        outcome
+        self.calibration = Some(outcome?);
+        Ok(())
     }
 
     /// Accepts the current amplitude EWMA as the new fouling reference.
@@ -1248,8 +1195,10 @@ mod tests {
         );
         let mut eeprom = CalibrationStore::new();
         fitted.store(&mut eeprom).unwrap();
-        let loaded = HeatPulseCalibration::load(&eeprom).unwrap();
-        assert_eq!(fitted, loaded);
+        assert_eq!(
+            HeatPulseCalibration::recover(&mut eeprom).unwrap(),
+            (fitted, CalSlot::Primary)
+        );
         assert!(design.fitted(&[]).is_err());
     }
 

@@ -9,7 +9,7 @@ use crate::direction::FlowDirection;
 use crate::flow_meter::Measurement;
 use crate::health::HealthState;
 use crate::CoreError;
-use hotwire_isif::uart::{encode_frame, FrameDecoder, FrameEvent};
+use hotwire_isif::uart::encode_frame;
 use hotwire_units::MetersPerSecond;
 
 /// Wire version tag of the record layout.
@@ -35,9 +35,9 @@ pub enum RecordError {
 
 /// Tally of record-level decode outcomes from a frame stream.
 ///
-/// [`TelemetryRecord::decode_stream`] historically dropped malformed (CRC-valid
-/// but unparseable) payloads with no trace; this counter set closes that hole
-/// so an ingest service can account for every frame the link layer delivered.
+/// An ingest service [`tally`](Self::tally)s the [`TelemetryRecord::parse`]
+/// outcome of every CRC-valid payload here, malformed ones included, so it
+/// can account for every frame the link layer delivered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordDecodeStats {
     /// Frames that parsed into valid records.
@@ -224,45 +224,13 @@ impl TelemetryRecord {
     pub fn to_frame(&self) -> Result<Vec<u8>, CoreError> {
         Ok(encode_frame(&self.to_bytes())?)
     }
-
-    /// Decodes all complete, CRC-valid records from a byte stream.
-    ///
-    /// Malformed payloads (CRC-valid frames that fail record validation) are
-    /// dropped; use [`TelemetryRecord::decode_stream_counted`] when the caller
-    /// must account for them.
-    pub fn decode_stream(decoder: &mut FrameDecoder, bytes: &[u8]) -> Vec<TelemetryRecord> {
-        let mut stats = RecordDecodeStats::default();
-        Self::decode_stream_counted(decoder, bytes, &mut stats)
-    }
-
-    /// Decodes all complete, CRC-valid records from a byte stream, tallying
-    /// every frame's parse outcome into `stats`.
-    ///
-    /// Unlike the historical `decode_stream`, no frame is consumed invisibly:
-    /// each CRC-valid payload either becomes a returned record (`records`) or
-    /// increments one of the malformed counters. A frame split across calls
-    /// waits in `decoder` and decodes in the call that completes it.
-    pub fn decode_stream_counted(
-        decoder: &mut FrameDecoder,
-        bytes: &[u8],
-        stats: &mut RecordDecodeStats,
-    ) -> Vec<TelemetryRecord> {
-        let mut records = Vec::new();
-        decoder.feed(bytes, |event| {
-            if let FrameEvent::Payload(payload) = event {
-                let outcome = TelemetryRecord::parse(payload);
-                stats.tally(&outcome);
-                records.extend(outcome.ok());
-            }
-        });
-        records
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultFlags;
+    use hotwire_isif::uart::{FrameDecoder, FrameEvent};
     use hotwire_units::{ThermalConductance, Watts};
 
     fn sample_measurement() -> Measurement {
@@ -323,10 +291,13 @@ mod tests {
         wire.extend(rec.to_frame().unwrap());
         wire.push(0x55); // more noise
         wire.extend(rec.to_frame().unwrap());
-        let mut decoder = FrameDecoder::new();
-        let records = TelemetryRecord::decode_stream(&mut decoder, &wire);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], rec);
+        let mut records = Vec::new();
+        FrameDecoder::new().feed(&wire, |event| {
+            if let FrameEvent::Payload(payload) = event {
+                records.push(TelemetryRecord::parse(payload));
+            }
+        });
+        assert_eq!(records, vec![Ok(rec), Ok(rec)]);
     }
 
     #[test]
@@ -335,8 +306,11 @@ mod tests {
         let mut frame = rec.to_frame().unwrap();
         frame[6] ^= 0xA5;
         let mut decoder = FrameDecoder::new();
-        let records = TelemetryRecord::decode_stream(&mut decoder, &frame);
-        assert!(records.is_empty());
+        let mut payloads = 0;
+        decoder.feed(&frame, |event| {
+            payloads += u32::from(matches!(event, FrameEvent::Payload(_)));
+        });
+        assert_eq!(payloads, 0);
         assert_eq!(decoder.crc_errors(), 1);
     }
 
@@ -353,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_stream_counts_malformed_records() {
+    fn tally_counts_malformed_records() {
         let rec = TelemetryRecord::from_measurement(&sample_measurement());
         // Four CRC-valid frames: one good record, one truncated payload, one
         // future-version record, one with a bogus direction code.
@@ -370,7 +344,14 @@ mod tests {
 
         let mut decoder = FrameDecoder::new();
         let mut stats = RecordDecodeStats::default();
-        let records = TelemetryRecord::decode_stream_counted(&mut decoder, &wire, &mut stats);
+        let mut records = Vec::new();
+        decoder.feed(&wire, |event| {
+            if let FrameEvent::Payload(payload) = event {
+                let outcome = TelemetryRecord::parse(payload);
+                stats.tally(&outcome);
+                records.extend(outcome.ok());
+            }
+        });
         assert_eq!(records, vec![rec]);
         assert_eq!(
             stats,
@@ -456,71 +437,5 @@ mod tests {
             ..sample_measurement()
         };
         assert!(!TelemetryRecord::from_measurement(&m).saturated);
-    }
-
-    /// A telemetry stream from `parts`: good records, malformed records,
-    /// records with a flipped bit, and SOH-led garbage.
-    fn record_stream(parts: &[(u8, u32, u16)]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        for &(kind, tick, at) in parts {
-            let rec = TelemetryRecord {
-                tick,
-                ..TelemetryRecord::from_measurement(&sample_measurement())
-            };
-            let mut frame = rec.to_frame().unwrap();
-            let at = at as usize;
-            match kind {
-                0 => {}
-                1 => {
-                    let mut bytes = rec.to_bytes();
-                    bytes[0] = RECORD_VERSION + 1;
-                    frame = encode_frame(&bytes).unwrap();
-                }
-                2 => {
-                    let n = frame.len();
-                    frame[at % n] ^= 1 << (at / n % 8);
-                }
-                _ => frame = vec![hotwire_isif::uart::SOH, at as u8, (at >> 8) as u8],
-            }
-            wire.extend(frame);
-        }
-        wire
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn decode_stream_counted_is_invariant_to_slicing(
-            parts in proptest::collection::vec((0u8..4, proptest::arbitrary::any::<u32>(), proptest::arbitrary::any::<u16>()), 0..16),
-            lens in proptest::collection::vec(1usize..48, 1..8),
-        ) {
-            // The records and tallies of one stream do not depend on how
-            // it is sliced across calls.
-            let wire = record_stream(&parts);
-            let decode = |slices: Vec<&[u8]>| {
-                let mut decoder = FrameDecoder::new();
-                let mut stats = RecordDecodeStats::default();
-                let records: Vec<TelemetryRecord> = slices
-                    .into_iter()
-                    .flat_map(|s| TelemetryRecord::decode_stream_counted(&mut decoder, s, &mut stats))
-                    .collect();
-                (records, stats, decoder.stats(), decoder.in_flight_bytes())
-            };
-            let whole = decode(vec![&wire]);
-            proptest::prop_assert_eq!(decode(wire.chunks(1).collect()), whole.clone());
-            let mut split = Vec::new();
-            let mut rest = &wire[..];
-            for &n in lens.iter().cycle() {
-                if rest.is_empty() {
-                    break;
-                }
-                let (slice, tail) = rest.split_at(n.min(rest.len()));
-                split.push(slice);
-                rest = tail;
-            }
-            proptest::prop_assert_eq!(decode(split), whole.clone());
-            let (records, stats, link, _) = whole;
-            proptest::prop_assert_eq!(records.len() as u64, stats.records);
-            proptest::prop_assert_eq!(link.good_frames, stats.records + stats.malformed());
-        }
     }
 }

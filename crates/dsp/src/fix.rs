@@ -245,25 +245,6 @@ impl<T: Copy + Default> SoaBlock<T> {
         assert!(lane < self.lanes);
         &mut self.data[lane * self.depth..(lane + 1) * self.depth]
     }
-
-    /// Two distinct lanes at once, the first mutable — the shape the
-    /// "transform lane A in place, reading lane B" kernels need (e.g.
-    /// amplify a differential lane consuming a pre-drawn noise lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes are equal or out of range.
-    pub fn lane_mut_and_ref(&mut self, a: usize, b: usize) -> (&mut [T], &[T]) {
-        assert!(a != b && a < self.lanes && b < self.lanes);
-        let depth = self.depth;
-        if a < b {
-            let (lo, hi) = self.data.split_at_mut(b * depth);
-            (&mut lo[a * depth..(a + 1) * depth], &hi[..depth])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(a * depth);
-            (&mut hi[..depth], &lo[b * depth..(b + 1) * depth])
-        }
-    }
 }
 
 #[cfg(test)]

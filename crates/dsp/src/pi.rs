@@ -81,12 +81,6 @@ impl PiController {
         self.ki
     }
 
-    /// Output clamp range.
-    #[inline]
-    pub fn output_range(&self) -> (i32, i32) {
-        (self.out_min, self.out_max)
-    }
-
     /// Runs one control step on error `e` (setpoint − measurement) and
     /// returns the clamped actuator command.
     pub fn update(&mut self, e: i32) -> i32 {

@@ -155,33 +155,6 @@ impl CalibrationStore {
         Ok(payload)
     }
 
-    /// Reads the first slot in `slots` whose record passes its CRC check,
-    /// returning the winning slot index alongside the payload.
-    ///
-    /// This is the recoverable-read primitive for redundant storage: callers
-    /// list a primary slot followed by its mirrors, and a corrupt or empty
-    /// primary degrades to the next copy instead of a dead end.
-    ///
-    /// # Errors
-    ///
-    /// Returns the *first* slot's error when every listed slot fails (the
-    /// primary's failure is the most diagnostic), or
-    /// [`IsifError::EmptySlot`] for an empty `slots` list.
-    pub fn read_record_any(&self, slots: &[usize]) -> Result<(usize, &[u8]), IsifError> {
-        let mut first_err = None;
-        for &slot in slots {
-            match self.read_record(slot) {
-                Ok(payload) => return Ok((slot, payload)),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        Err(first_err.unwrap_or(IsifError::EmptySlot { slot: 0 }))
-    }
-
     /// Erases one slot.
     pub fn erase(&mut self, slot: usize) {
         if let Some(s) = self.slots.get_mut(slot) {
@@ -312,31 +285,6 @@ mod tests {
         assert!(matches!(
             e.read_record(1),
             Err(IsifError::CorruptRecord { slot: 1 })
-        ));
-    }
-
-    #[test]
-    fn read_record_any_falls_back_across_slots() {
-        let mut e = CalibrationStore::new();
-        e.write_record(0, b"primary").unwrap();
-        e.write_record(7, b"mirror").unwrap();
-        // Healthy primary wins.
-        assert_eq!(
-            e.read_record_any(&[0, 7]).unwrap(),
-            (0, b"primary" as &[u8])
-        );
-        // Corrupt primary degrades to the mirror.
-        e.corrupt(0, 2);
-        assert_eq!(e.read_record_any(&[0, 7]).unwrap(), (7, b"mirror" as &[u8]));
-        // Both gone: the primary's error surfaces.
-        e.corrupt(7, 1);
-        assert!(matches!(
-            e.read_record_any(&[0, 7]),
-            Err(IsifError::CorruptRecord { slot: 0 })
-        ));
-        assert!(matches!(
-            e.read_record_any(&[]),
-            Err(IsifError::EmptySlot { .. })
         ));
     }
 

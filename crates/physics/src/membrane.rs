@@ -156,11 +156,6 @@ impl MembraneState {
         self.temperature
     }
 
-    /// Overrides the node temperature (for tests and checkpoint restore).
-    pub fn set_temperature(&mut self, t: Celsius) {
-        self.temperature = t;
-    }
-
     /// Advances the node by `dt` under electrical power `p_el`, ideal
     /// convection from `king` at speed `v`, surface condition `surface`, rim
     /// temperature `t_rim` and effective incoming-fluid temperature

@@ -300,13 +300,6 @@ impl LineConfig {
         self
     }
 
-    /// Overrides the observability configuration.
-    #[must_use]
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Disables observability.
     #[must_use]
     pub fn without_obs(mut self) -> Self {
@@ -627,7 +620,7 @@ impl RunSpec {
         if self.obs.enabled {
             // Installed after calibration and auto-zero, so the event log
             // covers exactly the scenario run.
-            meter.set_observer(Box::new(EventLog::with_capacity(self.obs.event_capacity)));
+            meter.set_observer(Box::new(EventLog::default()));
         }
         let mut runner = LineRunner::new(self.scenario.clone(), meter, self.line_seed);
         if self.maintenance.is_active() {
@@ -1121,20 +1114,16 @@ mod tests {
             0.4,
             crate::fault::FaultKind::AdcStuck { code: 800 },
         );
-        let obs = ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        };
         let grouped = spec(0).with_config(
             LineConfig::new()
                 .with_modality(Modality::HeatPulse)
                 .with_afe_tier(AfeTier::Fast)
-                .with_obs(obs)
+                .without_obs()
                 .with_faults(schedule.clone()),
         );
         assert_eq!(grouped.modality, Modality::HeatPulse);
         assert_eq!(grouped.config.afe_tier, AfeTier::Fast);
-        assert_eq!(grouped.obs, obs);
+        assert!(!grouped.obs.enabled);
         assert_eq!(grouped.faults, Some(schedule));
 
         // With maintenance on, the grouped spec routes it through

@@ -414,8 +414,21 @@ impl FleetCheckpoint {
                     line: n,
                     reason: format!("expected {keyword:?} line, got {l:?}"),
                 })?;
-            QuantileSketch::decode(payload)
-                .map_err(|reason| CheckpointError::Parse { line: n, reason })
+            let sketch = QuantileSketch::decode(payload)
+                .map_err(|reason| CheckpointError::Parse { line: n, reason })?;
+            // Every line pushes exactly one value into each sketch, which
+            // bounds every sketch counter by the fleet size.
+            let values = sketch.count() + sketch.nan_count();
+            if values != (end - start) as u64 {
+                return Err(CheckpointError::Parse {
+                    line: n,
+                    reason: format!(
+                        "{keyword} holds {values} values for the {} lines of range {start}..{end}",
+                        end - start
+                    ),
+                });
+            }
+            Ok(sketch)
         };
         shard.resolution_pct_fs = sketch("resolution_sketch")?;
         shard.err_rms_cm_s = sketch("err_sketch")?;
@@ -611,6 +624,20 @@ mod tests {
             FleetCheckpoint::decode("not a checkpoint"),
             Err(CheckpointError::Parse { line: 1, .. })
         ));
+        // A sketch whose value count is not the range's line count fails on
+        // the sketch's own line.
+        let line_of =
+            |keyword: &str| good.lines().position(|l| l.starts_with(keyword)).unwrap() + 1;
+        let failing_line = |text: &str| match FleetCheckpoint::decode(text) {
+            Err(CheckpointError::Parse { line, .. }) => line,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let widened = good.replace("range 3 6", "range 3 7");
+        assert_ne!(widened, good);
+        assert_eq!(failing_line(&widened), line_of("resolution_sketch"));
+        let padded = good.replace("err_sketch nan=1 ", "err_sketch nan=2 ");
+        assert_ne!(padded, good);
+        assert_eq!(failing_line(&padded), line_of("err_sketch"));
         // A summary count the file cannot back: the decoder must run out
         // of records, not reserve room for them (u64::MAX overflows the
         // capacity; 4e12 records would abort on allocation).
@@ -710,6 +737,10 @@ mod tests {
                 if let Ok(Ok(ck)) = decoded {
                     let again = FleetCheckpoint::decode(&ck.encode()).unwrap();
                     prop_assert_eq!(format!("{ck:?}"), format!("{again:?}"));
+                    // What it accepts merges without overflowing.
+                    for sketch in [&ck.shard.resolution_pct_fs, &ck.shard.err_rms_cm_s] {
+                        sketch.clone().merge(sketch);
+                    }
                 }
             }
         }

@@ -1348,25 +1348,6 @@ pub struct FleetAggregates {
     pub maintenance: MaintenanceCounters,
 }
 
-impl FleetAggregates {
-    /// Folds per-line summaries (visited in slice order — callers pass
-    /// line order) into population aggregates through the exact
-    /// percentile path.
-    pub fn from_summaries(
-        summaries: &[LineSummary],
-        full_scale_cm_s: f64,
-        simulated_s: f64,
-    ) -> Self {
-        let start = summaries.first().map_or(0, |s| s.line);
-        let mut acc = ShardAggregates::empty(start);
-        for s in summaries {
-            acc.end = s.line;
-            acc.push(s.clone(), full_scale_cm_s, true);
-        }
-        acc.finalize(full_scale_cm_s, simulated_s)
-    }
-}
-
 impl core::fmt::Display for FleetAggregates {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         writeln!(

@@ -399,8 +399,15 @@ impl RecordFold {
         self.flags.bubble += record.bubble as u64;
         self.flags.fouling += record.fouling as u64;
         self.flags.saturated += record.saturated as u64;
-        if let Some(last) = self.last_tick {
-            let gap = record.tick.wrapping_sub(last);
+        // Ticks wrap, so the gap is a serial-number difference (RFC 1982):
+        // one above half the range is a step back (a meter restart or a
+        // reordered frame), which only re-anchors `last_tick` below — it
+        // neither teaches the cadence nor implies loss.
+        let forward_gap = self
+            .last_tick
+            .map(|last| record.tick.wrapping_sub(last))
+            .filter(|&gap| gap <= u32::MAX / 2);
+        if let Some(gap) = forward_gap {
             if self.cadence == 0 {
                 // Learning mode: the first gap defines the cadence.
                 self.cadence = gap.max(1);
@@ -792,6 +799,58 @@ mod tests {
     }
 
     #[test]
+    fn tick_step_back_reanchors_without_booking_loss() {
+        // A meter restart (its tick drops back toward 0) or a reordered
+        // frame steps the tick back: the session re-anchors on the record
+        // and books neither loss nor a tick-gap alert, while the census
+        // and health transitions still count it.
+        let health = [
+            HealthState::Healthy,
+            HealthState::Healthy,
+            HealthState::Healthy,
+            HealthState::Degraded,
+            HealthState::Degraded,
+        ];
+        for ticks in [[100, 110, 120, 118, 128], [100, 110, 120, 60, 70]] {
+            let records: Vec<TelemetryRecord> = ticks
+                .iter()
+                .zip(health)
+                .map(|(&t, h)| record(t, h))
+                .collect();
+            let mut s = MeterSession::new(0, session_config());
+            feed(&mut s, &wire_of(&records), 64);
+            s.finish();
+            let stats = s.stats();
+            assert_eq!(stats.records.records, 5, "ticks {ticks:?}");
+            assert_eq!(s.census().count(HealthState::Degraded), 2);
+            assert_eq!(stats.health_transitions, 1);
+            assert_eq!(
+                (stats.records_lost, stats.tick_gaps),
+                (0, 0),
+                "ticks {ticks:?}"
+            );
+            assert!(s
+                .alerts()
+                .iter()
+                .all(|a| !matches!(a.kind, AlertKind::TickGap { .. })));
+        }
+
+        // A step back does not teach a learning session its cadence: the
+        // 10-tick cadence comes from the first forward gap after it.
+        let wire = wire_of(&[100, 60, 70, 80, 100].map(|t| record(t, HealthState::Healthy)));
+        let mut s = MeterSession::new(
+            0,
+            IngestConfig {
+                nominal_tick_gap: 0,
+                ..IngestConfig::default()
+            },
+        );
+        feed(&mut s, &wire, 64);
+        s.finish();
+        assert_eq!((s.stats().records_lost, s.stats().tick_gaps), (1, 1));
+    }
+
+    #[test]
     fn malformed_frames_are_counted_and_alerted() {
         let mut wire = wire_of(&[record(0, HealthState::Healthy)]);
         let mut bad = record(10, HealthState::Healthy).to_bytes();
@@ -965,5 +1024,65 @@ mod tests {
         g.merge(&f);
         g.merge(&f);
         assert_eq!(g.lines, 8);
+    }
+
+    /// A wire from `parts`: good records, future-version records, records
+    /// with a flipped bit, and SOH-led garbage, at arbitrary ticks.
+    fn mixed_wire(parts: &[(u8, u32, u16)]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for &(kind, tick, at) in parts {
+            let rec = record(tick, HealthState::from_code((at % 4) as u8));
+            let mut frame = rec.to_frame().unwrap();
+            let at = at as usize;
+            match kind {
+                0 => {}
+                1 => {
+                    let mut bytes = rec.to_bytes();
+                    bytes[0] = hotwire_core::telemetry::RECORD_VERSION + 1;
+                    frame = hotwire_isif::uart::encode_frame(&bytes).unwrap();
+                }
+                2 => {
+                    let n = frame.len();
+                    frame[at % n] ^= 1 << (at / n % 8);
+                }
+                _ => frame = vec![hotwire_isif::uart::SOH, at as u8, (at >> 8) as u8],
+            }
+            wire.extend(frame);
+        }
+        wire
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn session_is_invariant_to_read_size(
+            parts in proptest::collection::vec(
+                (0u8..4, proptest::arbitrary::any::<u32>(), proptest::arbitrary::any::<u16>()),
+                0..16,
+            ),
+            read in 2usize..48,
+            cadence in 0u32..32,
+        ) {
+            // What a session derives from one wire does not depend on the
+            // collector's read size, and every CRC-valid frame is either a
+            // record or a tallied malformed payload.
+            let wire = mixed_wire(&parts);
+            let config = IngestConfig {
+                nominal_tick_gap: cadence,
+                ..IngestConfig::default()
+            };
+            let ingest = |read: usize| {
+                let mut s = MeterSession::new(0, config);
+                feed(&mut s, &wire, read);
+                s.finish();
+                (s.stats(), *s.census(), s.alerts().to_vec(), s.last_health())
+            };
+            let bytewise = ingest(1);
+            proptest::prop_assert_eq!(&ingest(read), &bytewise);
+            let stats = bytewise.0;
+            proptest::prop_assert_eq!(
+                stats.link.good_frames,
+                stats.records.records + stats.records.malformed()
+            );
+        }
     }
 }

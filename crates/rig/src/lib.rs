@@ -142,7 +142,7 @@ pub use obs::{EventLog, Histogram, ObsConfig, ObsSnapshot, RunObs};
 pub use promag::Promag50;
 pub use record::{
     Channel, CsvSink, PolicyRecorder, RecordPolicy, Recorder, ReductionPlan, RunReductions,
-    SeriesReducer, Tee, TraceStore,
+    SeriesReducer, TraceStore,
 };
 pub use runner::{LineRunner, RunTail, Trace, TraceSample};
 pub use scenario::{Scenario, Schedule};

@@ -63,12 +63,6 @@ impl WaterLine {
         self.bulk
     }
 
-    /// The local (probe) velocity at the current time.
-    #[inline]
-    pub fn local_velocity(&self) -> MetersPerSecond {
-        self.local
-    }
-
     /// Advances the line by `dt` and returns the probe environment for the
     /// new instant.
     pub fn step(&mut self, dt: Seconds) -> SensorEnvironment {

@@ -154,9 +154,11 @@ pub fn linearity(pairs: &[(f64, f64)], full_scale: f64) -> f64 {
         / full_scale
 }
 
-/// 10 %→90 % rise time through a step, given `(t, y)` samples, the level
-/// before the step and the final level. Returns `None` if the trace never
-/// crosses both thresholds (or is empty).
+/// 10 %→90 % rise time through a step, given the sample times `ts` and
+/// values `ys` as separate columns (the layout of columnar stores and
+/// streaming series reducers), the level before the step and the final
+/// level. Returns `None` if the trace never crosses both thresholds (or is
+/// empty).
 ///
 /// The 10 % time is the *final entry* into the crossed region — the time
 /// after the last sample still on the wrong side. Plain first-crossing
@@ -173,15 +175,6 @@ pub fn linearity(pairs: &[(f64, f64)], full_scale: f64) -> f64 {
 /// entry" out and inflate the measurement (noisier configurations would
 /// absurdly report *slower* responses than clean ones). For a clean
 /// monotonic step all the definitions agree.
-pub fn rise_time(samples: &[(f64, f64)], from: f64, to: f64) -> Option<f64> {
-    rise_time_impl(samples.len(), |i| samples[i].0, |i| samples[i].1, from, to)
-}
-
-/// [`rise_time`] over split time/value slices — the zero-copy entry point
-/// for columnar stores and streaming series reducers, which hold `t` and
-/// `y` in separate columns. Identical semantics (one shared
-/// implementation); the pair-slice form exists for callers that already
-/// have `(t, y)` tuples.
 ///
 /// # Panics
 ///
@@ -192,17 +185,6 @@ pub fn rise_time_split(ts: &[f64], ys: &[f64], from: f64, to: f64) -> Option<f64
         ys.len(),
         "rise_time_split: time/value columns differ in length"
     );
-    rise_time_impl(ts.len(), |i| ts[i], |i| ys[i], from, to)
-}
-
-/// Shared spike-robust rise-time search over indexed accessors.
-fn rise_time_impl(
-    n: usize,
-    t_at: impl Fn(usize) -> f64,
-    y_at: impl Fn(usize) -> f64,
-    from: f64,
-    to: f64,
-) -> Option<f64> {
     let lo = from + 0.1 * (to - from);
     let hi = from + 0.9 * (to - from);
     let rising = to > from;
@@ -210,14 +192,16 @@ fn rise_time_impl(
     // Final entry into the region beyond `lo`: the sample after the last
     // one still outside it. `None` if the trace never ends up inside
     // (i.e. the level is never crossed durably).
-    let t_lo = match (0..n).rev().find(|&i| !crossed(y_at(i), lo)) {
-        Some(i) => (i + 1 < n).then(|| t_at(i + 1)),
+    let t_lo = match ys.iter().rposition(|&y| !crossed(y, lo)) {
+        Some(i) => ts.get(i + 1).copied(),
         // Every sample is already beyond the level: entry at the start.
-        None => (n > 0).then(|| t_at(0)),
+        None => ts.first().copied(),
     }?;
-    let t_hi = (0..n)
-        .find(|&i| t_at(i) >= t_lo && crossed(y_at(i), hi))
-        .map(t_at)?;
+    let t_hi = ts
+        .iter()
+        .zip(ys)
+        .find(|&(&t, &y)| t >= t_lo && crossed(y, hi))
+        .map(|(&t, _)| t)?;
     Some(t_hi - t_lo)
 }
 
@@ -333,79 +317,33 @@ mod tests {
         assert!(lin > 0.005 && lin < 0.02, "linearity {lin}");
     }
 
+    /// `f` sampled every millisecond over ten seconds, as time and value
+    /// columns.
+    fn columns(f: impl Fn(f64) -> f64) -> (Vec<f64>, Vec<f64>) {
+        let ts: Vec<f64> = (0..10_000).map(|i| i as f64 * 1e-3).collect();
+        let ys = ts.iter().map(|&t| f(t)).collect();
+        (ts, ys)
+    }
+
     #[test]
     fn rise_time_of_exponential() {
         // y = 1 − e^(−t): 10 % at 0.105, 90 % at 2.303 → rise ≈ 2.197.
-        let samples: Vec<(f64, f64)> = (0..10_000)
-            .map(|i| {
-                let t = i as f64 * 1e-3;
-                (t, 1.0 - (-t).exp())
-            })
-            .collect();
-        let rt = rise_time(&samples, 0.0, 1.0).unwrap();
+        let (ts, ys) = columns(|t| 1.0 - (-t).exp());
+        let rt = rise_time_split(&ts, &ys, 0.0, 1.0).unwrap();
         assert!((rt - 2.197).abs() < 0.01, "rise {rt}");
     }
 
     #[test]
     fn rise_time_falling_step() {
-        let samples: Vec<(f64, f64)> = (0..10_000)
-            .map(|i| {
-                let t = i as f64 * 1e-3;
-                (t, (-t).exp())
-            })
-            .collect();
-        let rt = rise_time(&samples, 1.0, 0.0).unwrap();
+        let (ts, ys) = columns(|t| (-t).exp());
+        let rt = rise_time_split(&ts, &ys, 1.0, 0.0).unwrap();
         assert!((rt - 2.197).abs() < 0.01, "fall {rt}");
     }
 
     #[test]
     fn rise_time_none_when_never_crossing() {
-        let samples = [(0.0, 0.0), (1.0, 0.05)];
-        assert!(rise_time(&samples, 0.0, 1.0).is_none());
-        assert!(rise_time(&[], 0.0, 1.0).is_none());
-    }
-
-    mod rise_time_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn split_agrees_with_pairs(
-                ys in proptest::collection::vec(-0.5f64..1.5, 0..300),
-                from in -0.2f64..0.2,
-                to in 0.8f64..1.2
-            ) {
-                // Same data through both entry points: the split form must
-                // agree with the pair form bit-for-bit, spikes and all.
-                let ts: Vec<f64> = (0..ys.len()).map(|i| i as f64 * 1e-2).collect();
-                let pairs: Vec<(f64, f64)> =
-                    ts.iter().copied().zip(ys.iter().copied()).collect();
-                let a = rise_time(&pairs, from, to);
-                let b = rise_time_split(&ts, &ys, from, to);
-                prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
-            }
-        }
-    }
-
-    #[test]
-    fn rise_time_split_keeps_spike_robust_semantics() {
-        // The split entry point shares the final-entry / first-crossing
-        // search — re-run the pre-step-spike regression through it.
-        let mut ts = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..10_000 {
-            let t = i as f64 * 1e-3;
-            ts.push(t);
-            ys.push(if t < 0.05 {
-                0.0
-            } else {
-                1.0 - (-(t - 0.05)).exp()
-            });
-        }
-        ys[20] = 0.95; // spike at t = 0.02, before the step
-        let rt = rise_time_split(&ts, &ys, 0.0, 1.0).unwrap();
-        assert!((rt - 2.197).abs() < 0.01, "spiky split rise {rt}");
+        assert!(rise_time_split(&[0.0, 1.0], &[0.0, 0.05], 0.0, 1.0).is_none());
+        assert!(rise_time_split(&[], &[], 0.0, 1.0).is_none());
     }
 
     #[test]
@@ -420,21 +358,15 @@ mod tests {
         // past the 90 % level. First-crossing search put both thresholds on
         // the spike → rise ≈ 0; the final-entry definition recovers the
         // true ≈ 2.197 s transition.
-        let mut samples: Vec<(f64, f64)> = (0..10_000)
-            .map(|i| {
-                let t = i as f64 * 1e-3;
-                (
-                    t,
-                    if t < 0.05 {
-                        0.0
-                    } else {
-                        1.0 - (-(t - 0.05)).exp()
-                    },
-                )
-            })
-            .collect();
-        samples[20].1 = 0.95; // spike at t = 0.02, before the step
-        let rt = rise_time(&samples, 0.0, 1.0).unwrap();
+        let (ts, mut ys) = columns(|t| {
+            if t < 0.05 {
+                0.0
+            } else {
+                1.0 - (-(t - 0.05)).exp()
+            }
+        });
+        ys[20] = 0.95; // spike at t = 0.02, before the step
+        let rt = rise_time_split(&ts, &ys, 0.0, 1.0).unwrap();
         assert!((rt - 2.197).abs() < 0.01, "spiky rise {rt}");
     }
 
@@ -442,21 +374,15 @@ mod tests {
     fn rise_time_ignores_mid_level_spike() {
         // A spike that only reaches mid-level (crosses lo, not hi) used to
         // pull t_lo early and overstate the rise time.
-        let mut samples: Vec<(f64, f64)> = (0..10_000)
-            .map(|i| {
-                let t = i as f64 * 1e-3;
-                (
-                    t,
-                    if t < 1.0 {
-                        0.0
-                    } else {
-                        1.0 - (-(t - 1.0)).exp()
-                    },
-                )
-            })
-            .collect();
-        samples[100].1 = 0.5; // spike at t = 0.1, 0.9 s before the step
-        let rt = rise_time(&samples, 0.0, 1.0).unwrap();
+        let (ts, mut ys) = columns(|t| {
+            if t < 1.0 {
+                0.0
+            } else {
+                1.0 - (-(t - 1.0)).exp()
+            }
+        });
+        ys[100] = 0.5; // spike at t = 0.1, 0.9 s before the step
+        let rt = rise_time_split(&ts, &ys, 0.0, 1.0).unwrap();
         assert!((rt - 2.197).abs() < 0.01, "mid-spike rise {rt}");
     }
 
@@ -466,14 +392,9 @@ mod tests {
         // must not push the measurement out (a final-entry search at the
         // high threshold would report ≈ 7.8 s here instead of ≈ 2.197 s,
         // making noisier traces look *slower*).
-        let mut samples: Vec<(f64, f64)> = (0..10_000)
-            .map(|i| {
-                let t = i as f64 * 1e-3;
-                (t, 1.0 - (-t).exp())
-            })
-            .collect();
-        samples[7_800].1 = 0.88; // noise dip at t = 7.8, long after settling
-        let rt = rise_time(&samples, 0.0, 1.0).unwrap();
+        let (ts, mut ys) = columns(|t| 1.0 - (-t).exp());
+        ys[7_800] = 0.88; // noise dip at t = 7.8, long after settling
+        let rt = rise_time_split(&ts, &ys, 0.0, 1.0).unwrap();
         assert!((rt - 2.197).abs() < 0.01, "noisy-settle rise {rt}");
     }
 

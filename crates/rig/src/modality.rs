@@ -311,14 +311,6 @@ impl AnyMeter {
         }
     }
 
-    /// Mutable access to the CTA meter inside, if present.
-    pub fn as_cta_mut(&mut self) -> Option<&mut FlowMeter> {
-        match self {
-            AnyMeter::Cta(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// The heat-pulse meter inside, if this is the heat-pulse modality.
     pub fn as_heat_pulse(&self) -> Option<&HeatPulseMeter> {
         match self {

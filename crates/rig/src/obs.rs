@@ -61,17 +61,15 @@ pub fn default_enabled() -> bool {
 /// Observability knobs carried by a [`RunSpec`](crate::campaign::RunSpec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Install an [`EventLog`] and collect run counters/histograms.
+    /// Install an [`EventLog`] bounded at [`DEFAULT_EVENT_CAPACITY`] and
+    /// collect run counters/histograms.
     pub enabled: bool,
-    /// Event-log bound (events beyond it are dropped and counted).
-    pub event_capacity: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             enabled: default_enabled(),
-            event_capacity: DEFAULT_EVENT_CAPACITY,
         }
     }
 }

@@ -50,11 +50,6 @@ impl Promag50 {
         self.full_scale
     }
 
-    /// Datasheet-style resolution: ±noise, % of full scale.
-    pub fn resolution_percent_fs(&self) -> f64 {
-        self.noise_fs * 100.0
-    }
-
     /// Advances the meter by `dt` with the true *bulk* velocity and returns
     /// the current (held) reading.
     pub fn step<R: Rng + ?Sized>(

@@ -15,12 +15,11 @@
 //!   physics peaks, error statistics against truth, and a bounded
 //!   [`SeriesReducer`] window for rise-time analysis — everything the
 //!   experiments consume, computed in O(1) memory per sample;
-//! * [`CsvSink`] — renders rows as they arrive, without materializing;
-//! * [`Tee`] — fans one run out to two sinks.
+//! * [`CsvSink`] — renders rows as they arrive, without materializing.
 //!
 //! [`PolicyRecorder`] combines a [`TraceStore`] and [`RunReductions`]
 //! under a per-spec [`RecordPolicy`], so sweep-style experiments
-//! (`RecordPolicy::MetricsOnly`) never hold raw samples at all while
+//! ([`RecordPolicy::MetricsOnly`]) never hold raw samples at all while
 //! figure-producing experiments keep the full series.
 //!
 //! # Determinism
@@ -57,17 +56,6 @@ pub trait Recorder {
 impl<R: Recorder + ?Sized> Recorder for &mut R {
     fn record(&mut self, sample: &TraceSample) {
         (**self).record(sample);
-    }
-}
-
-/// Fans one run out to two sinks (nest for more).
-#[derive(Debug, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
-    fn record(&mut self, sample: &TraceSample) {
-        self.0.record(sample);
-        self.1.record(sample);
     }
 }
 
@@ -393,18 +381,13 @@ impl Recorder for CsvSink {
 /// policy — the policy only controls what lands in the stored trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordPolicy {
-    /// Keep every sample (the historical behavior; required by
-    /// figure-producing experiments that print or re-scan the series).
+    /// Keep every sample (required by figure-producing experiments that
+    /// print or re-scan the series).
     #[default]
     Full,
-    /// Keep only the samples inside the spec's settled window.
-    SettledWindowOnly,
     /// Keep no samples at all — O(1) trace memory; everything the run
     /// reports must come from the streaming reductions.
     MetricsOnly,
-    /// Keep every n-th sample (a plotting-density trace; `Decimated(1)`
-    /// ≡ `Full`, `Decimated(0)` is treated as 1).
-    Decimated(u32),
 }
 
 /// Which samples feed each streaming reduction — derived from the spec's
@@ -631,7 +614,6 @@ pub struct PolicyRecorder {
     policy: RecordPolicy,
     reductions: RunReductions,
     store: TraceStore,
-    seen: u64,
 }
 
 impl PolicyRecorder {
@@ -641,20 +623,14 @@ impl PolicyRecorder {
             policy,
             reductions: RunReductions::new(plan),
             store: TraceStore::new(),
-            seen: 0,
         }
     }
 
-    /// Pre-sizes the store for a run expected to record `samples` rows,
-    /// scaled by what the policy will actually keep.
+    /// Pre-sizes the store for a run expected to record `samples` rows
+    /// (a no-op under [`RecordPolicy::MetricsOnly`]).
     pub fn reserve(&mut self, samples: usize) {
-        let keep = match self.policy {
-            RecordPolicy::Full | RecordPolicy::SettledWindowOnly => samples,
-            RecordPolicy::MetricsOnly => 0,
-            RecordPolicy::Decimated(n) => samples / n.max(1) as usize + 1,
-        };
-        if keep > 0 {
-            self.store = TraceStore::with_capacity(keep);
+        if self.policy == RecordPolicy::Full {
+            self.store = TraceStore::with_capacity(samples);
         }
     }
 
@@ -667,17 +643,7 @@ impl PolicyRecorder {
 impl Recorder for PolicyRecorder {
     fn record(&mut self, s: &TraceSample) {
         self.reductions.record(s);
-        let keep = match self.policy {
-            RecordPolicy::Full => true,
-            RecordPolicy::SettledWindowOnly => {
-                let (t0, t1) = self.reductions.plan.settle;
-                s.t >= t0 && s.t < t1
-            }
-            RecordPolicy::MetricsOnly => false,
-            RecordPolicy::Decimated(n) => self.seen % u64::from(n.max(1)) == 0,
-        };
-        self.seen += 1;
-        if keep {
+        if self.policy == RecordPolicy::Full {
             self.store.push(s);
         }
     }
@@ -804,21 +770,11 @@ mod tests {
         };
         let (full, full_red) = run(RecordPolicy::Full);
         assert_eq!(full.len(), 100);
-        let (settled, _) = run(RecordPolicy::SettledWindowOnly);
-        assert_eq!(settled.len(), 20);
-        assert_eq!(settled.ts(), full.ts_in(2.0, 4.0));
         let (none, none_red) = run(RecordPolicy::MetricsOnly);
         assert_eq!(none.len(), 0);
         assert_eq!(none.heap_bytes(), 0);
-        let (dec, _) = run(RecordPolicy::Decimated(10));
-        assert_eq!(dec.len(), 10);
-        assert_eq!(dec.ts()[1], full.ts()[10]);
         // Reductions are policy-independent.
         assert_eq!(full_red, none_red);
-        // Decimated(0) degrades to keep-everything rather than dividing
-        // by zero.
-        let (d0, _) = run(RecordPolicy::Decimated(0));
-        assert_eq!(d0.len(), 100);
     }
 
     #[test]
@@ -856,9 +812,9 @@ mod tests {
         let samples: Vec<TraceSample> = (0..5).map(|i| sample(i as f64, 42.0)).collect();
         let mut sink = CsvSink::with_capacity(samples.len());
         let mut store = TraceStore::new();
-        let mut tee = Tee(&mut sink, &mut store);
         for s in &samples {
-            tee.record(s);
+            sink.record(s);
+            store.record(s);
         }
         let streamed = sink.into_string();
         assert_eq!(streamed.lines().count(), samples.len() + 1);

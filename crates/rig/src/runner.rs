@@ -187,12 +187,6 @@ impl<M: Meter> LineRunner<M> {
         &self.meter
     }
 
-    /// Mutable access to the device under test.
-    #[inline]
-    pub fn meter_mut(&mut self) -> &mut M {
-        &mut self.meter
-    }
-
     /// Takes the meter back out of the runner.
     pub fn into_meter(self) -> M {
         self.meter

@@ -316,10 +316,17 @@ impl QuantileSketch {
                             let (k, v) = entry
                                 .split_once(':')
                                 .ok_or_else(|| format!("sketch bucket `{entry}` has no `:`"))?;
-                            map.insert(
-                                k.parse().map_err(|e| bad(&e))?,
-                                v.parse().map_err(|e| bad(&e))?,
-                            );
+                            let k: i32 = k.parse().map_err(|e| bad(&e))?;
+                            let v: u64 = v.parse().map_err(|e| bad(&e))?;
+                            if !(-MAX_KEY..=MAX_KEY).contains(&k) {
+                                return Err(format!("sketch bucket key {k} is outside ±{MAX_KEY}"));
+                            }
+                            if v == 0 {
+                                return Err(format!("sketch bucket {k} is empty"));
+                            }
+                            if map.insert(k, v).is_some() {
+                                return Err(format!("sketch bucket {k} is repeated"));
+                            }
                         }
                     }
                 }
@@ -329,6 +336,22 @@ impl QuantileSketch {
         }
         if fields != 7 {
             return Err(format!("sketch line has {fields} fields, expected 7"));
+        }
+        // The counters must agree, or ranks walk off the buckets; a checked
+        // sum keeps every later merge of this sketch from overflowing.
+        let ranked = sketch
+            .pos
+            .values()
+            .chain(sketch.neg.values())
+            .try_fold(sketch.zero, |sum, &n| sum.checked_add(n));
+        if ranked != Some(sketch.count) {
+            return Err(format!(
+                "sketch count {} disagrees with its zero and bucket counts",
+                sketch.count
+            ));
+        }
+        if sketch.count.checked_add(sketch.nan).is_none() {
+            return Err("sketch count plus nan overflows".to_string());
         }
         Ok(sketch)
     }
@@ -437,6 +460,25 @@ mod tests {
         assert!(
             QuantileSketch::decode("nan=0 zero=0 count=0 min=0 max=0 neg=- pos=1:2:3").is_err()
         );
+        let max = u64::MAX;
+        for hostile in [
+            // A count its buckets do not back (p50 would read NaN).
+            "nan=0 zero=0 count=7 min=0 max=0 neg=- pos=1:1".to_string(),
+            // A key outside ±MAX_KEY.
+            "nan=0 zero=0 count=1 min=0 max=0 neg=- pos=5000:1".to_string(),
+            "nan=0 zero=0 count=1 min=0 max=0 neg=-1048:1 pos=-".to_string(),
+            // A repeated key and an empty bucket.
+            "nan=0 zero=0 count=2 min=0 max=0 neg=- pos=3:1,3:1".to_string(),
+            "nan=0 zero=0 count=1 min=0 max=0 neg=- pos=3:1,4:0".to_string(),
+            // Counts whose sum, or whose total with `nan`, overflows.
+            format!("nan=0 zero=1 count={max} min=0 max=0 neg=- pos=3:{max}"),
+            format!("nan=1 zero={max} count={max} min=0 max=0 neg=- pos=-"),
+        ] {
+            assert!(QuantileSketch::decode(&hostile).is_err(), "{hostile}");
+        }
+        // The edge keys themselves are fine.
+        let edges = "nan=0 zero=0 count=2 min=0 max=0 neg=-1047:1 pos=1047:1";
+        assert!(QuantileSketch::decode(edges).is_ok());
     }
 
     mod sketch_props {

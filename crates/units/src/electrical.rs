@@ -81,12 +81,6 @@ impl Amps {
     pub fn from_milliamps(ma: f64) -> Self {
         Amps::new(ma * 1e-3)
     }
-
-    /// Returns the value in milliamperes.
-    #[inline]
-    pub fn to_milliamps(self) -> f64 {
-        self.get() * 1e3
-    }
 }
 
 impl Watts {

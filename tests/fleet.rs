@@ -167,8 +167,7 @@ fn sharded_merge_reproduces_monolithic_bits() {
     for part in &parts[1..] {
         acc.merge(&part.run_jobs(3).unwrap()).unwrap();
     }
-    let merged = FleetAggregates::from_summaries(
-        &acc.summaries,
+    let merged = acc.finalize(
         spec.config.full_scale.to_cm_per_s(),
         spec.scenario.duration_s * spec.lines as f64,
     );

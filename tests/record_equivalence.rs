@@ -6,8 +6,7 @@
 //! `--jobs` count, fault schedules included. These tests pin that contract
 //! for every metric the experiments consume: settled Welford statistics,
 //! extra per-window Welfords, the bounded rise-time series, error RMS and
-//! worst-|err|, supply-code/bubble/fouling peaks, min/max/last, and the
-//! per-policy store contents (`SettledWindowOnly`, `Decimated`).
+//! worst-|err|, supply-code/bubble/fouling peaks and min/max/last.
 
 use hotwire::core::config::FlowMeterConfig;
 use hotwire::rig::campaign::derive_seed;
@@ -190,15 +189,10 @@ fn faulted_run_reductions_match_full_trace() {
 
 #[test]
 fn reductions_are_policy_and_jobs_invariant() {
-    // Same spec, every policy, serial and parallel: six runs, one set of
+    // Same spec, every policy, serial and parallel: four runs, one set of
     // reductions. `RunReductions` derives `PartialEq`, so this compares
     // every accumulator field (Welford state included) exactly.
-    let policies = [
-        RecordPolicy::Full,
-        RecordPolicy::SettledWindowOnly,
-        RecordPolicy::MetricsOnly,
-        RecordPolicy::Decimated(4),
-    ];
+    let policies = [RecordPolicy::Full, RecordPolicy::MetricsOnly];
     let specs: Vec<RunSpec> = policies.iter().map(|&p| step_spec(p)).collect();
     let serial = Campaign::with_jobs(1).run(&specs).expect("serial runs");
     let parallel = Campaign::with_jobs(3).run(&specs).expect("parallel runs");
@@ -210,38 +204,4 @@ fn reductions_are_policy_and_jobs_invariant() {
             outcome.label
         );
     }
-}
-
-#[test]
-fn settled_window_only_stores_exactly_the_window() {
-    let specs = [
-        step_spec(RecordPolicy::Full),
-        step_spec(RecordPolicy::SettledWindowOnly),
-    ];
-    let outcomes = Campaign::new().run(&specs).expect("campaign runs");
-    let full = &outcomes[0].trace.samples;
-    let settled = &outcomes[1].trace.samples;
-    let (s0, s1) = specs[0].settled_window();
-    let window = full.window(s0, s1);
-    assert_eq!(settled.len(), window.len(), "settled store size");
-    assert!(settled.ts().iter().all(|&t| t >= s0 && t < s1));
-    assert_eq!(settled.dut(), &full.dut()[window], "settled store contents");
-}
-
-#[test]
-fn decimated_store_keeps_every_nth_sample() {
-    let specs = [
-        step_spec(RecordPolicy::Full),
-        step_spec(RecordPolicy::Decimated(4)),
-    ];
-    let outcomes = Campaign::new().run(&specs).expect("campaign runs");
-    let full = &outcomes[0].trace.samples;
-    let thin = &outcomes[1].trace.samples;
-    assert_eq!(thin.len(), full.len().div_ceil(4), "decimated store size");
-    for (i, s) in thin.iter().enumerate() {
-        assert_eq!(Some(s), full.get(4 * i), "decimated sample {i}");
-    }
-    // A decimated store still answers windowed queries over what it kept.
-    let (s0, s1) = specs[0].settled_window();
-    assert!(thin.window_stats(s0, s1).count() > 0);
 }
