@@ -4,7 +4,7 @@
 //! Three measurements of the same water-station meter on a steady line,
 //! written to `BENCH_hotpath.json` as modulator-equivalent samples/s:
 //!
-//! * **scalar** — one [`FlowMeter::step`] call per modulator tick (the
+//! * **scalar** — one [`Meter::step`] call per modulator tick (the
 //!   historical per-sample path, kept as the alignment/fallback path);
 //! * **block** — one [`FlowMeter::step_frame`] call per decimation frame
 //!   (the default `AfeTier::Exact` tier, bit-identical to scalar);
@@ -23,7 +23,7 @@
 
 use hotwire_bench::json::{json_number, parse_number};
 use hotwire_core::config::AfeTier;
-use hotwire_core::{FlowMeter, FlowMeterConfig};
+use hotwire_core::{FlowMeter, FlowMeterConfig, Meter};
 use hotwire_physics::{MafParams, SensorEnvironment};
 use hotwire_units::MetersPerSecond;
 use std::process::ExitCode;
@@ -84,7 +84,7 @@ impl TierRun {
     }
 }
 
-/// Measures `frames` frames through per-tick [`FlowMeter::step`] calls.
+/// Measures `frames` frames through per-tick [`Meter::step`] calls.
 fn measure_scalar(frames: u64, warmup_frames: u64) -> TierRun {
     let mut meter = settled_meter(AfeTier::Exact, warmup_frames);
     let env = bench_env();

@@ -10,6 +10,7 @@
 //! energy each burst costs.
 
 use crate::flow_meter::FlowMeter;
+use crate::meter::Meter;
 use crate::CoreError;
 use hotwire_physics::SensorEnvironment;
 use hotwire_units::{MetersPerSecond, Seconds, Watts};
@@ -128,14 +129,14 @@ impl BurstController {
         let mut energy = 0.0;
         for _ in 0..settle_steps {
             self.meter.step(env);
-            energy += self.meter.bridge_power_draw().get() * dt;
+            energy += self.meter.power_draw().get() * dt;
         }
         let mut sum = 0.0;
         let mut sum2 = 0.0;
         let mut n = 0u64;
         for _ in 0..measure_steps {
             let tick = self.meter.step(env);
-            energy += self.meter.bridge_power_draw().get() * dt;
+            energy += self.meter.power_draw().get() * dt;
             if tick.is_some() {
                 let v = self.meter.instantaneous_speed().get();
                 sum += v;

@@ -3,7 +3,7 @@
 use crate::CoreError;
 use hotwire_afe::bridge::BridgeConfig;
 use hotwire_physics::resistor::Rtd;
-use hotwire_units::{Celsius, Hertz, KelvinDelta, MetersPerSecond, Ohms};
+use hotwire_units::{Celsius, Hertz, KelvinDelta, MetersPerSecond, Ohms, Seconds};
 
 /// The anemometer operating mode (paper §2).
 ///
@@ -28,7 +28,7 @@ pub enum OperatingMode {
 ///
 /// The exact tier simulates every ΣΔ modulator tick (bridge solve, die
 /// thermal step, in-amp/anti-alias/modulator/CIC chain) and is bit-identical
-/// whether it runs through the scalar [`step`](crate::FlowMeter::step) path
+/// whether it runs through the scalar [`step`](crate::Meter::step) path
 /// or the batched [`step_frame`](crate::FlowMeter::step_frame) path. The
 /// fast tier replaces the per-tick AFE with one quasi-static bridge solve and
 /// DC code per control frame plus a single coarse die step — a bounded-error
@@ -120,7 +120,7 @@ pub struct FlowMeterConfig {
     pub direction_deadband: i32,
     /// Analog-front-end fidelity tier used by the frame path
     /// ([`FlowMeter::step_frame`](crate::FlowMeter::step_frame)); the scalar
-    /// [`step`](crate::FlowMeter::step) path is always exact.
+    /// [`step`](crate::Meter::step) path is always exact.
     pub afe_tier: AfeTier,
 }
 
@@ -185,6 +185,12 @@ impl FlowMeterConfig {
     /// The control (decimated) sample rate.
     pub fn control_rate(&self) -> Hertz {
         Hertz::new(self.modulator_rate.get() / self.decimation as f64)
+    }
+
+    /// Scenario time per control tick. Divided out directly rather than
+    /// taken as `1 / control_rate()`, whose rounding differs.
+    pub fn control_period(&self) -> Seconds {
+        Seconds::new(self.decimation as f64 / self.modulator_rate.get())
     }
 
     /// Validates the configuration.
@@ -262,12 +268,19 @@ impl FlowMeterConfig {
 /// FNV-1a over `bytes` — the workspace's stable, dependency-free hash for
 /// config fingerprints and meter state digests.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a64_fold(bytes.iter().copied())
+}
+
+/// [`fnv1a64`] over each word's little-endian bytes, in order — how the
+/// meters pack their state digests.
+pub fn fnv1a64_words(words: &[u64]) -> u64 {
+    fnv1a64_fold(words.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+fn fnv1a64_fold(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 impl Default for FlowMeterConfig {
@@ -286,6 +299,14 @@ mod tests {
         assert!(FlowMeterConfig::water_station_pulsed().validate().is_ok());
         assert!(FlowMeterConfig::air_style_overheat().validate().is_ok());
         assert!(FlowMeterConfig::test_profile().validate().is_ok());
+    }
+
+    #[test]
+    fn fnv1a64_words_hashes_little_endian_bytes_in_order() {
+        let words = [0x0123_4567_89AB_CDEF, 0, u64::MAX];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(fnv1a64_words(&words), fnv1a64(&bytes));
+        assert_eq!(fnv1a64_words(&[]), fnv1a64(&[]));
     }
 
     #[test]

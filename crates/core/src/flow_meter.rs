@@ -1,7 +1,8 @@
 //! The assembled instrument: MAF die + ISIF platform + conditioning
 //! firmware, co-simulated sample-by-sample.
 //!
-//! [`FlowMeter::step`] advances exactly one ΣΔ modulator tick:
+//! [`Meter::step`] on a [`FlowMeter`] advances exactly one ΣΔ modulator
+//! tick:
 //!
 //! 1. the current supply-DAC voltage drives both Wheatstone bridges;
 //! 2. the resulting Joule power heats the die (physics step);
@@ -20,26 +21,31 @@
 //! block kernels, bit-identical to `decimation` scalar steps at the default
 //! [`AfeTier::Exact`], or through a quasi-static once-per-frame AFE
 //! evaluation at the opt-in approximate [`AfeTier::Fast`].
+//! Every [`Meter`] method has its one body in the impl at the end of this
+//! file, except [`FlowMeter::step_frame`] and [`FlowMeter::state_digest`],
+//! which stay inherent for callers that do not import the trait.
 
 use crate::calibration::{self, CalPoint, KingCalibration};
-use crate::config::{AfeTier, FlowMeterConfig, OperatingMode, PulsedConfig};
+use crate::config::{fnv1a64_words, AfeTier, FlowMeterConfig, OperatingMode, PulsedConfig};
 use crate::cta::{ConductanceEstimator, CtaLoop, SUPPLY_CODE_MAX};
 use crate::direction::{DirectionDetector, FlowDirection};
 use crate::faults::{AdcFault, DriftMonitor, FaultFlags, SaturationMonitor, SpikeMonitor};
 use crate::health::{HealthMonitor, HealthState, RecoveryAction};
+use crate::meter::Meter;
 use crate::modes::{ConstantCurrentDrive, ConstantPowerDrive, WireStateEstimator};
 use crate::obs::{EventKind, ObsEvent, Observer};
 use crate::output::OutputPipeline;
 use crate::pulsed::{PulsePhase, PulsedScheduler};
 use crate::CoreError;
 use hotwire_afe::bridge::BridgeConfig;
+use hotwire_afe::ThermometerDac;
 use hotwire_dsp::fix::SoaBlock;
 use hotwire_isif::channel::{AnalogInput, ChannelConfig};
 use hotwire_isif::IsifPlatform;
 use hotwire_physics::kings_law::KingsLaw;
 use hotwire_physics::sensor::HeaterId;
 use hotwire_physics::{MafDie, MafParams, SensorEnvironment};
-use hotwire_units::{MetersPerSecond, Ohms, Seconds, ThermalConductance, Volts, Watts};
+use hotwire_units::{Celsius, MetersPerSecond, Ohms, Seconds, ThermalConductance, Volts, Watts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -159,7 +165,7 @@ pub struct FlowMeter {
     dt: Seconds,
     control_tick: u64,
     /// Control tick at which the active calibration was installed or last
-    /// refit — the zero point of [`calibration_age`](Self::calibration_age).
+    /// refit — the zero point of [`calibration_age`](Meter::calibration_age).
     cal_tick: u64,
     last_dir_code: i32,
     /// Learned zero-flow offset of the supply-normalized direction metric
@@ -399,7 +405,7 @@ impl FlowMeter {
     /// [`calibrate`](Self::calibrate) learn the same zero offset the serial
     /// procedure would have (absorbing the reference resistor's ±1.5 %
     /// manufacturing tolerance).
-    pub fn adopt_fluid_estimate(&mut self, estimate: hotwire_units::Celsius) {
+    pub fn adopt_fluid_estimate(&mut self, estimate: Celsius) {
         self.fluid_temp_estimate = estimate.get();
     }
 
@@ -446,102 +452,11 @@ impl FlowMeter {
         self.rh_star
     }
 
-    /// One modulator tick of co-simulation; returns a measurement on control
-    /// ticks.
-    pub fn step(&mut self, env: SensorEnvironment) -> Option<Measurement> {
-        self.mod_phase += 1;
-        if self.mod_phase == self.config.decimation {
-            self.mod_phase = 0;
-        }
-        // --- analog domain at the modulator rate ---
-        let supply = self.platform.supply_voltage();
-        let rh_a = self.die.heater_resistance(HeaterId::A);
-        let rh_b = self.die.heater_resistance(HeaterId::B);
-        let rt = self.die.reference_resistance();
-        let out_a = self.bridge.solve(supply, rh_a, rt);
-        let out_b = self.bridge.solve(supply, rh_b, rt);
-        self.die.step(
-            self.dt,
-            out_a.heater_power,
-            out_b.heater_power,
-            env,
-            &mut self.rng,
-        );
-
-        let ctrl_diff = (out_a.differential + out_b.differential) * 0.5;
-        let dir_diff = out_a.differential - out_b.differential;
-        // Chip self-heating above the 25 °C characterization point: the die
-        // runs near the fluid temperature.
-        let overtemp = env.fluid_temperature.get() - 25.0;
-
-        let dir_code = {
-            let chan = self
-                .platform
-                .channel_mut(DIR_CHANNEL)
-                .expect("configured in new()");
-            chan.sample(AnalogInput::Differential(dir_diff), overtemp, &mut self.rng)
-        };
-        if let Some(code) = dir_code {
-            self.last_dir_code = code;
-        }
-        // Temperature channel: the Rt-arm midpoint against its
-        // calibration-time divider ratio.
-        let temp_diff = out_a.reference_mid - supply * self.ref_ratio_cal;
-        let temp_code = {
-            let chan = self
-                .platform
-                .channel_mut(TEMP_CHANNEL)
-                .expect("configured in new()");
-            chan.sample(
-                AnalogInput::Differential(temp_diff),
-                overtemp,
-                &mut self.rng,
-            )
-        };
-        if let Some(code) = temp_code {
-            self.last_temp_code = code;
-        }
-        let ctrl_code = {
-            let chan = self
-                .platform
-                .channel_mut(CTRL_CHANNEL)
-                .expect("configured in new()");
-            chan.sample(
-                AnalogInput::Differential(ctrl_diff),
-                overtemp,
-                &mut self.rng,
-            )
-        };
-        let code = ctrl_code?;
-        // Injected acquisition faults corrupt the code before the firmware
-        // sees it — the firmware's own supervision has to catch them.
-        let code = match self.adc_fault {
-            Some(fault) => fault.apply(code),
-            None => code,
-        };
-
-        // --- digital domain at the control rate ---
-        Some(self.control_step(code, supply))
-    }
-
-    /// Modulator ticks into the current decimation frame: 0 means the meter
-    /// is frame-aligned and [`step_frame`](Self::step_frame) may run.
-    #[inline]
-    pub fn frame_phase(&self) -> u32 {
-        self.mod_phase
-    }
-
-    /// Modulator ticks per control frame (the decimation ratio).
-    #[inline]
-    pub fn ticks_per_frame(&self) -> u32 {
-        self.config.decimation
-    }
-
     /// Advances one full decimation frame — `decimation` modulator ticks —
     /// and returns the control-tick measurement the frame ends on.
     ///
     /// At the default [`AfeTier::Exact`] the result is bit-identical to
-    /// calling [`step`](Self::step) `decimation` times with the same
+    /// calling [`step`](Meter::step) `decimation` times with the same
     /// environment: the frame walk pre-draws every RNG value in the scalar
     /// draw order (die step, then one noise draw each for the direction,
     /// temperature and control channels per tick) before running the
@@ -557,7 +472,10 @@ impl FlowMeter {
     /// # Panics
     ///
     /// Panics if the meter is not frame-aligned
-    /// ([`frame_phase`](Self::frame_phase) != 0).
+    /// ([`frame_phase`](Meter::frame_phase) != 0).
+    // Stays inherent beside its `Meter` forwarder: the benchmark calls it
+    // on a concrete `FlowMeter` without importing the trait.
+    #[allow(clippy::same_name_method)]
     pub fn step_frame(&mut self, env: SensorEnvironment) -> Measurement {
         assert_eq!(
             self.mod_phase, 0,
@@ -732,8 +650,8 @@ impl FlowMeter {
     }
 
     /// The firmware's current fluid-temperature estimate (zero-corrected).
-    pub fn fluid_temperature_estimate(&self) -> hotwire_units::Celsius {
-        hotwire_units::Celsius::new(self.fluid_temp_estimate - self.temp_estimate_offset)
+    pub fn fluid_temperature_estimate(&self) -> Celsius {
+        Celsius::new(self.fluid_temp_estimate - self.temp_estimate_offset)
     }
 
     fn control_step(&mut self, code: i32, supply: Volts) -> Measurement {
@@ -1048,17 +966,6 @@ impl FlowMeter {
         }
     }
 
-    /// Total electrical power currently drawn from the supply by the two
-    /// bridges (burst-mode energy accounting).
-    pub fn bridge_power_draw(&self) -> Watts {
-        let u = self.platform.supply_voltage();
-        let rt = self
-            .wire_estimator_reference_rtd()
-            .resistance(self.fluid_temperature_estimate());
-        self.estimator
-            .total_bridge_power(u, self.bridge.r_series_reference, rt)
-    }
-
     /// Records one calibration point at a known reference velocity, running
     /// `settle_s` of simulation then averaging `average_s` of conductance.
     pub fn record_calibration_point(
@@ -1109,108 +1016,6 @@ impl FlowMeter {
         Ok(self.calibration.as_ref().expect("just installed"))
     }
 
-    /// Reloads the calibration from EEPROM (power-cycle recovery).
-    ///
-    /// A corrupt or missing primary record degrades to the redundant mirror
-    /// slot: the mirror is loaded, the primary is repaired from it, and the
-    /// health supervisor notes a `Recovering` excursion. Only when *both*
-    /// copies fail does this error out — and the instrument goes `Faulted`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the primary slot's [`CoreError::Platform`] error if every
-    /// calibration copy is missing or corrupt.
-    pub fn reload_calibration(&mut self) -> Result<(), CoreError> {
-        let recovered = KingCalibration::recover(self.platform.eeprom_mut());
-        let (outcome, events) = calibration::reload(recovered, &mut self.health);
-        for kind in events.into_iter().flatten() {
-            self.observe(kind);
-        }
-        self.calibration = Some(outcome?);
-        Ok(())
-    }
-
-    /// Accepts the current conductance operating point as the new drift
-    /// baseline, clearing the drift estimate ([`Meter::re_zero`]). Exact
-    /// state no-op when [`drift_estimate`](Self::drift_estimate) is `0.0`.
-    ///
-    /// [`Meter::re_zero`]: crate::Meter::re_zero
-    pub fn re_zero(&mut self) {
-        self.drift.re_zero();
-    }
-
-    /// Refits the active King calibration from the drift monitor's current
-    /// deviation and re-zeroes the baseline around the corrected fit
-    /// ([`Meter::refit_from_recent`]).
-    ///
-    /// Fouling (the §4 failure mode the drift monitor watches) multiplies
-    /// the wire's thermal conductance by a slowly shrinking factor `1 + d`
-    /// (`d < 0` for a sensitivity loss), so scaling both King coefficients
-    /// by the observed relative deviation restores the velocity decode at
-    /// the operating point. The correction is clamped to ±50 % — beyond
-    /// that the instrument needs a bath recalibration, not a field refit.
-    /// RAM-only: pair with [`persist`](Self::persist) to survive a power
-    /// cycle.
-    ///
-    /// [`Meter::refit_from_recent`]: crate::Meter::refit_from_recent
-    pub fn refit_from_recent(&mut self) -> bool {
-        let d = self.drift.deviation().clamp(-0.5, 0.5);
-        if d == 0.0 {
-            return false;
-        }
-        let Some(cal) = self.calibration.as_mut() else {
-            return false;
-        };
-        cal.a *= 1.0 + d;
-        cal.b *= 1.0 + d;
-        self.drift.re_zero();
-        self.cal_tick = self.control_tick;
-        true
-    }
-
-    /// Writes the active calibration to the EEPROM's primary and redundant
-    /// slots ([`Meter::persist`]) — one write cycle of wear on each.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Calibration`] when no calibration is installed,
-    /// or the platform error when a slot write fails.
-    ///
-    /// [`Meter::persist`]: crate::Meter::persist
-    pub fn persist(&mut self) -> Result<(), CoreError> {
-        let cal = self.calibration.ok_or(CoreError::Calibration {
-            reason: "no calibration installed to persist",
-        })?;
-        cal.store(self.platform.eeprom_mut())
-    }
-
-    /// Control ticks since the active calibration was installed or last
-    /// refit ([`Meter::calibration_age`]).
-    ///
-    /// [`Meter::calibration_age`]: crate::Meter::calibration_age
-    #[inline]
-    pub fn calibration_age(&self) -> u64 {
-        self.control_tick.saturating_sub(self.cal_tick)
-    }
-
-    /// The drift monitor's most recent relative conductance deviation
-    /// ([`Meter::drift_estimate`]).
-    ///
-    /// [`Meter::drift_estimate`]: crate::Meter::drift_estimate
-    #[inline]
-    pub fn drift_estimate(&self) -> f64 {
-        self.drift.deviation()
-    }
-
-    /// The highest per-slot EEPROM write-cycle count
-    /// ([`Meter::calibration_wear`]).
-    ///
-    /// [`Meter::calibration_wear`]: crate::Meter::calibration_wear
-    #[inline]
-    pub fn calibration_wear(&self) -> u64 {
-        self.platform.eeprom().max_slot_wear()
-    }
-
     /// Auto-zeroes the direction channel: runs `seconds` of simulation at
     /// the given (zero-flow) environment and learns the channel's
     /// supply-normalized offset, which is subtracted from all subsequent
@@ -1255,56 +1060,10 @@ impl FlowMeter {
         self.spikes.reset();
     }
 
-    /// The instrument's current aggregate health state.
-    #[inline]
-    pub fn health(&self) -> HealthState {
-        self.health.state()
-    }
-
-    /// Installs an injected ADC fault on the CTA acquisition channel, or
-    /// clears it with `None` — the campaign layer's fault-injection hook.
-    pub fn inject_adc_fault(&mut self, fault: Option<AdcFault>) {
-        self.adc_fault = fault;
-    }
-
     /// The injected ADC fault currently active, if any.
     #[inline]
     pub fn adc_fault(&self) -> Option<AdcFault> {
         self.adc_fault
-    }
-
-    /// Installs an observability sink (replacing any previous one). The
-    /// meter emits tick-stamped [`ObsEvent`]s into it from the control path;
-    /// see [`Observer`] for the contract. Without a sink every emission site
-    /// reduces to one `Option` check.
-    pub fn set_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observer = Some(observer);
-    }
-
-    /// Removes and returns the installed observability sink, if any — how
-    /// the rig collects a run's event log after the simulation finishes.
-    pub fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
-        self.observer.take()
-    }
-
-    /// Whether an observability sink is installed (lets callers skip their
-    /// own instrumentation when nobody is listening).
-    #[inline]
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    /// Emits an event to the installed observer (if any), stamped with the
-    /// current control tick. Public so the rig's fault injector can report
-    /// *its* actions (fault engage/revert, wire-level frame errors) into the
-    /// same per-run log the firmware writes.
-    pub fn observe(&mut self, kind: EventKind) {
-        if let Some(observer) = self.observer.as_mut() {
-            observer.record(ObsEvent {
-                tick: self.control_tick,
-                kind,
-            });
-        }
     }
 
     /// Total control ticks executed since construction (the timestamp
@@ -1322,6 +1081,9 @@ impl FlowMeter {
     /// The fleet layer records this per line, which is how its
     /// checkpoint/resume and jobs-invariance tests cover full end-state
     /// equality without serializing whole meters.
+    // Stays inherent beside its `Meter` forwarder: the benchmark calls it
+    // on a concrete `FlowMeter` without importing the trait.
+    #[allow(clippy::same_name_method)]
     pub fn state_digest(&self) -> u64 {
         let flags = self.fault_latch;
         let m = self.last_measurement.as_ref();
@@ -1370,18 +1132,278 @@ impl FlowMeter {
             self.drift.deviation().to_bits(),
             self.cal_tick,
         ];
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
+        fnv1a64_words(&words)
+    }
+}
+
+impl Meter for FlowMeter {
+    #[inline]
+    fn step(&mut self, env: SensorEnvironment) -> Option<Measurement> {
+        self.mod_phase += 1;
+        if self.mod_phase == self.config.decimation {
+            self.mod_phase = 0;
         }
-        crate::config::fnv1a64(&bytes)
+        // --- analog domain at the modulator rate ---
+        let supply = self.platform.supply_voltage();
+        let rh_a = self.die.heater_resistance(HeaterId::A);
+        let rh_b = self.die.heater_resistance(HeaterId::B);
+        let rt = self.die.reference_resistance();
+        let out_a = self.bridge.solve(supply, rh_a, rt);
+        let out_b = self.bridge.solve(supply, rh_b, rt);
+        self.die.step(
+            self.dt,
+            out_a.heater_power,
+            out_b.heater_power,
+            env,
+            &mut self.rng,
+        );
+
+        let ctrl_diff = (out_a.differential + out_b.differential) * 0.5;
+        let dir_diff = out_a.differential - out_b.differential;
+        // Chip self-heating above the 25 °C characterization point: the die
+        // runs near the fluid temperature.
+        let overtemp = env.fluid_temperature.get() - 25.0;
+
+        let dir_code = {
+            let chan = self
+                .platform
+                .channel_mut(DIR_CHANNEL)
+                .expect("configured in new()");
+            chan.sample(AnalogInput::Differential(dir_diff), overtemp, &mut self.rng)
+        };
+        if let Some(code) = dir_code {
+            self.last_dir_code = code;
+        }
+        // Temperature channel: the Rt-arm midpoint against its
+        // calibration-time divider ratio.
+        let temp_diff = out_a.reference_mid - supply * self.ref_ratio_cal;
+        let temp_code = {
+            let chan = self
+                .platform
+                .channel_mut(TEMP_CHANNEL)
+                .expect("configured in new()");
+            chan.sample(
+                AnalogInput::Differential(temp_diff),
+                overtemp,
+                &mut self.rng,
+            )
+        };
+        if let Some(code) = temp_code {
+            self.last_temp_code = code;
+        }
+        let ctrl_code = {
+            let chan = self
+                .platform
+                .channel_mut(CTRL_CHANNEL)
+                .expect("configured in new()");
+            chan.sample(
+                AnalogInput::Differential(ctrl_diff),
+                overtemp,
+                &mut self.rng,
+            )
+        };
+        let code = ctrl_code?;
+        // Injected acquisition faults corrupt the code before the firmware
+        // sees it — the firmware's own supervision has to catch them.
+        let code = match self.adc_fault {
+            Some(fault) => fault.apply(code),
+            None => code,
+        };
+
+        // --- digital domain at the control rate ---
+        Some(self.control_step(code, supply))
+    }
+
+    #[inline]
+    fn step_frame(&mut self, env: SensorEnvironment) -> Measurement {
+        FlowMeter::step_frame(self, env)
+    }
+
+    #[inline]
+    fn frame_phase(&self) -> u32 {
+        self.mod_phase
+    }
+
+    #[inline]
+    fn ticks_per_frame(&self) -> u32 {
+        self.config.decimation
+    }
+
+    fn control_period(&self) -> Seconds {
+        self.config.control_period()
+    }
+
+    fn full_scale(&self) -> MetersPerSecond {
+        self.config.full_scale
+    }
+
+    #[inline]
+    fn health(&self) -> HealthState {
+        self.health.state()
+    }
+
+    /// Total electrical power currently drawn from the supply by the two
+    /// bridges (burst-mode energy accounting).
+    fn power_draw(&self) -> Watts {
+        let u = self.platform.supply_voltage();
+        let rt = self
+            .wire_estimator_reference_rtd()
+            .resistance(self.fluid_temperature_estimate());
+        self.estimator
+            .total_bridge_power(u, self.bridge.r_series_reference, rt)
+    }
+
+    fn state_digest(&self) -> u64 {
+        FlowMeter::state_digest(self)
+    }
+
+    fn set_observer(&mut self, observer: Box<dyn Observer>) {
+        self.observer = Some(observer);
+    }
+
+    fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
+        self.observer.take()
+    }
+
+    #[inline]
+    fn has_observer(&self) -> bool {
+        self.observer.is_some()
+    }
+
+    fn observe(&mut self, kind: EventKind) {
+        if let Some(observer) = self.observer.as_mut() {
+            observer.record(ObsEvent {
+                tick: self.control_tick,
+                kind,
+            });
+        }
+    }
+
+    /// Reloads the calibration from EEPROM (power-cycle recovery).
+    ///
+    /// A corrupt or missing primary record degrades to the redundant mirror
+    /// slot: the mirror is loaded, the primary is repaired from it, and the
+    /// health supervisor notes a `Recovering` excursion. Only when *both*
+    /// copies fail does this error out — and the instrument goes `Faulted`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the primary slot's [`CoreError::Platform`] error if every
+    /// calibration copy is missing or corrupt.
+    fn reload_calibration(&mut self) -> Result<(), CoreError> {
+        let recovered = KingCalibration::recover(self.platform.eeprom_mut());
+        let (outcome, events) = calibration::reload(recovered, &mut self.health);
+        for kind in events.into_iter().flatten() {
+            self.observe(kind);
+        }
+        self.calibration = Some(outcome?);
+        Ok(())
+    }
+
+    fn re_zero(&mut self) {
+        self.drift.re_zero();
+    }
+
+    /// Refits the active King calibration from the drift monitor's current
+    /// deviation and re-zeroes the baseline around the corrected fit.
+    ///
+    /// Fouling (the §4 failure mode the drift monitor watches) multiplies
+    /// the wire's thermal conductance by a slowly shrinking factor `1 + d`
+    /// (`d < 0` for a sensitivity loss), so scaling both King coefficients
+    /// by the observed relative deviation restores the velocity decode at
+    /// the operating point. The correction is clamped to ±50 % — beyond
+    /// that the instrument needs a bath recalibration, not a field refit.
+    /// RAM-only: pair with [`persist`](Meter::persist) to survive a power
+    /// cycle.
+    fn refit_from_recent(&mut self) -> bool {
+        let d = self.drift.deviation().clamp(-0.5, 0.5);
+        if d == 0.0 {
+            return false;
+        }
+        let Some(cal) = self.calibration.as_mut() else {
+            return false;
+        };
+        cal.a *= 1.0 + d;
+        cal.b *= 1.0 + d;
+        self.drift.re_zero();
+        self.cal_tick = self.control_tick;
+        true
+    }
+
+    fn persist(&mut self) -> Result<(), CoreError> {
+        let cal = self.calibration.ok_or(CoreError::Calibration {
+            reason: "no calibration installed to persist",
+        })?;
+        cal.store(self.platform.eeprom_mut())
+    }
+
+    #[inline]
+    fn calibration_age(&self) -> u64 {
+        self.control_tick.saturating_sub(self.cal_tick)
+    }
+
+    #[inline]
+    fn drift_estimate(&self) -> f64 {
+        self.drift.deviation()
+    }
+
+    #[inline]
+    fn calibration_wear(&self) -> u64 {
+        self.platform.eeprom().max_slot_wear()
+    }
+
+    fn fluid_temperature(&self) -> Option<Celsius> {
+        Some(self.fluid_temperature_estimate())
+    }
+
+    fn inject_adc_fault(&mut self, fault: Option<AdcFault>) {
+        self.adc_fault = fault;
+    }
+
+    fn degrade_supply(&mut self, fraction: f64) -> Option<ThermometerDac> {
+        let original = self.platform.supply_dac().clone();
+        let vref = Volts::new(original.vref().get() * fraction);
+        let degraded = ThermometerDac::ideal(original.bits(), vref)
+            .expect("clamped brownout fraction yields a valid DAC");
+        self.platform.set_supply_dac(degraded);
+        Some(original)
+    }
+
+    fn restore_supply(&mut self, saved: Option<ThermometerDac>) {
+        if let Some(dac) = saved {
+            self.platform.set_supply_dac(dac);
+        }
+    }
+
+    fn corrupt_calibration(&mut self, slot: usize, byte: usize) {
+        self.platform.eeprom_mut().corrupt(slot, byte);
+    }
+
+    fn inject_bubble_burst(&mut self, coverage: f64) {
+        self.die.inject_bubble_burst(coverage);
+    }
+
+    fn deposit_fouling(&mut self, microns: f64) {
+        self.die.deposit_fouling(microns);
+    }
+
+    fn worst_bubble_coverage(&self) -> f64 {
+        self.die
+            .bubble_coverage(HeaterId::A)
+            .max(self.die.bubble_coverage(HeaterId::B))
+    }
+
+    fn worst_fouling_um(&self) -> f64 {
+        self.die
+            .fouling_thickness_um(HeaterId::A)
+            .max(self.die.fouling_thickness_um(HeaterId::B))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotwire_units::Celsius;
+    use Celsius;
 
     fn meter(seed: u64) -> FlowMeter {
         FlowMeter::new(FlowMeterConfig::test_profile(), MafParams::nominal(), seed).unwrap()
@@ -1843,6 +1865,46 @@ mod tests {
         m.run(0.3, env(50.0));
         // Codes still carry noise, so the freeze discriminator stays quiet.
         assert_eq!(m.platform_mut().watchdog_mut().reset_count(), 0);
+    }
+
+    #[test]
+    fn flow_meter_trait_delegation_matches_inherent() {
+        let config = FlowMeterConfig::test_profile();
+        let mut a = FlowMeter::new(config, MafParams::nominal(), 7).unwrap();
+        let mut b = FlowMeter::new(config, MafParams::nominal(), 7).unwrap();
+        let env = SensorEnvironment::still_water();
+        for _ in 0..3 {
+            // Inherent path on `a`, trait path on `b`.
+            let ma = FlowMeter::step_frame(&mut a, env);
+            let mb = Meter::step_frame(&mut b, env);
+            assert_eq!(ma, mb);
+        }
+        assert_eq!(
+            FlowMeter::state_digest(&a),
+            Meter::state_digest(&b),
+            "trait delegation must not perturb the trajectory"
+        );
+        assert_eq!(
+            Meter::control_period(&a).get(),
+            config.decimation as f64 / config.modulator_rate.get()
+        );
+        assert_eq!(Meter::full_scale(&a), config.full_scale);
+    }
+
+    #[test]
+    fn supply_hooks_save_and_restore() {
+        let mut m = meter(3);
+        let nominal = m.platform_mut().supply_dac().vref().get();
+        let saved = m.degrade_supply(0.5);
+        assert!(saved.is_some());
+        let sagged = m.platform_mut().supply_dac().vref().get();
+        assert!((sagged - nominal * 0.5).abs() < 1e-12);
+        m.restore_supply(saved);
+        assert_eq!(m.platform_mut().supply_dac().vref().get(), nominal);
+        // The None case must leave the rail untouched (matches the
+        // injector's historical `if let Some` revert).
+        m.restore_supply(None);
+        assert_eq!(m.platform_mut().supply_dac().vref().get(), nominal);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! to per-tick stepping.
 
 use crate::calibration::{self, recover_mirrored, store_mirrored};
-use crate::config::{fnv1a64, FlowMeterConfig};
+use crate::config::{fnv1a64_words, FlowMeterConfig};
 use crate::direction::FlowDirection;
 use crate::error::CoreError;
 use crate::faults::{AdcFault, FaultFlags};
@@ -145,7 +145,7 @@ impl HeatPulseConfig {
     /// shared, and the cycle timing uses the waterxchange-style windows.
     pub fn from_flow_config(config: &FlowMeterConfig) -> Self {
         HeatPulseConfig {
-            control_period_s: config.decimation as f64 / config.modulator_rate.get(),
+            control_period_s: config.control_period().get(),
             full_scale: config.full_scale,
             baseline_s: 0.02,
             fire_s: 0.01,
@@ -485,15 +485,6 @@ impl HeatPulseMeter {
         &mut self.eeprom
     }
 
-    fn emit(&mut self, kind: EventKind) {
-        if let Some(observer) = self.observer.as_mut() {
-            observer.record(ObsEvent {
-                tick: self.control_tick,
-                kind,
-            });
-        }
-    }
-
     /// Ticks in one full cycle.
     fn cycle_ticks(&self) -> u32 {
         self.baseline_ticks + self.fire_ticks + self.monitor_ticks + self.idle_ticks
@@ -705,7 +696,7 @@ impl HeatPulseMeter {
         let watchdog_expired = self.frozen_streak >= FROZEN_LIMIT;
         if watchdog_expired {
             self.frozen_streak = 0;
-            self.emit(EventKind::WatchdogExpired);
+            self.observe(EventKind::WatchdogExpired);
         }
 
         // Peak tracking and baseline accumulation.
@@ -740,7 +731,7 @@ impl HeatPulseMeter {
         };
         self.health.update(self.fault_latch, watchdog_expired);
         if let Some((from, to)) = self.health.take_transition() {
-            self.emit(EventKind::HealthTransition { from, to });
+            self.observe(EventKind::HealthTransition { from, to });
         }
 
         let firing = phase == CyclePhase::Fire;
@@ -859,11 +850,7 @@ impl Meter for HeatPulseMeter {
             words.push(self.sensor_k[i].to_bits());
             words.push(self.last_codes[i] as i64 as u64);
         }
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        fnv1a64(&bytes)
+        fnv1a64_words(&words)
     }
 
     fn set_observer(&mut self, observer: Box<dyn Observer>) {
@@ -879,14 +866,19 @@ impl Meter for HeatPulseMeter {
     }
 
     fn observe(&mut self, kind: EventKind) {
-        self.emit(kind);
+        if let Some(observer) = self.observer.as_mut() {
+            observer.record(ObsEvent {
+                tick: self.control_tick,
+                kind,
+            });
+        }
     }
 
     fn reload_calibration(&mut self) -> Result<(), CoreError> {
         let recovered = HeatPulseCalibration::recover(&mut self.eeprom);
         let (outcome, events) = calibration::reload(recovered, &mut self.health);
         for kind in events.into_iter().flatten() {
-            self.emit(kind);
+            self.observe(kind);
         }
         self.calibration = Some(outcome?);
         Ok(())

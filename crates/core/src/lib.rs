@@ -64,6 +64,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::same_name_method)]
 
 pub mod burst;
 pub mod calibration;

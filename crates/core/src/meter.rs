@@ -2,11 +2,13 @@
 //!
 //! Everything above the firmware — the line runner, the campaign executor,
 //! the fleet engine, the fault injector, checkpointing — used to be
-//! hard-coded to the CTA [`FlowMeter`]. This trait extracts the surface
-//! those engines actually touch, so alternate sensing modalities (the
-//! heat-pulse time-of-flight meter of [`crate::heat_pulse`], the rig's
-//! reference-instrument adapters) plug into the same physics substrate and
-//! the same deterministic execution machinery.
+//! hard-coded to the CTA [`FlowMeter`](crate::FlowMeter). This trait
+//! extracts the surface those engines actually touch, so alternate sensing
+//! modalities (the heat-pulse time-of-flight meter of
+//! [`crate::heat_pulse`], the rig's reference-instrument adapters) plug into
+//! the same physics substrate and the same deterministic execution
+//! machinery. This module holds only the contract; each implementation sits
+//! beside its type.
 //!
 //! # Contract
 //!
@@ -45,13 +47,12 @@
 
 use crate::error::CoreError;
 use crate::faults::AdcFault;
-use crate::flow_meter::{FlowMeter, Measurement};
+use crate::flow_meter::Measurement;
 use crate::health::HealthState;
 use crate::obs::{EventKind, Observer};
 use hotwire_afe::ThermometerDac;
-use hotwire_physics::sensor::HeaterId;
 use hotwire_physics::SensorEnvironment;
-use hotwire_units::{Celsius, MetersPerSecond, Seconds, Volts, Watts};
+use hotwire_units::{Celsius, MetersPerSecond, Seconds, Watts};
 
 /// The meter-facing surface of the evaluation engine: stepping, drive
 /// timing, health, telemetry emission, calibration reload, fault hooks and
@@ -243,193 +244,11 @@ pub trait Meter: Send + std::fmt::Debug {
     fn worst_fouling_um(&self) -> f64;
 }
 
-impl Meter for FlowMeter {
-    #[inline]
-    fn step(&mut self, env: SensorEnvironment) -> Option<Measurement> {
-        FlowMeter::step(self, env)
-    }
-
-    #[inline]
-    fn step_frame(&mut self, env: SensorEnvironment) -> Measurement {
-        FlowMeter::step_frame(self, env)
-    }
-
-    #[inline]
-    fn frame_phase(&self) -> u32 {
-        FlowMeter::frame_phase(self)
-    }
-
-    #[inline]
-    fn ticks_per_frame(&self) -> u32 {
-        FlowMeter::ticks_per_frame(self)
-    }
-
-    fn control_period(&self) -> Seconds {
-        Seconds::new(self.config().decimation as f64 / self.config().modulator_rate.get())
-    }
-
-    fn full_scale(&self) -> MetersPerSecond {
-        self.config().full_scale
-    }
-
-    fn health(&self) -> HealthState {
-        FlowMeter::health(self)
-    }
-
-    fn power_draw(&self) -> Watts {
-        self.bridge_power_draw()
-    }
-
-    fn state_digest(&self) -> u64 {
-        FlowMeter::state_digest(self)
-    }
-
-    fn set_observer(&mut self, observer: Box<dyn Observer>) {
-        FlowMeter::set_observer(self, observer);
-    }
-
-    fn take_observer(&mut self) -> Option<Box<dyn Observer>> {
-        FlowMeter::take_observer(self)
-    }
-
-    #[inline]
-    fn has_observer(&self) -> bool {
-        FlowMeter::has_observer(self)
-    }
-
-    fn observe(&mut self, kind: EventKind) {
-        FlowMeter::observe(self, kind);
-    }
-
-    fn reload_calibration(&mut self) -> Result<(), CoreError> {
-        FlowMeter::reload_calibration(self)
-    }
-
-    fn re_zero(&mut self) {
-        FlowMeter::re_zero(self);
-    }
-
-    fn refit_from_recent(&mut self) -> bool {
-        FlowMeter::refit_from_recent(self)
-    }
-
-    fn persist(&mut self) -> Result<(), CoreError> {
-        FlowMeter::persist(self)
-    }
-
-    fn calibration_age(&self) -> u64 {
-        FlowMeter::calibration_age(self)
-    }
-
-    fn drift_estimate(&self) -> f64 {
-        FlowMeter::drift_estimate(self)
-    }
-
-    fn calibration_wear(&self) -> u64 {
-        FlowMeter::calibration_wear(self)
-    }
-
-    fn fluid_temperature(&self) -> Option<Celsius> {
-        Some(self.fluid_temperature_estimate())
-    }
-
-    fn inject_adc_fault(&mut self, fault: Option<AdcFault>) {
-        FlowMeter::inject_adc_fault(self, fault);
-    }
-
-    /// Swaps the supply DAC for one whose full scale is `fraction` of
-    /// nominal; returns the original for restoration. (This is the exact
-    /// brownout mechanics the fault injector applied before the trait
-    /// extraction — per-event save/restore, so overlapping windows each
-    /// restore their own saved DAC.)
-    fn degrade_supply(&mut self, fraction: f64) -> Option<ThermometerDac> {
-        let original = self.platform_mut().supply_dac().clone();
-        let vref = Volts::new(original.vref().get() * fraction);
-        let degraded = ThermometerDac::ideal(original.bits(), vref)
-            .expect("clamped brownout fraction yields a valid DAC");
-        self.platform_mut().set_supply_dac(degraded);
-        Some(original)
-    }
-
-    fn restore_supply(&mut self, saved: Option<ThermometerDac>) {
-        if let Some(dac) = saved {
-            self.platform_mut().set_supply_dac(dac);
-        }
-    }
-
-    fn corrupt_calibration(&mut self, slot: usize, byte: usize) {
-        self.platform_mut().eeprom_mut().corrupt(slot, byte);
-    }
-
-    fn inject_bubble_burst(&mut self, coverage: f64) {
-        self.die_mut().inject_bubble_burst(coverage);
-    }
-
-    fn deposit_fouling(&mut self, microns: f64) {
-        self.die_mut().deposit_fouling(microns);
-    }
-
-    fn worst_bubble_coverage(&self) -> f64 {
-        let die = self.die();
-        die.bubble_coverage(HeaterId::A)
-            .max(die.bubble_coverage(HeaterId::B))
-    }
-
-    fn worst_fouling_um(&self) -> f64 {
-        let die = self.die();
-        die.fouling_thickness_um(HeaterId::A)
-            .max(die.fouling_thickness_um(HeaterId::B))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FlowMeterConfig;
-    use hotwire_physics::MafParams;
 
     /// The trait is dyn-compatible: engines could hold `Box<dyn Meter>`
     /// (they stay generic instead, for monomorphized hot loops).
     fn _object_safe(_: &dyn Meter) {}
-
-    #[test]
-    fn flow_meter_trait_delegation_matches_inherent() {
-        let config = FlowMeterConfig::test_profile();
-        let mut a = FlowMeter::new(config, MafParams::nominal(), 7).unwrap();
-        let mut b = FlowMeter::new(config, MafParams::nominal(), 7).unwrap();
-        let env = SensorEnvironment::still_water();
-        for _ in 0..3 {
-            // Inherent path on `a`, trait path on `b`.
-            let ma = FlowMeter::step_frame(&mut a, env);
-            let mb = Meter::step_frame(&mut b, env);
-            assert_eq!(ma, mb);
-        }
-        assert_eq!(
-            FlowMeter::state_digest(&a),
-            Meter::state_digest(&b),
-            "trait delegation must not perturb the trajectory"
-        );
-        assert_eq!(
-            Meter::control_period(&a).get(),
-            config.decimation as f64 / config.modulator_rate.get()
-        );
-        assert_eq!(Meter::full_scale(&a), config.full_scale);
-    }
-
-    #[test]
-    fn supply_hooks_save_and_restore() {
-        let config = FlowMeterConfig::test_profile();
-        let mut m = FlowMeter::new(config, MafParams::nominal(), 3).unwrap();
-        let nominal = m.platform_mut().supply_dac().vref().get();
-        let saved = Meter::degrade_supply(&mut m, 0.5);
-        assert!(saved.is_some());
-        let sagged = m.platform_mut().supply_dac().vref().get();
-        assert!((sagged - nominal * 0.5).abs() < 1e-12);
-        Meter::restore_supply(&mut m, saved);
-        assert_eq!(m.platform_mut().supply_dac().vref().get(), nominal);
-        // The None case must leave the rail untouched (matches the
-        // injector's historical `if let Some` revert).
-        Meter::restore_supply(&mut m, None);
-        assert_eq!(m.platform_mut().supply_dac().vref().get(), nominal);
-    }
 }

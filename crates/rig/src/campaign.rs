@@ -53,7 +53,7 @@ use hotwire_core::calibration::CalPoint;
 use hotwire_core::config::AfeTier;
 use hotwire_core::{CoreError, FlowMeter, FlowMeterConfig, HeatPulseMeter, Meter};
 use hotwire_physics::{MafParams, SensorEnvironment};
-use hotwire_units::{Celsius, MetersPerSecond, Seconds, ThermalConductance};
+use hotwire_units::{Celsius, MetersPerSecond, ThermalConductance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -596,16 +596,12 @@ impl RunSpec {
             Modality::HeatPulse => {
                 AnyMeter::HeatPulse(HeatPulseMeter::new(self.config, self.meter_seed)?)
             }
-            Modality::PromagRef | Modality::TurbineRef => {
-                let control_dt =
-                    Seconds::new(self.config.decimation as f64 / self.config.modulator_rate.get());
-                AnyMeter::Reference(ReferenceMeter::new(
-                    self.modality.reference_kind().expect("reference modality"),
-                    self.config.full_scale,
-                    control_dt,
-                    self.meter_seed,
-                ))
-            }
+            Modality::PromagRef | Modality::TurbineRef => AnyMeter::Reference(ReferenceMeter::new(
+                self.modality.reference_kind().expect("reference modality"),
+                self.config.full_scale,
+                self.config.control_period(),
+                self.meter_seed,
+            )),
         })
     }
 
@@ -786,7 +782,7 @@ pub fn collect_calibration_points(
         jobs,
         |i, &setpoint| -> Result<(CalPoint, f64), CoreError> {
             let mut meter = FlowMeter::new(config, params, meter_seed)?;
-            let control_dt = Seconds::new(config.decimation as f64 / config.modulator_rate.get());
+            let control_dt = config.control_period();
             let scenario = Scenario::steady(setpoint, recipe.settle_s + recipe.average_s);
             let mut line = WaterLine::new(scenario, recipe.seed.wrapping_add(i as u64));
             let mut promag = Promag50::new(config.full_scale);

@@ -18,6 +18,10 @@
 //!   and the total line count; a resume under a *different* spec is
 //!   refused with [`CheckpointError::SpecMismatch`] instead of silently
 //!   stitching two unrelated fleets together.
+//! * Decode refuses counters that contradict each other or the stored
+//!   range, and a resume refuses a range that is not a prefix of the fleet
+//!   or counters above what its lines can record
+//!   ([`CheckpointError::Unresumable`]), so no resume can overflow them.
 //! * Writes go through a temp file + atomic rename, so a kill mid-write
 //!   leaves the previous checkpoint intact rather than a torn file.
 //! * Every `f64` crosses the file as its exact IEEE-754 bit pattern
@@ -75,6 +79,13 @@ pub enum CheckpointError {
     },
     /// The file declares a codec version this build does not speak.
     UnsupportedVersion(u32),
+    /// The resuming fleet could not have written this checkpoint: its
+    /// range is not a prefix of the fleet, or a counter exceeds what its
+    /// lines can record.
+    Unresumable {
+        /// What the fleet could not have written.
+        reason: String,
+    },
 }
 
 impl core::fmt::Display for CheckpointError {
@@ -100,6 +111,9 @@ impl core::fmt::Display for CheckpointError {
                     f,
                     "checkpoint format v{v} is not supported (this build speaks v{FORMAT_VERSION})"
                 )
+            }
+            CheckpointError::Unresumable { reason } => {
+                write!(f, "checkpoint cannot resume this fleet: {reason}")
             }
         }
     }
@@ -308,6 +322,12 @@ impl FleetCheckpoint {
                 reason: format!("bad {what}: {token:?}"),
             })
         };
+        // Counters must agree with each other and with the stored range (the
+        // resuming spec bounds the rest); a contradiction fails its line.
+        let contradiction = |line: usize, reason: &str| CheckpointError::Parse {
+            line,
+            reason: reason.to_string(),
+        };
         // Fixed fields arrive as `keyword value...` lines in a fixed
         // order; `fields` peels the keyword and returns the payload.
         let fields = |line: usize,
@@ -368,11 +388,23 @@ impl FleetCheckpoint {
         shard.fault_samples = parse(n, "fault_samples", &samples[1])?;
         shard.lines_faulted = parse(n, "lines_faulted", &samples[2])?;
         shard.trace_heap_bytes = parse(n, "trace_heap_bytes", &samples[3])? as usize;
+        let lines = (end - start) as u64;
+        if shard.fault_samples > shard.total_samples {
+            return Err(contradiction(n, "more fault samples than samples"));
+        }
+        if shard.lines_faulted > lines {
+            return Err(contradiction(n, "more faulted lines than the range holds"));
+        }
 
         let (n, l) = next("health")?;
         let health = fields(n, l, "health", 4)?;
+        let mut census = Some(0u64);
         for (slot, token) in shard.health.counts.iter_mut().zip(&health) {
             *slot = parse(n, "health count", token)?;
+            census = census.and_then(|sum| sum.checked_add(*slot));
+        }
+        if census != Some(shard.total_samples) {
+            return Err(contradiction(n, "health census is not the sample count"));
         }
 
         let (n, l) = next("means")?;
@@ -400,9 +432,11 @@ impl FleetCheckpoint {
                     reason: format!("bad incidence entry: {l:?}"),
                 });
             };
-            shard
-                .fault_incidence
-                .insert(kind.to_string(), parse(n, "incidence count", count)?);
+            let count = parse(n, "incidence count", count)?;
+            if count > lines {
+                return Err(contradiction(n, "more struck lines than the range holds"));
+            }
+            shard.fault_incidence.insert(kind.to_string(), count);
         }
 
         let mut sketch = |keyword: &str| -> Result<QuantileSketch, CheckpointError> {
@@ -435,9 +469,13 @@ impl FleetCheckpoint {
 
         let (n, l) = next("summaries")?;
         // The count is untrusted: it bounds the loop, which fails at end
-        // of file when the count lies, but sizes no allocation.
+        // of file when the count lies, but sizes no allocation. Retained
+        // summaries cover the whole range or none of it.
         let count = parse(n, "summary count", &fields(n, l, "summaries", 1)?[0])?;
-        for _ in 0..count {
+        if count != 0 && count != lines {
+            return Err(contradiction(n, "summaries do not cover the range"));
+        }
+        for line in start..start + count as usize {
             let (n, l) = next("summary record")?;
             let tokens: Vec<&str> = l.split_whitespace().collect();
             if tokens.len() != 18 {
@@ -459,8 +497,12 @@ impl FleetCheckpoint {
                     })
                     .collect::<Result<Vec<_>, _>>()?
             };
+            let index = parse(n, "line index", tokens[0])?;
+            if index != line as u64 {
+                return Err(contradiction(n, "summary out of line order"));
+            }
             shard.summaries.push(LineSummary {
-                line: parse(n, "line index", tokens[0])? as usize,
+                line,
                 samples: parse(n, "samples", tokens[1])?,
                 settled_mean: f64::from_bits(parse_hex(n, "settled_mean", tokens[2])?),
                 settled_std: f64::from_bits(parse_hex(n, "settled_std", tokens[3])?),
@@ -638,6 +680,28 @@ mod tests {
         let padded = good.replace("err_sketch nan=1 ", "err_sketch nan=2 ");
         assert_ne!(padded, good);
         assert_eq!(failing_line(&padded), line_of("err_sketch"));
+        // Counters that contradict each other or the range fail on the
+        // line that holds them: a census that does not total the samples
+        // (or overflows), more fault samples than samples, more faulted
+        // or struck lines than the range holds, and summaries that do not
+        // cover the range in order.
+        for (from, to, keyword) in [
+            ("health 300 36 24 0", "health 300 36 24 1", "health"),
+            (
+                "health 300 36 24 0",
+                "health 18446744073709551615 36 24 0",
+                "health",
+            ),
+            ("samples 360 17 1 0", "samples 360 361 1 0", "samples"),
+            ("samples 360 17 1 0", "samples 360 17 4 0", "samples"),
+            ("\nadc_stuck 1\n", "\nadc_stuck 4\n", "adc_stuck"),
+            ("summaries 3", "summaries 2", "summaries"),
+            ("\n4 120 ", "\n5 120 ", "4 120 "),
+        ] {
+            let contradicting = good.replace(from, to);
+            assert_ne!(contradicting, good, "{from:?}");
+            assert_eq!(failing_line(&contradicting), line_of(keyword), "{to:?}");
+        }
         // A summary count the file cannot back: the decoder must run out
         // of records, not reserve room for them (u64::MAX overflows the
         // capacity; 4e12 records would abort on allocation).

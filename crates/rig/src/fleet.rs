@@ -258,6 +258,10 @@ pub enum FleetSpecError {
     },
     /// `sample_period_s` is not a positive finite number.
     BadSamplePeriod,
+    /// `scenario.duration_s` is NaN, infinite or negative, or a
+    /// [`Calibration::Field`] setpoint's `settle_s + average_s` is not
+    /// finite (a non-finite run never finishes).
+    BadDuration,
     /// `flow_jitter` is not a finite fraction in `[0, 1)`.
     BadFlowJitter,
     /// The reference template's `stride` is zero.
@@ -286,6 +290,11 @@ impl core::fmt::Display for FleetSpecError {
             FleetSpecError::BadSamplePeriod => write!(
                 f,
                 "sample period must be a positive finite number of seconds"
+            ),
+            FleetSpecError::BadDuration => write!(
+                f,
+                "scenario duration must be finite and non-negative, and \
+                 field-calibration windows finite"
             ),
             FleetSpecError::BadFlowJitter => {
                 write!(f, "flow jitter must be a finite fraction in [0, 1)")
@@ -590,6 +599,14 @@ impl FleetSpec {
         if !(self.sample_period_s.is_finite() && self.sample_period_s > 0.0) {
             return Err(FleetSpecError::BadSamplePeriod);
         }
+        let duration = self.scenario.duration_s;
+        let endless_calibration = match &self.calibration {
+            Calibration::Field(recipe) => !(recipe.settle_s + recipe.average_s).is_finite(),
+            _ => false,
+        };
+        if !(duration.is_finite() && duration >= 0.0) || endless_calibration {
+            return Err(FleetSpecError::BadDuration);
+        }
         let j = self.variation.flow_jitter;
         if !(j.is_finite() && (0.0..1.0).contains(&j)) {
             return Err(FleetSpecError::BadFlowJitter);
@@ -807,8 +824,9 @@ impl FleetSpec {
     ///
     /// Everything [`FleetSpec::run_jobs`] returns, plus
     /// [`FleetError::Checkpoint`] for unreadable/unwritable checkpoint
-    /// files or a checkpoint written by a different spec
-    /// ([`CheckpointError::SpecMismatch`]).
+    /// files, a checkpoint written by a different spec
+    /// ([`CheckpointError::SpecMismatch`]), or one this spec could not have
+    /// written ([`CheckpointError::Unresumable`]).
     pub fn run_checkpointed(
         &self,
         path: &Path,
@@ -838,7 +856,7 @@ impl FleetSpec {
         let fingerprint = self.fingerprint();
         let interval = interval_lines.max(1);
         let mut acc = match FleetCheckpoint::load_if_present(path)? {
-            Some(ck) => ck.into_verified_shard(fingerprint, self.lines)?,
+            Some(ck) => self.resumable(ck.into_verified_shard(fingerprint, self.lines)?)?,
             None => ShardAggregates::empty(0),
         };
         let mut last_written = acc.lines();
@@ -857,6 +875,43 @@ impl FleetSpec {
             FleetCheckpoint::new(fingerprint, total_lines, acc.clone()).write(path)?;
         }
         Ok(self.finalize(acc))
+    }
+
+    /// Passes a checkpointed prefix through unless this fleet could not have
+    /// written it: a range other than `0..k` with `k ≤ lines`, or a counter
+    /// above what `k` of its lines can record — the bound that keeps the
+    /// remaining lines from overflowing it.
+    fn resumable(&self, acc: ShardAggregates) -> Result<ShardAggregates, CheckpointError> {
+        let refuse = |reason: String| Err(CheckpointError::Unresumable { reason });
+        if acc.start != 0 || acc.end > self.lines {
+            return refuse(format!(
+                "range {}..{} is not a prefix of its {} lines",
+                acc.start, acc.end, self.lines
+            ));
+        }
+        // A line records at most one sample and takes at most one
+        // maintenance action per control tick, and stores no trace samples
+        // (`MetricsOnly`). The runner's clock sums control periods in
+        // floating point, hence the headroom over the exact tick count.
+        let periods = (self.scenario.duration_s / self.config.control_period().get()).ceil();
+        let ticks = (periods as u64).saturating_mul(2).saturating_add(2);
+        let ticks = ticks.saturating_mul(acc.lines() as u64);
+        let m = &acc.maintenance;
+        for (counter, value, bound) in [
+            ("total_samples", acc.total_samples, ticks),
+            ("re_zeros", m.re_zeros, ticks),
+            ("refits", m.refits, ticks),
+            ("persists", m.persists, ticks),
+            ("persists_skipped", m.persists_skipped, ticks),
+            ("trace_heap_bytes", acc.trace_heap_bytes as u64, 0),
+        ] {
+            if value > bound {
+                return refuse(format!(
+                    "{counter} {value} exceeds the {bound} its lines can record"
+                ));
+            }
+        }
+        Ok(acc)
     }
 
     /// The batch loop shared by every entry point: runs lines
@@ -1433,6 +1488,7 @@ impl FleetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::FieldCalibration;
     use crate::fault::FaultKind;
 
     fn small_fleet() -> FleetSpec {
@@ -1555,7 +1611,70 @@ mod tests {
                 .validate(),
             Err(FleetSpecError::BadFlowJitter)
         );
+        for duration in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut endless = small_fleet();
+            endless.scenario.duration_s = duration;
+            assert_eq!(
+                endless.validate(),
+                Err(FleetSpecError::BadDuration),
+                "duration {duration}"
+            );
+        }
+        for (settle_s, average_s) in [(f64::NAN, 0.2), (0.3, f64::INFINITY), (f64::MAX, f64::MAX)] {
+            let endless = small_fleet().with_calibration(Calibration::Field(FieldCalibration {
+                settle_s,
+                average_s,
+                ..FieldCalibration::paper(0.3, 0.2, 1)
+            }));
+            assert_eq!(
+                endless.validate(),
+                Err(FleetSpecError::BadDuration),
+                "calibration windows {settle_s} + {average_s}"
+            );
+        }
+        let mut instant = small_fleet();
+        instant.scenario.duration_s = 0.0;
+        assert!(instant.validate().is_ok());
         assert!(small_fleet().validate().is_ok());
+    }
+
+    #[test]
+    fn non_finite_duration_returns_instead_of_running_forever() {
+        // Regression: `WaterLine::finished` tests `time >= duration`, which
+        // never holds for NaN or +∞, so the fleet and ingest runs never
+        // returned. The worker thread lets the test fail on a timeout
+        // instead of hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            for duration in [f64::NAN, f64::INFINITY] {
+                let fast = FlowMeterConfig {
+                    afe_tier: hotwire_core::config::AfeTier::Fast,
+                    ..FlowMeterConfig::test_profile()
+                };
+                let fleet = FleetSpec::new("endless", fast, Scenario::steady(100.0, duration), 1)
+                    .with_lines(1);
+                let run = fleet.run_jobs(1).map(|_| ());
+                let ingest = crate::ingest::ingest_fleet(
+                    &fleet,
+                    &crate::ingest::IngestConfig::for_fleet(&fleet),
+                    1,
+                )
+                .map(|_| ());
+                done.send((duration, run, ingest))
+                    .expect("the test thread is waiting");
+            }
+        });
+        for _ in 0..2 {
+            let (duration, run, ingest) = finished
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a non-finite duration returns");
+            assert!(
+                matches!(run, Err(FleetError::Spec(FleetSpecError::BadDuration))),
+                "duration {duration}: {run:?}"
+            );
+            assert!(ingest.is_err(), "duration {duration}: ingest ran");
+        }
+        worker.join().expect("fleet worker panicked");
     }
 
     #[test]

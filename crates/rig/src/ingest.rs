@@ -105,7 +105,7 @@ impl IngestConfig {
     /// by one trace sample, i.e. `sample_period / control_dt` control
     /// ticks).
     pub fn for_fleet(spec: &FleetSpec) -> Self {
-        let control_dt = spec.config.decimation as f64 / spec.config.modulator_rate.get();
+        let control_dt = spec.config.control_period().get();
         let gap = (spec.sample_period_s / control_dt).round().max(1.0) as u32;
         IngestConfig {
             nominal_tick_gap: gap,

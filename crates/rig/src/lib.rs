@@ -101,6 +101,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::same_name_method)]
 
 pub mod campaign;
 pub mod checkpoint;

@@ -22,7 +22,7 @@
 use crate::promag::Promag50;
 use crate::turbine::TurbineMeter;
 use hotwire_afe::ThermometerDac;
-use hotwire_core::config::fnv1a64;
+use hotwire_core::config::fnv1a64_words;
 use hotwire_core::direction::FlowDirection;
 use hotwire_core::faults::{AdcFault, FaultFlags};
 use hotwire_core::heat_pulse::HeatPulseMeter;
@@ -214,11 +214,7 @@ impl Meter for ReferenceMeter {
                 ReferenceKind::Turbine => 2,
             },
         ];
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        fnv1a64(&bytes)
+        fnv1a64_words(&words)
     }
 
     fn set_observer(&mut self, observer: Box<dyn Observer>) {

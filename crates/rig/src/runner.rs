@@ -235,7 +235,8 @@ impl<M: Meter> LineRunner<M> {
     /// Panics if `sample_period_s` is not a positive number. A
     /// non-positive cadence used to silently record *every* control tick
     /// (`t >= next_sample_t` always held) while pre-allocating for none —
-    /// the contract is now explicit.
+    /// the contract is now explicit. Panics, too, if the scenario duration
+    /// is not finite: the run would never end.
     pub fn run_with<R: Recorder + ?Sized>(
         &mut self,
         sample_period_s: f64,
@@ -245,6 +246,12 @@ impl<M: Meter> LineRunner<M> {
             sample_period_s > 0.0,
             "LineRunner::run: sample_period_s must be a positive number of \
              seconds, got {sample_period_s}"
+        );
+        let duration_s = self.line.scenario().duration_s;
+        assert!(
+            duration_s.is_finite(),
+            "LineRunner::run: the scenario duration must be finite or the run \
+             never ends, got {duration_s} s"
         );
         let mut tail = RunTail::default();
         let mut next_sample_t = 0.0;
@@ -495,6 +502,16 @@ mod tests {
         let meter = test_meter(18);
         let mut runner = LineRunner::new(Scenario::steady(50.0, 1.0), meter, 18);
         runner.run(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario duration must be finite")]
+    fn nan_duration_is_rejected() {
+        // Regression: the line never finishes a NaN-long scenario, so the
+        // run used to spin forever.
+        let meter = test_meter(18);
+        let mut runner = LineRunner::new(Scenario::steady(50.0, f64::NAN), meter, 18);
+        runner.run(0.05);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use hotwire::core::config::FlowMeterConfig;
 use hotwire::core::direction::FlowDirection;
-use hotwire::core::FlowMeter;
+use hotwire::core::{FlowMeter, Meter};
 use hotwire::physics::{MafParams, SensorEnvironment};
 use hotwire::rig::campaign::FieldCalibration;
 use hotwire::rig::{metrics, LineRunner, Scenario};

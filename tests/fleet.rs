@@ -272,8 +272,11 @@ fn interrupted_resume_is_bit_identical_at_any_jobs() {
     }
 }
 
-/// A checkpoint written by one spec refuses to seed a different spec's
-/// run instead of silently stitching two fleets together.
+/// A checkpoint this fleet could not have written refuses to seed its run
+/// instead of silently stitching fleets together: one written by a
+/// different spec, and, under the spec's own fingerprint and line count,
+/// a range that skips lines, more lines than the fleet has, or a sample
+/// count the remaining lines would overflow.
 #[test]
 fn resume_refuses_a_foreign_checkpoint() {
     let dir = std::env::temp_dir().join("hotwire-fleet-foreign-ck-test");
@@ -289,6 +292,38 @@ fn resume_refuses_a_foreign_checkpoint() {
         Err(FleetError::Checkpoint(CheckpointError::SpecMismatch { .. })) => {}
         other => panic!("expected a spec mismatch, got {other:?}"),
     }
+    let resume_forged = |shard: ShardAggregates| {
+        FleetCheckpoint::new(spec.fingerprint(), spec.lines, shard)
+            .write(&path)
+            .unwrap();
+        spec.run_checkpointed(&path, 1, 2).map(|_| ())
+    };
+    let refusal = |resumed: Result<(), FleetError>| match resumed {
+        Err(FleetError::Checkpoint(CheckpointError::Unresumable { reason })) => reason,
+        other => panic!("expected an unresumable checkpoint, got {other:?}"),
+    };
+    // Lines 4..8 used to resume as the whole fleet, reporting 4 lines.
+    let tail = spec.shard(4, 8).run_jobs(2).unwrap();
+    assert!(refusal(resume_forged(tail)).contains("range 4..8"));
+    // A 12-line accumulator used to resume the 8-line fleet as 12 lines.
+    let wider = spec
+        .clone()
+        .with_lines(12)
+        .shard(0, 12)
+        .run_jobs(2)
+        .unwrap();
+    assert!(refusal(resume_forged(wider)).contains("range 0..12"));
+    // A sample count near `u64::MAX`, its census kept consistent so the
+    // file decodes, used to overflow in `ShardAggregates::push`.
+    let mut prefix = spec.shard(0, 4).run_jobs(2).unwrap();
+    let pad = u64::MAX - 1 - prefix.total_samples;
+    prefix.total_samples += pad;
+    prefix.health.counts[0] += pad;
+    let reason = refusal(resume_forged(prefix));
+    assert!(
+        reason.starts_with("total_samples 18446744073709551614 "),
+        "{reason}"
+    );
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -2,7 +2,7 @@
 //! that must hold for *any* operating point in the design range.
 
 use hotwire::core::config::FlowMeterConfig;
-use hotwire::core::FlowMeter;
+use hotwire::core::{FlowMeter, Meter};
 use hotwire::physics::{MafParams, SensorEnvironment};
 use hotwire::units::{Celsius, MetersPerSecond, Pascals};
 use proptest::prelude::*;
