@@ -37,7 +37,9 @@
 //!
 //! `--check BASELINE` compares the freshly measured pinned-jobs lines/s
 //! against the committed baseline and exits non-zero if it regressed by
-//! more than 30 %.
+//! more than 30 %. The flags, report write and floor check are the shared
+//! [`hotwire_bench::gate`]; the hard gates above run on every invocation,
+//! with or without `--check`.
 //!
 //! # Kill-and-resume smoke
 //!
@@ -56,7 +58,8 @@
 //! ```
 
 use hotwire_bench::experiments::{f2_fleet, f4_maintenance};
-use hotwire_bench::json::{json_number, parse_number};
+use hotwire_bench::gate::{self, Args, Baseline, Stop};
+use hotwire_bench::json::json_number;
 use hotwire_core::config::{fnv1a64, AfeTier, FlowMeterConfig};
 use hotwire_rig::fleet::{FleetOutcome, FleetSpec, LineSummary, LineVariation};
 use hotwire_rig::{LineConfig, Modality, ReferenceKind, Scenario, Windows};
@@ -79,6 +82,12 @@ options:
   --kill-after-lines N
                      with --checkpoint: hard-exit (code 86) at the first
                      checkpointed batch boundary covering >= N lines";
+
+/// The valued options beyond the shared `--out` and `--check`.
+const OPTIONS: &[(&str, &str)] = &[
+    ("--checkpoint", "a path"),
+    ("--kill-after-lines", "a line count"),
+];
 
 /// Fraction of the baseline's throughput the fresh measurement may lose
 /// before `--check` fails.  The committed baseline is a full 1000-line
@@ -279,7 +288,7 @@ fn checkpoint_exercise(
     path: &str,
     kill_after_lines: Option<usize>,
     out_path: &str,
-) -> ExitCode {
+) -> Result<(), Stop> {
     let (lines, duration_s) = if smoke { (64, 2.0) } else { (256, 2.0) };
     // Small batches so checkpoints land at several boundaries, fast tier
     // so the exercise stays a smoke test.
@@ -307,42 +316,26 @@ fn checkpoint_exercise(
         }
         ControlFlow::Continue(())
     });
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("checkpointed fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = outcome.map_err(|e| format!("checkpointed fleet run failed: {e}"))?;
     // The resumed (or fresh) checkpointed run must be bit-identical to an
     // uninterrupted in-memory run of the same spec.
-    let fresh = match spec.run_jobs(HEADLINE_JOBS) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("uninterrupted reference run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let fresh = spec
+        .run_jobs(HEADLINE_JOBS)
+        .map_err(|e| format!("uninterrupted reference run failed: {e}"))?;
     let resumed_digest = outcome_digest(&outcome);
     let fresh_digest = outcome_digest(&fresh);
     if resumed_digest != fresh_digest {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "kill-and-resume equivalence FAILED: resumed digest {resumed_digest:016x} != \
              uninterrupted {fresh_digest:016x}"
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     eprintln!("kill-and-resume equivalence passed: digest {resumed_digest:016x}");
     let json = format!(
         "{{\n  \"checkpoint\": {{\n    \"lines\": {lines},\n    \"path\": {path:?},\n    \
          \"aggregates_digest\": \"{resumed_digest:016x}\",\n    \"matches_uninterrupted\": true\n  }}\n}}\n"
     );
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out_path}");
-    ExitCode::SUCCESS
+    Ok(gate::write_report(out_path, &json)?)
 }
 
 fn run_json(run: &FleetRun, jobs: usize) -> String {
@@ -362,60 +355,23 @@ fn run_json(run: &FleetRun, jobs: usize) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out_path = "BENCH_fleet.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut kill_after_lines: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match args.next() {
-                Some(path) => out_path = path,
-                None => {
-                    eprintln!("--out needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path),
-                None => {
-                    eprintln!("--check needs a baseline path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint" => match args.next() {
-                Some(path) => checkpoint_path = Some(path),
-                None => {
-                    eprintln!("--checkpoint needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--kill-after-lines" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => kill_after_lines = Some(n),
-                None => {
-                    eprintln!("--kill-after-lines needs a line count\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    gate::exit(run())
+}
 
-    if kill_after_lines.is_some() && checkpoint_path.is_none() {
-        eprintln!("--kill-after-lines requires --checkpoint\n{USAGE}");
-        return ExitCode::FAILURE;
+fn run() -> Result<(), Stop> {
+    let args = Args::parse(std::env::args().skip(1), USAGE, &["--smoke"], OPTIONS)?;
+    let smoke = args.switch("--smoke");
+    let out_path = args.value("--out").unwrap_or("BENCH_fleet.json");
+    let kill_after_lines = args
+        .value("--kill-after-lines")
+        .map(str::parse)
+        .transpose()
+        .map_err(|_| format!("--kill-after-lines needs a line count\n{USAGE}"))?;
+    if let Some(path) = args.value("--checkpoint") {
+        return checkpoint_exercise(smoke, path, kill_after_lines, out_path);
     }
-    if let Some(path) = checkpoint_path {
-        return checkpoint_exercise(smoke, &path, kill_after_lines, &out_path);
+    if kill_after_lines.is_some() {
+        return Err(format!("--kill-after-lines requires --checkpoint\n{USAGE}").into());
     }
 
     // Same scenario seconds per line in both modes so lines/s stays
@@ -423,13 +379,8 @@ fn main() -> ExitCode {
     let (lines, duration_s) = if smoke { (64, 8.0) } else { (1000, 8.0) };
 
     eprintln!("fleet: {lines} lines × {duration_s} s at --jobs {HEADLINE_JOBS} (headline)…");
-    let pinned = match measure(lines, duration_s, HEADLINE_JOBS, AfeTier::Exact) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pinned-jobs fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let pinned = measure(lines, duration_s, HEADLINE_JOBS, AfeTier::Exact)
+        .map_err(|e| format!("pinned-jobs fleet run failed: {e}"))?;
     eprintln!(
         "  {:.1} lines/s, {:.0} samples/s, {} trace bytes, {} summary bytes/line",
         pinned.lines_per_s(),
@@ -442,23 +393,17 @@ fn main() -> ExitCode {
     // the monolithic run, bit for bit.
     eprintln!("fleet: sharded-merge equivalence ({SCALE_SHARDS} shards)…");
     let spec = f2_fleet::fleet_spec(lines, duration_s);
-    match spec.run_sharded(SCALE_SHARDS, HEADLINE_JOBS) {
-        Ok(sharded) => {
-            let digest = outcome_digest(&sharded);
-            if digest != pinned.digest {
-                eprintln!(
-                    "sharded merge DIVERGED from monolithic: {digest:016x} vs {:016x}",
-                    pinned.digest
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!("  identical bits: digest {digest:016x}");
-        }
-        Err(e) => {
-            eprintln!("sharded fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let sharded = spec
+        .run_sharded(SCALE_SHARDS, HEADLINE_JOBS)
+        .map_err(|e| format!("sharded fleet run failed: {e}"))?;
+    let digest = outcome_digest(&sharded);
+    if digest != pinned.digest {
+        return Err(Stop::Fail(format!(
+            "sharded merge DIVERGED from monolithic: {digest:016x} vs {:016x}",
+            pinned.digest
+        )));
     }
+    eprintln!("  identical bits: digest {digest:016x}");
 
     // Hard gate: a fleet mixing heat-pulse DUTs with Promag reference
     // lines owes the same bit-identity contract through the generic
@@ -468,26 +413,14 @@ fn main() -> ExitCode {
         "fleet: mixed-modality equivalence ({mixed_lines} heat-pulse/Promag lines, \
          {MIXED_SHARDS} shards)…"
     );
-    let mixed_digest = match mixed_modality_gate(mixed_lines, mixed_duration_s) {
-        Ok(digest) => {
-            eprintln!("  identical bits: digest {digest:016x}");
-            digest
-        }
-        Err(e) => {
-            eprintln!("mixed-modality equivalence FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mixed_digest = mixed_modality_gate(mixed_lines, mixed_duration_s)
+        .map_err(|e| format!("mixed-modality equivalence FAILED: {e}"))?;
+    eprintln!("  identical bits: digest {mixed_digest:016x}");
 
     let default_jobs = hotwire_rig::exec::default_jobs();
     eprintln!("fleet: same population at --jobs {default_jobs} (informational)…");
-    let auto = match measure(lines, duration_s, default_jobs, AfeTier::Exact) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("default-jobs fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let auto = measure(lines, duration_s, default_jobs, AfeTier::Exact)
+        .map_err(|e| format!("default-jobs fleet run failed: {e}"))?;
     eprintln!(
         "  {:.1} lines/s, {:.0} samples/s",
         auto.lines_per_s(),
@@ -497,13 +430,8 @@ fn main() -> ExitCode {
     eprintln!(
         "fleet: same population on the fast AFE tier at --jobs {HEADLINE_JOBS} (informational)…"
     );
-    let fast = match measure(lines, duration_s, HEADLINE_JOBS, AfeTier::Fast) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fast-tier fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let fast = measure(lines, duration_s, HEADLINE_JOBS, AfeTier::Fast)
+        .map_err(|e| format!("fast-tier fleet run failed: {e}"))?;
     eprintln!(
         "  {:.1} lines/s, {:.0} samples/s ({:.1}× the exact headline)",
         fast.lines_per_s(),
@@ -519,13 +447,8 @@ fn main() -> ExitCode {
     let [_, _, _, (_, hybrid)] = f4_maintenance::policies(duration_s);
     let maintained_spec = f2_fleet::fleet_spec(lines, duration_s)
         .with_config(LineConfig::new().with_maintenance(hybrid));
-    let mut maintained = match measure_spec(&maintained_spec, HEADLINE_JOBS) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("maintained fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut maintained = measure_spec(&maintained_spec, HEADLINE_JOBS)
+        .map_err(|e| format!("maintained fleet run failed: {e}"))?;
     eprintln!(
         "  {:.1} lines/s, {:.0} samples/s, {} maintenance actions",
         maintained.lines_per_s(),
@@ -533,31 +456,28 @@ fn main() -> ExitCode {
         maintained.maintenance_actions
     );
     if maintained.maintenance_actions == 0 {
-        eprintln!("maintained fleet never serviced a line — the overhead gate is vacuous");
-        return ExitCode::FAILURE;
+        return Err(Stop::Fail(
+            "maintained fleet never serviced a line — the overhead gate is vacuous".into(),
+        ));
     }
     let maintained_floor = pinned.lines_per_s() * (1.0 - MAINTENANCE_OVERHEAD_BAND);
     if maintained.lines_per_s() < maintained_floor {
         // One re-measure sheds transient scheduler noise; genuine engine
         // overhead reproduces and still fails below.
         eprintln!("  below the floor — re-measuring once…");
-        match measure_spec(&maintained_spec, HEADLINE_JOBS) {
-            Ok(r) if r.lines_per_s() > maintained.lines_per_s() => maintained = r,
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("maintained fleet re-run failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        let again = measure_spec(&maintained_spec, HEADLINE_JOBS)
+            .map_err(|e| format!("maintained fleet re-run failed: {e}"))?;
+        if again.lines_per_s() > maintained.lines_per_s() {
+            maintained = again;
         }
     }
     if maintained.lines_per_s() < maintained_floor {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "maintenance overhead out of band: {:.1} lines/s maintained vs {:.1} \
              unmaintained (floor {maintained_floor:.1})",
             maintained.lines_per_s(),
             pinned.lines_per_s()
-        );
-        return ExitCode::FAILURE;
+        )));
     }
 
     // The O(shard) scale run: a large fast-tier fleet on the sketch path,
@@ -571,13 +491,8 @@ fn main() -> ExitCode {
     let scale_spec = f2_fleet::fleet_spec(scale_lines, scale_duration_s)
         .with_config(LineConfig::new().with_afe_tier(AfeTier::Fast))
         .with_exact_threshold(0);
-    let scale = match measure_sharded(&scale_spec, SCALE_SHARDS, HEADLINE_JOBS) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("scale fleet run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let scale = measure_sharded(&scale_spec, SCALE_SHARDS, HEADLINE_JOBS)
+        .map_err(|e| format!("scale fleet run failed: {e}"))?;
     eprintln!(
         "  {:.1} lines/s, {:.0} samples/s, peak shard heap {} bytes, {} retained summaries",
         scale.lines as f64 / scale.wall_s,
@@ -586,28 +501,25 @@ fn main() -> ExitCode {
         scale.retained_summaries
     );
     if scale.retained_summaries != 0 {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "scale fleet retained {} per-line summaries (sketch path must retain none)",
             scale.retained_summaries
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     if scale.max_shard_heap_bytes > SHARD_HEAP_CEILING_BYTES {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "scale fleet shard heap {} bytes exceeds the O(shard) ceiling {}",
             scale.max_shard_heap_bytes, SHARD_HEAP_CEILING_BYTES
-        );
-        return ExitCode::FAILURE;
+        )));
     }
 
     // The memory contract is a hard gate, not a trend: MetricsOnly fleets
     // must hold zero trace bytes at any scale.
     if pinned.trace_heap_bytes != 0 || auto.trace_heap_bytes != 0 || fast.trace_heap_bytes != 0 {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "fleet leaked trace memory: {} / {} / {} bytes (expected 0 under MetricsOnly)",
             pinned.trace_heap_bytes, auto.trace_heap_bytes, fast.trace_heap_bytes
-        );
-        return ExitCode::FAILURE;
+        )));
     }
 
     let headline = pinned.lines_per_s();
@@ -647,33 +559,10 @@ fn main() -> ExitCode {
         scale.digest,
         json_number(fast.lines_per_s() / pinned.lines_per_s()),
     );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    gate::write_report(out_path, &json)?;
+    if let Some(path) = args.value("--check") {
+        let baseline = Baseline::load(path)?;
+        baseline.check_floor("headline_lines_per_s", headline, REGRESSION_TOLERANCE)?;
     }
-    eprintln!("wrote {out_path}");
-
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(expected) = parse_number(&baseline, "headline_lines_per_s") else {
-            eprintln!("baseline {baseline_path} has no headline_lines_per_s");
-            return ExitCode::FAILURE;
-        };
-        let floor = expected * (1.0 - REGRESSION_TOLERANCE);
-        if headline < floor {
-            eprintln!(
-                "fleet throughput regressed: {headline:.1} lines/s vs baseline \
-                 {expected:.1} (floor {floor:.1})"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("throughput check passed: {headline:.1} lines/s vs baseline {expected:.1}");
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

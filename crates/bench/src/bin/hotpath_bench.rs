@@ -19,9 +19,11 @@
 //!
 //! `--check BASELINE` gates the *speedup ratios* (block/scalar and
 //! fast/scalar), not the absolute samples/s: ratios transfer between
-//! machines, absolute throughput does not.
+//! machines, absolute throughput does not. The flags, report write and
+//! floor check are the shared [`hotwire_bench::gate`].
 
-use hotwire_bench::json::{json_number, parse_number};
+use hotwire_bench::gate::{self, Args, Baseline, Stop};
+use hotwire_bench::json::json_number;
 use hotwire_core::config::AfeTier;
 use hotwire_core::{FlowMeter, FlowMeterConfig, Meter};
 use hotwire_physics::{MafParams, SensorEnvironment};
@@ -132,37 +134,12 @@ fn tier_json(run: &TierRun) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out_path = "BENCH_hotpath.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match args.next() {
-                Some(path) => out_path = path,
-                None => {
-                    eprintln!("--out needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path),
-                None => {
-                    eprintln!("--check needs a baseline path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    gate::exit(run())
+}
+
+fn run() -> Result<(), Stop> {
+    let args = Args::parse(std::env::args().skip(1), USAGE, &["--smoke"], &[])?;
+    let smoke = args.switch("--smoke");
 
     // 0.5 s of scenario warm-up settles the CTA loop; the measured window
     // is the same number of frames for every tier so the ratios compare
@@ -191,38 +168,11 @@ fn main() -> ExitCode {
         json_number(block_speedup),
         json_number(fast_speedup),
     );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    gate::write_report(args.value("--out").unwrap_or("BENCH_hotpath.json"), &json)?;
+    if let Some(path) = args.value("--check") {
+        let baseline = Baseline::load(path)?;
+        baseline.check_floor("block_speedup", block_speedup, REGRESSION_TOLERANCE)?;
+        baseline.check_floor("fast_speedup", fast_speedup, REGRESSION_TOLERANCE)?;
     }
-    eprintln!("wrote {out_path}");
-
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for (name, fresh) in [
-            ("block_speedup", block_speedup),
-            ("fast_speedup", fast_speedup),
-        ] {
-            let Some(expected) = parse_number(&baseline, name) else {
-                eprintln!("baseline {baseline_path} has no {name}");
-                return ExitCode::FAILURE;
-            };
-            let floor = expected * (1.0 - REGRESSION_TOLERANCE);
-            if fresh < floor {
-                eprintln!(
-                    "hot-path {name} regressed: {fresh:.2}× vs baseline {expected:.2}× \
-                     (floor {floor:.2}×)"
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!("{name} check passed: {fresh:.2}× vs baseline {expected:.2}×");
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

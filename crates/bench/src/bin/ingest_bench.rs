@@ -31,10 +31,12 @@
 //! baseline and exits non-zero if the headline frames/s regressed by more
 //! than 10 % or the jobs-invariance digest differs — so any change to the
 //! decode or ingest counters fails the gate until the baseline is
-//! re-recorded.
+//! re-recorded. The flags, report write, floor check and digest check are
+//! the shared [`hotwire_bench::gate`].
 
 use hotwire_bench::experiments::f3_ingest;
-use hotwire_bench::json::{json_number, parse_number, parse_string};
+use hotwire_bench::gate::{self, Args, Baseline, Stop};
+use hotwire_bench::json::json_number;
 use hotwire_core::config::{fnv1a64, AfeTier};
 use hotwire_rig::ingest::{absorb, feed, IngestConfig, IngestReport, LineIngest, MeterSession};
 use hotwire_rig::record::{HealthCensus, PolicyRecorder, RecordPolicy};
@@ -233,49 +235,18 @@ fn replay_json(r: &Replay, jobs: usize) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut out_path = "BENCH_ingest.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(path) => out_path = path,
-                None => {
-                    eprintln!("--out needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path),
-                None => {
-                    eprintln!("--check needs a baseline path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    gate::exit(run())
+}
 
+fn run() -> Result<(), Stop> {
+    let args = Args::parse(std::env::args().skip(1), USAGE, &[], &[])?;
     let virtual_lines = 4096;
 
     eprintln!(
         "ingest: wiretapping corpus ({CORPUS_LINES} lines × {CORPUS_DURATION_S} s at \
          {CORPUS_CADENCE_S} s cadence)…"
     );
-    let corpus = match capture_corpus() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("corpus capture failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let corpus = capture_corpus().map_err(|e| format!("corpus capture failed: {e}"))?;
     let corpus_bytes: usize = corpus.iter().map(|c| c.wire.len()).sum();
     let corpus_frames: u64 = corpus.iter().map(|c| c.frames_sent).sum();
     eprintln!("  {corpus_frames} frames, {corpus_bytes} wire bytes captured");
@@ -292,12 +263,11 @@ fn main() -> ExitCode {
 
     // Hard gate: the soak config must sustain the headline floor.
     if pinned.frames_per_s() < MIN_FRAMES_PER_S {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "ingest throughput below the hard floor: {:.0} frames/s < {:.0}",
             pinned.frames_per_s(),
             MIN_FRAMES_PER_S
-        );
-        return ExitCode::FAILURE;
+        )));
     }
 
     // Hard gate: the merged report must be bit-identical at any job count.
@@ -306,19 +276,19 @@ fn main() -> ExitCode {
     let d2 = replay(&corpus, virtual_lines, 2).digest();
     let d3 = replay(&corpus, virtual_lines, 3).digest();
     if d1 != d2 || d2 != d3 {
-        eprintln!("ingest report DIVERGED across jobs: {d1:016x} / {d2:016x} / {d3:016x}");
-        return ExitCode::FAILURE;
+        return Err(Stop::Fail(format!(
+            "ingest report DIVERGED across jobs: {d1:016x} / {d2:016x} / {d3:016x}"
+        )));
     }
     eprintln!("  identical bits: digest {d2:016x}");
 
     // Hard gate: the byte ledger closes over the whole replay.
     if !ledger_holds(&pinned) {
         let link = &pinned.report.stats.link;
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "byte ledger broken: {} bytes != resyncs {} + frames {}×20 + discarded {}",
             pinned.bytes, link.resyncs, link.good_frames, link.discarded_bytes
-        );
-        return ExitCode::FAILURE;
+        )));
     }
     eprintln!("  byte ledger closed over {} bytes", pinned.bytes);
 
@@ -341,50 +311,11 @@ fn main() -> ExitCode {
         replay_json(&auto, default_jobs),
         d2,
     );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    gate::write_report(args.value("--out").unwrap_or("BENCH_ingest.json"), &json)?;
+    if let Some(path) = args.value("--check") {
+        let baseline = Baseline::load(path)?;
+        baseline.check_floor("headline_frames_per_s", headline, REGRESSION_TOLERANCE)?;
+        baseline.check_digest("jobs_invariance_digest", &format!("{d2:016x}"))?;
     }
-    eprintln!("wrote {out_path}");
-
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(expected) = parse_number(&baseline, "headline_frames_per_s") else {
-            eprintln!("baseline {baseline_path} has no headline_frames_per_s");
-            return ExitCode::FAILURE;
-        };
-        let floor = expected * (1.0 - REGRESSION_TOLERANCE);
-        if headline < floor {
-            eprintln!(
-                "ingest throughput regressed: {headline:.0} frames/s vs baseline \
-                 {expected:.0} (floor {floor:.0})"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("throughput check passed: {headline:.0} frames/s vs baseline {expected:.0}");
-        let digest = format!("{d2:016x}");
-        match parse_string(&baseline, "jobs_invariance_digest") {
-            Some(expected) if expected == digest => {
-                eprintln!("digest check passed: {digest}");
-            }
-            Some(expected) => {
-                eprintln!(
-                    "ingest report digest changed: {digest} vs baseline {expected} — a \
-                     change to the decode or ingest counters must re-record the baseline"
-                );
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("baseline {baseline_path} has no jobs_invariance_digest");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -21,9 +21,11 @@
 //!
 //! `--check BASELINE` compares the freshly measured record-path throughput
 //! against the committed baseline and exits non-zero if it regressed by
-//! more than 10 %.
+//! more than 10 %. The flags, report write and floor check are the shared
+//! [`hotwire_bench::gate`].
 
-use hotwire_bench::json::{json_number, parse_number};
+use hotwire_bench::gate::{self, Args, Baseline, Stop};
+use hotwire_bench::json::json_number;
 use hotwire_core::config::FlowMeterConfig;
 use hotwire_core::HealthState;
 use hotwire_rig::{
@@ -152,37 +154,12 @@ fn path_json(run: &PathRun) -> String {
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out_path = "BENCH_record.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match args.next() {
-                Some(path) => out_path = path,
-                None => {
-                    eprintln!("--out needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path),
-                None => {
-                    eprintln!("--check needs a baseline path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    gate::exit(run())
+}
+
+fn run() -> Result<(), Stop> {
+    let args = Args::parse(std::env::args().skip(1), USAGE, &["--smoke"], &[])?;
+    let smoke = args.switch("--smoke");
 
     let synthetic_n: u64 = if smoke { 200_000 } else { 2_000_000 };
     let end_to_end_s = if smoke { 120.0 } else { 600.0 };
@@ -205,20 +182,10 @@ fn main() -> ExitCode {
 
     // 2. End to end: one identical spec, both policies.
     eprintln!("end to end: {end_to_end_s} s simulated under each policy…");
-    let e2e_full = match bench_spec(endurance_spec(RecordPolicy::Full, end_to_end_s)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("end-to-end Full run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let e2e_metrics = match bench_spec(endurance_spec(RecordPolicy::MetricsOnly, end_to_end_s)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("end-to-end MetricsOnly run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let e2e_full = bench_spec(endurance_spec(RecordPolicy::Full, end_to_end_s))
+        .map_err(|e| format!("end-to-end Full run failed: {e}"))?;
+    let e2e_metrics = bench_spec(endurance_spec(RecordPolicy::MetricsOnly, end_to_end_s))
+        .map_err(|e| format!("end-to-end MetricsOnly run failed: {e}"))?;
     eprintln!(
         "  full         {:.2} s wall, {} trace bytes",
         e2e_full.wall_s, e2e_full.trace_heap_bytes
@@ -233,23 +200,17 @@ fn main() -> ExitCode {
         "endurance: {:.2} h simulated under MetricsOnly…",
         endurance_s / 3600.0
     );
-    let endurance = match bench_spec(endurance_spec(RecordPolicy::MetricsOnly, endurance_s)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("endurance run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let endurance = bench_spec(endurance_spec(RecordPolicy::MetricsOnly, endurance_s))
+        .map_err(|e| format!("endurance run failed: {e}"))?;
     eprintln!(
         "  {} samples in {:.2} s wall, {} trace bytes",
         endurance.samples, endurance.wall_s, endurance.trace_heap_bytes
     );
     if endurance.trace_heap_bytes != 0 {
-        eprintln!(
+        return Err(Stop::Fail(format!(
             "endurance run leaked trace memory: {} bytes (expected 0 under MetricsOnly)",
             endurance.trace_heap_bytes
-        );
-        return ExitCode::FAILURE;
+        )));
     }
 
     let headline = path_metrics.samples_per_s();
@@ -271,33 +232,10 @@ fn main() -> ExitCode {
             .trim_start_matches('{')
             .trim_end_matches('}'),
     );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    gate::write_report(args.value("--out").unwrap_or("BENCH_record.json"), &json)?;
+    if let Some(path) = args.value("--check") {
+        let baseline = Baseline::load(path)?;
+        baseline.check_floor("headline_samples_per_s", headline, REGRESSION_TOLERANCE)?;
     }
-    eprintln!("wrote {out_path}");
-
-    if let Some(baseline_path) = check_path {
-        let baseline = match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(expected) = parse_number(&baseline, "headline_samples_per_s") else {
-            eprintln!("baseline {baseline_path} has no headline_samples_per_s");
-            return ExitCode::FAILURE;
-        };
-        let floor = expected * (1.0 - REGRESSION_TOLERANCE);
-        if headline < floor {
-            eprintln!(
-                "record-path throughput regressed: {headline:.0} samples/s vs baseline \
-                 {expected:.0} (floor {floor:.0})"
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("throughput check passed: {headline:.0} samples/s vs baseline {expected:.0}");
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

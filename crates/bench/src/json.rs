@@ -2,9 +2,9 @@
 //!
 //! The workspace vendors no JSON crate, so both directions are
 //! hand-rolled: writers format their objects with `format!` around
-//! [`json_number`] and [`json_escape`], and each `--check` gate reads its
-//! baseline figures back with [`parse_number`] (and a digest with
-//! [`parse_string`]).
+//! [`json_number`] and [`json_escape`], and the shared `--check` gate
+//! ([`crate::gate`]) reads baseline figures back with [`parse_number`] (and
+//! a digest with [`parse_string`]).
 
 /// Minimal JSON string escaping.
 pub fn json_escape(s: &str) -> String {

@@ -5,12 +5,15 @@
 //! Each experiment lives in [`experiments`] as a `run(Speed) -> …Result`
 //! function whose result type implements `Display` (the paper-style table).
 //! The `repro` binary dispatches on experiment ids; integration tests call
-//! the same functions in [`Speed::Fast`] mode.
+//! the same functions in [`Speed::Fast`] mode. The four `*_bench` bins
+//! share their command line, report writer and `--check` gate through
+//! [`gate`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;
+pub mod gate;
 pub mod json;
 pub mod table;
 

@@ -156,6 +156,26 @@ impl FaultEvent {
     pub fn contains(&self, t: f64) -> bool {
         t >= self.at_s && t < self.end_s()
     }
+
+    /// Whether the window and every parameter of the fault are finite.
+    /// Engaging a fault clamps its parameter, and a NaN passes through
+    /// the clamp.
+    pub fn is_finite(&self) -> bool {
+        let params_finite = match self.kind {
+            FaultKind::AdcStuck { .. }
+            | FaultKind::AdcOffset { .. }
+            | FaultKind::EepromBitFlip { .. } => true,
+            FaultKind::SupplyBrownout { fraction: x }
+            | FaultKind::DacElementFail { span_loss: x }
+            | FaultKind::BubbleBurst { coverage: x }
+            | FaultKind::SteppedFouling { microns: x } => x.is_finite(),
+            FaultKind::UartCorruption {
+                flip_per_byte,
+                drop_per_byte,
+            } => flip_per_byte.is_finite() && drop_per_byte.is_finite(),
+        };
+        params_finite && self.at_s.is_finite() && self.duration_s.is_finite()
+    }
 }
 
 /// A declarative, seeded schedule of faults for one run.

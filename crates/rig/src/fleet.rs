@@ -262,6 +262,21 @@ pub enum FleetSpecError {
     /// [`Calibration::Field`] setpoint's `settle_s + average_s` is not
     /// finite (a non-finite run never finishes).
     BadDuration,
+    /// The scenario's flow, pressure or temperature schedule holds a
+    /// non-finite value (see [`Schedule::is_finite`](crate::Schedule::is_finite)).
+    NonFiniteSchedule {
+        /// The offending schedule: `flow_cm_s`, `pressure_bar` or
+        /// `temperature_c`.
+        schedule: &'static str,
+    },
+    /// A fault template event has a non-finite window or parameter (see
+    /// [`FaultEvent::is_finite`](crate::fault::FaultEvent::is_finite)).
+    NonFiniteFault {
+        /// The event's index in the template schedule.
+        event: usize,
+        /// The event's fault class.
+        fault: &'static str,
+    },
     /// `flow_jitter` is not a finite fraction in `[0, 1)`.
     BadFlowJitter,
     /// The reference template's `stride` is zero.
@@ -295,6 +310,13 @@ impl core::fmt::Display for FleetSpecError {
                 f,
                 "scenario duration must be finite and non-negative, and \
                  field-calibration windows finite"
+            ),
+            FleetSpecError::NonFiniteSchedule { schedule } => {
+                write!(f, "scenario {schedule} schedule holds a non-finite value")
+            }
+            FleetSpecError::NonFiniteFault { event, fault } => write!(
+                f,
+                "fault template event {event} ({fault}) has a non-finite window or parameter"
             ),
             FleetSpecError::BadFlowJitter => {
                 write!(f, "flow jitter must be a finite fraction in [0, 1)")
@@ -607,6 +629,16 @@ impl FleetSpec {
         if !(duration.is_finite() && duration >= 0.0) || endless_calibration {
             return Err(FleetSpecError::BadDuration);
         }
+        let s = &self.scenario;
+        for (schedule, values) in [
+            ("flow_cm_s", &s.flow_cm_s),
+            ("pressure_bar", &s.pressure_bar),
+            ("temperature_c", &s.temperature_c),
+        ] {
+            if !values.is_finite() {
+                return Err(FleetSpecError::NonFiniteSchedule { schedule });
+            }
+        }
         let j = self.variation.flow_jitter;
         if !(j.is_finite() && (0.0..1.0).contains(&j)) {
             return Err(FleetSpecError::BadFlowJitter);
@@ -619,6 +651,13 @@ impl FleetSpec {
                 return Err(FleetSpecError::FaultOffsetOutOfRange {
                     offset: t.offset,
                     stride: t.stride,
+                });
+            }
+            let events = &t.schedule.events;
+            if let Some(event) = events.iter().position(|e| !e.is_finite()) {
+                return Err(FleetSpecError::NonFiniteFault {
+                    event,
+                    fault: events[event].kind.name(),
                 });
             }
         }
@@ -1489,7 +1528,17 @@ impl FleetOutcome {
 mod tests {
     use super::*;
     use crate::campaign::FieldCalibration;
-    use crate::fault::FaultKind;
+    use crate::fault::{FaultEvent, FaultKind};
+    use crate::scenario::Schedule;
+
+    /// The test profile on the fast AFE tier, for runs that only need to
+    /// return.
+    fn fast_profile() -> FlowMeterConfig {
+        FlowMeterConfig {
+            afe_tier: hotwire_core::config::AfeTier::Fast,
+            ..FlowMeterConfig::test_profile()
+        }
+    }
 
     fn small_fleet() -> FleetSpec {
         FleetSpec::new(
@@ -1632,10 +1681,145 @@ mod tests {
                 "calibration windows {settle_s} + {average_s}"
             );
         }
+        for schedule in ["flow_cm_s", "pressure_bar", "temperature_c"] {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut endless = small_fleet();
+                let s = &mut endless.scenario;
+                let target = match schedule {
+                    "flow_cm_s" => &mut s.flow_cm_s,
+                    "pressure_bar" => &mut s.pressure_bar,
+                    _ => &mut s.temperature_c,
+                };
+                *target = Schedule::constant(1.0).then_ramp(value, 0.5);
+                assert_eq!(
+                    endless.validate(),
+                    Err(FleetSpecError::NonFiniteSchedule { schedule }),
+                    "{schedule} reaching {value}"
+                );
+            }
+        }
+        let nan = f64::NAN;
+        let bad_events = [
+            FaultEvent::new(nan, 0.3, FaultKind::AdcStuck { code: 1 }),
+            FaultEvent::new(f64::INFINITY, 0.3, FaultKind::AdcOffset { codes: 1 }),
+            FaultEvent {
+                duration_s: f64::INFINITY,
+                ..FaultEvent::new(0.5, 0.3, FaultKind::EepromBitFlip { slot: 0, byte: 1 })
+            },
+            FaultEvent {
+                duration_s: nan,
+                ..FaultEvent::new(0.5, 0.3, FaultKind::AdcStuck { code: 1 })
+            },
+            FaultEvent::new(0.5, 0.3, FaultKind::SupplyBrownout { fraction: nan }),
+            FaultEvent::new(0.5, 0.3, FaultKind::DacElementFail { span_loss: nan }),
+            FaultEvent::new(
+                0.5,
+                0.3,
+                FaultKind::UartCorruption {
+                    flip_per_byte: nan,
+                    drop_per_byte: 0.0,
+                },
+            ),
+            FaultEvent::new(
+                0.5,
+                0.3,
+                FaultKind::UartCorruption {
+                    flip_per_byte: 0.0,
+                    drop_per_byte: f64::INFINITY,
+                },
+            ),
+            FaultEvent::new(0.5, 0.0, FaultKind::BubbleBurst { coverage: nan }),
+            FaultEvent::new(0.5, 0.0, FaultKind::SteppedFouling { microns: nan }),
+        ];
+        for bad in bad_events {
+            let mut schedule =
+                FaultSchedule::new(0).with_event(0.2, 0.1, FaultKind::AdcStuck { code: 1 });
+            schedule.events.push(bad);
+            let fleet = small_fleet()
+                .with_variation(LineVariation::new().with_faults_every(3, 1, schedule));
+            assert_eq!(
+                fleet.validate(),
+                Err(FleetSpecError::NonFiniteFault {
+                    event: 1,
+                    fault: bad.kind.name()
+                }),
+                "{bad:?}"
+            );
+        }
         let mut instant = small_fleet();
         instant.scenario.duration_s = 0.0;
         assert!(instant.validate().is_ok());
         assert!(small_fleet().validate().is_ok());
+    }
+
+    #[test]
+    fn nan_fault_parameters_are_spec_errors_not_worker_panics() {
+        // Regression: `f64::clamp` passes NaN through, so a NaN brownout
+        // fraction reached the supply DAC and panicked the worker.
+        for kind in [
+            FaultKind::SupplyBrownout { fraction: f64::NAN },
+            FaultKind::DacElementFail {
+                span_loss: f64::NAN,
+            },
+        ] {
+            let fleet =
+                FleetSpec::new("nan-fault", fast_profile(), Scenario::steady(100.0, 1.0), 1)
+                    .with_lines(1)
+                    .with_variation(LineVariation::new().with_faults_every(
+                        1,
+                        0,
+                        FaultSchedule::new(0).with_event(0.2, 0.3, kind),
+                    ));
+            let expected = FleetSpecError::NonFiniteFault {
+                event: 0,
+                fault: kind.name(),
+            };
+            assert!(
+                matches!(fleet.run_jobs(1), Err(FleetError::Spec(e)) if e == expected),
+                "{kind:?}"
+            );
+            let config = crate::ingest::IngestConfig::for_fleet(&fleet);
+            assert!(
+                crate::ingest::ingest_fleet(&fleet, &config, 1).is_err(),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_and_huge_flows_return() {
+        // Regression: the turbine reference counted pulses one by one, so
+        // an infinite flow never finished a control tick and a 1e12 cm/s
+        // one took billions of iterations per tick.
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let fast = fast_profile();
+            let spec = RunSpec::new("endless", fast, Scenario::steady(f64::INFINITY, 1.0), 1);
+            let single = spec.execute().map(|_| ());
+            let fleet = |flow| {
+                FleetSpec::new("huge", fast, Scenario::steady(flow, 1.0), 1)
+                    .with_lines(1)
+                    .run_jobs(1)
+                    .map(|_| ())
+            };
+            let runs = (single, fleet(f64::INFINITY), fleet(1e12));
+            done.send(runs).expect("the test thread is waiting");
+        });
+        let (single, infinite, huge) = finished
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the runs return");
+        assert!(single.is_ok(), "{single:?}");
+        assert!(huge.is_ok(), "{huge:?}");
+        assert!(
+            matches!(
+                infinite,
+                Err(FleetError::Spec(FleetSpecError::NonFiniteSchedule {
+                    schedule: "flow_cm_s"
+                }))
+            ),
+            "{infinite:?}"
+        );
+        worker.join().expect("flow worker panicked");
     }
 
     #[test]
@@ -1647,12 +1831,13 @@ mod tests {
         let (done, finished) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             for duration in [f64::NAN, f64::INFINITY] {
-                let fast = FlowMeterConfig {
-                    afe_tier: hotwire_core::config::AfeTier::Fast,
-                    ..FlowMeterConfig::test_profile()
-                };
-                let fleet = FleetSpec::new("endless", fast, Scenario::steady(100.0, duration), 1)
-                    .with_lines(1);
+                let fleet = FleetSpec::new(
+                    "endless",
+                    fast_profile(),
+                    Scenario::steady(100.0, duration),
+                    1,
+                )
+                .with_lines(1);
                 let run = fleet.run_jobs(1).map(|_| ());
                 let ingest = crate::ingest::ingest_fleet(
                     &fleet,

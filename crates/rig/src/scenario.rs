@@ -199,6 +199,16 @@ impl Schedule {
         }
     }
 
+    /// Whether every segment's values are finite and every duration finite
+    /// or `+∞` (the one segment of [`Schedule::constant`]).
+    pub fn is_finite(&self) -> bool {
+        self.segments.iter().all(|s| {
+            s.start.is_finite()
+                && s.end.is_finite()
+                && (s.duration.is_finite() || s.duration == f64::INFINITY)
+        })
+    }
+
     /// Total scheduled duration (infinite for `constant`).
     pub fn duration(&self) -> Seconds {
         Seconds::new(self.segments.iter().map(|s| s.duration).sum())

@@ -81,12 +81,13 @@ impl TurbineMeter {
         self.rotor_velocity += alpha * (target - self.rotor_velocity);
         self.travel_m += self.rotor_velocity * dt.get();
 
-        // Pulse generation.
+        // Pulse generation: every whole pulse in the accumulator at once
+        // (subtracting the floor is exact, as each one-by-one `- 1.0` was),
+        // so a huge or infinite flow costs one tick, not one loop per pulse.
         self.pulse_accumulator += self.rotor_velocity * self.pulses_per_meter * dt.get();
-        while self.pulse_accumulator >= 1.0 {
-            self.pulse_accumulator -= 1.0;
-            self.pulses_in_gate += 1;
-        }
+        let whole = self.pulse_accumulator.floor().max(0.0);
+        self.pulse_accumulator -= whole;
+        self.pulses_in_gate = self.pulses_in_gate.saturating_add(whole as u64);
         self.since_gate += dt.get();
         if self.since_gate >= self.gate.get() {
             let v = self.pulses_in_gate as f64 / (self.pulses_per_meter * self.since_gate);
@@ -189,6 +190,49 @@ mod tests {
             (settled.to_cm_per_s() - 20.0).abs() < 3.0,
             "settled {settled}"
         );
+    }
+
+    #[test]
+    fn whole_pulse_count_reproduces_the_one_by_one_loop() {
+        // Reading bits of the former one-pulse-at-a-time loop over a
+        // staircase that reaches ~800 pulses per 2 ms tick at 1e5 cm/s.
+        const PINNED: [u64; 11] = [
+            0x0000000000000000,
+            0x0000000000000000,
+            0x0000000000000000,
+            0x3fc84b86f27b1700,
+            0x3fe88358dde0bfb8,
+            0x4003566a45ba6e30,
+            0x401f432243dab338,
+            0x4057bcc378726704,
+            0x4087121000fbf6cc,
+            0x404b3ae2fb14a623,
+            0x4000b6dea2d8072d,
+        ];
+        let mut m = TurbineMeter::dn50();
+        let dt = Seconds::from_millis(2.0);
+        let levels = [0.0, 3.0, 5.0, 20.0, 100.0, -250.0, 1e3, 1e4, 1e5, 50.0, 0.0];
+        let bits = levels.map(|v_cm_s| {
+            let v = MetersPerSecond::from_cm_per_s(v_cm_s);
+            for _ in 0..750 {
+                m.step(dt, v);
+            }
+            m.reading().get().to_bits()
+        });
+        assert_eq!(bits, PINNED);
+        assert_eq!(m.travel_m().to_bits(), 0x409a1c177af4333b);
+    }
+
+    #[test]
+    fn infinite_flow_returns() {
+        let mut m = TurbineMeter::dn50();
+        // The second step runs on the NaN rotor state the first leaves.
+        for _ in 0..2 {
+            m.step(
+                Seconds::from_millis(2.0),
+                MetersPerSecond::new(f64::INFINITY),
+            );
+        }
     }
 
     #[test]
