@@ -99,11 +99,17 @@ impl SurfaceCondition {
 
 /// One-entry memo for the exponential-Euler decay factor `exp(−dt/τ)`.
 ///
-/// Between control ticks the drive and surface state of a membrane node are
-/// bit-for-bit constant, so `dt` and `G_tot` — the only inputs to the decay —
-/// repeat exactly. Keying on their raw bit patterns lets the modulator-rate
-/// hot loop skip the `exp` on every repeated tick without changing a single
+/// Within a control frame `dt` and `G_tot` — the only inputs to the decay —
+/// repeat exactly: the ideal King's-law conductance moves only with the
+/// velocity (or a film drift past 0.5 K), and the surface degradation is
+/// held, because the meter advances the surface layers once per frame
+/// ([`MafDie::step_surfaces`](crate::MafDie::step_surfaces)). Keying on
+/// their raw bit patterns lets the modulator-rate hot loop skip the `exp`
+/// and both divisions on every repeated tick without changing a single
 /// result bit: a hit returns the very value a recomputation would produce.
+/// A surface step on every tick defeats the memo: in potable water the
+/// scale grows on every step, so `G_tot` never repeats and every lookup
+/// misses.
 #[derive(Debug, Clone, Copy)]
 pub struct DecayCache {
     key: (u64, u64),

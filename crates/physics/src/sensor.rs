@@ -207,9 +207,11 @@ struct HeaterChannel {
     bubbles: BubbleLayer,
     fouling: FoulingLayer,
     last_conductance: ThermalConductance,
-    /// Per-node memo for the exponential-Euler decay factor — the inputs
-    /// repeat bit-for-bit between control ticks, so the modulator-rate loop
-    /// skips the `exp` on hits without changing any result bit.
+    /// Per-node memo for the exponential-Euler decay factor. Its inputs
+    /// repeat bit for bit across a control frame because the meter holds
+    /// the surface layers for the frame and advances them once, at its end
+    /// ([`MafDie::step_surfaces`]); with a surface step on every tick the
+    /// scale grows each tick in potable water and the memo never hits.
     decay_cache: DecayCache,
 }
 
@@ -397,7 +399,8 @@ impl MafDie {
     }
 
     /// Advances the die by `dt` with electrical powers applied to heaters A
-    /// and B, in the given environment.
+    /// and B, in the given environment: [`step_thermal`](Self::step_thermal)
+    /// and then [`step_surfaces`](Self::step_surfaces), both over `dt`.
     ///
     /// The RNG drives bubble detachment; pass a seeded RNG for reproducible
     /// runs.
@@ -408,6 +411,25 @@ impl MafDie {
         power_b: Watts,
         env: SensorEnvironment,
         rng: &mut R,
+    ) {
+        self.step_thermal(dt, power_a, power_b, env);
+        self.step_surfaces(dt, env.pressure, rng);
+    }
+
+    /// Advances the thermal state by `dt` with the surface layers held: the
+    /// King's-law re-derivation check, the advective coupling, both membrane
+    /// nodes and the reference lag. Draws no RNG.
+    ///
+    /// The bubbles (seconds) and the scale (months) move far slower than
+    /// the membrane (~60 µs), so a caller stepping at the modulator rate
+    /// may advance the surfaces once per control frame instead, through
+    /// [`step_surfaces`](Self::step_surfaces) over the frame's span.
+    pub fn step_thermal(
+        &mut self,
+        dt: Seconds,
+        power_a: Watts,
+        power_b: Watts,
+        env: SensorEnvironment,
     ) {
         // Re-derive King's law when the film temperature moves > 0.5 K
         // (property drift matters over tens of kelvin, not per sample).
@@ -478,20 +500,6 @@ impl MafDie {
             &mut self.heater_b.decay_cache,
         );
 
-        // Surface degradation follows wall temperature.
-        let onset = self.fluid.bubble_onset_temperature(env.pressure);
-        let hardness = self.fluid.hardness_f();
-        let wall_a = self.heater_a.membrane.temperature();
-        let wall_b = self.heater_b.membrane.temperature();
-        self.heater_a.bubbles.step(dt, wall_a, onset, rng);
-        self.heater_b.bubbles.step(dt, wall_b, onset, rng);
-        self.heater_a
-            .fouling
-            .step(dt, wall_a, hardness, self.heater_a.bubbles.coverage());
-        self.heater_b
-            .fouling
-            .step(dt, wall_b, hardness, self.heater_b.bubbles.coverage());
-
         // Reference resistor tracks the fluid with a first-order lag. The
         // lag factor depends only on `dt` (the lag is a fixed parameter), so
         // it memoizes on the step's bit pattern.
@@ -506,6 +514,27 @@ impl MafDie {
         };
         self.reference_temperature =
             Celsius::new(t_fluid.get() + (self.reference_temperature.get() - t_fluid.get()) * rho);
+    }
+
+    /// Advances both faces' surface layers by `dt` at the present wall
+    /// temperatures: the bubbles first (their onset set by the line
+    /// `pressure`), then the scale, which grows faster under bubbles.
+    ///
+    /// These are the die's only RNG draws (bubble detachment), and none
+    /// are made while both faces are bubble-free.
+    pub fn step_surfaces<R: Rng + ?Sized>(&mut self, dt: Seconds, pressure: Pascals, rng: &mut R) {
+        let onset = self.fluid.bubble_onset_temperature(pressure);
+        let hardness = self.fluid.hardness_f();
+        let wall_a = self.heater_a.membrane.temperature();
+        let wall_b = self.heater_b.membrane.temperature();
+        self.heater_a.bubbles.step(dt, wall_a, onset, rng);
+        self.heater_b.bubbles.step(dt, wall_b, onset, rng);
+        self.heater_a
+            .fouling
+            .step(dt, wall_a, hardness, self.heater_a.bubbles.coverage());
+        self.heater_b
+            .fouling
+            .step(dt, wall_b, hardness, self.heater_b.bubbles.coverage());
     }
 
     /// Advances surface aging (fouling) by a coarse interval without
@@ -653,6 +682,30 @@ mod tests {
             (rt - expected).abs().get() < 0.1,
             "Rt {rt} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn thermal_steps_hold_the_surface_conductance() {
+        // Bubbles and scale that a surface step would move on every tick;
+        // thermal steps alone must leave the conductance's bits alone.
+        let mut die = MafDie::in_potable_water(MafParams::nominal());
+        die.inject_bubble_burst(0.3);
+        die.deposit_fouling(1.0);
+        let env = SensorEnvironment {
+            velocity: MetersPerSecond::new(0.5),
+            ..SensorEnvironment::still_water()
+        };
+        let (dt, p) = (Seconds::from_micros(10.0), Watts::new(0.01));
+        // Settle first, so the film temperature stops re-deriving King's law.
+        for _ in 0..2000 {
+            die.step_thermal(dt, p, p, env);
+        }
+        let held = [HeaterId::A, HeaterId::B].map(|id| die.last_conductance(id).get().to_bits());
+        for _ in 0..256 {
+            die.step_thermal(dt, p, p, env);
+            let now = [HeaterId::A, HeaterId::B].map(|id| die.last_conductance(id).get().to_bits());
+            assert_eq!(now, held);
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use hotwire_physics::kings_law::KingsLaw;
 use hotwire_physics::membrane::{MembraneParams, MembraneState, SurfaceCondition};
 use hotwire_physics::pipe::Pipe;
 use hotwire_physics::resistor::Rtd;
+use hotwire_physics::sensor::HeaterId;
 use hotwire_physics::{MafDie, MafParams, SensorEnvironment};
 use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, Pascals, Seconds, Watts};
 use proptest::prelude::*;
@@ -139,6 +140,63 @@ proptest! {
             die.heater_temperature(hotwire_physics::sensor::HeaterId::A).get()
         };
         prop_assert!(run(p1_mw + extra_mw) > run(p1_mw));
+    }
+
+    #[test]
+    fn split_step_is_bit_identical_to_step(
+        dt_us in 1.0f64..2000.0,
+        p_a_mw in 0.0f64..40.0,
+        p_b_mw in 0.0f64..40.0,
+        v in -2.5f64..2.5,
+        bar in 0.2f64..7.0,
+        coverage in 0.0f64..1.0,
+        fouling_um in 0.0f64..5.0,
+        seed in 0u64..1000,
+    ) {
+        let build = || {
+            let mut die = MafDie::in_potable_water(MafParams::nominal());
+            die.inject_bubble_burst(coverage);
+            die.deposit_fouling(fouling_um);
+            (die, rand::rngs::StdRng::seed_from_u64(seed))
+        };
+        let (mut whole, mut whole_rng) = build();
+        let (mut split, mut split_rng) = build();
+        let dt = Seconds::from_micros(dt_us);
+        let (p_a, p_b) = (Watts::new(p_a_mw * 1e-3), Watts::new(p_b_mw * 1e-3));
+        let env = SensorEnvironment {
+            velocity: MetersPerSecond::new(v),
+            pressure: Pascals::from_bar(bar),
+            ..SensorEnvironment::still_water()
+        };
+        for _ in 0..50 {
+            whole.step(dt, p_a, p_b, env, &mut whole_rng);
+            split.step_thermal(dt, p_a, p_b, env);
+            split.step_surfaces(dt, env.pressure, &mut split_rng);
+        }
+        for id in [HeaterId::A, HeaterId::B] {
+            prop_assert_eq!(
+                whole.heater_temperature(id).get().to_bits(),
+                split.heater_temperature(id).get().to_bits()
+            );
+            prop_assert_eq!(
+                whole.last_conductance(id).get().to_bits(),
+                split.last_conductance(id).get().to_bits()
+            );
+            prop_assert_eq!(
+                whole.bubble_coverage(id).to_bits(),
+                split.bubble_coverage(id).to_bits()
+            );
+            prop_assert_eq!(
+                whole.fouling_thickness_um(id).to_bits(),
+                split.fouling_thickness_um(id).to_bits()
+            );
+            prop_assert_eq!(whole.detachment_count(id), split.detachment_count(id));
+        }
+        prop_assert_eq!(
+            whole.reference_resistance().get().to_bits(),
+            split.reference_resistance().get().to_bits()
+        );
+        prop_assert_eq!(whole_rng.state(), split_rng.state(), "same RNG words drawn");
     }
 
     #[test]
