@@ -7,9 +7,10 @@
 //! flicker noise, and saturation at the supply rails.
 
 use crate::error::{ensure_in_range, ensure_positive};
-use crate::noise::{noise_sample, FlickerNoise};
+use crate::noise::FlickerNoise;
 use crate::AfeError;
 use hotwire_units::{Hertz, Volts};
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 /// Static instrumentation-amplifier parameters.
@@ -138,9 +139,56 @@ impl InstrumentationAmp {
     /// Draws the input-referred noise sample (white + flicker) for one tick
     /// — exactly the draws [`amplify`](Self::amplify) makes internally,
     /// split out so a block caller can pre-draw per-block noise sequences
-    /// in the scalar RNG order.
+    /// in the scalar RNG order. Two standard normals, white then flicker,
+    /// fed to [`noise_from_normals`](Self::noise_from_normals).
     pub fn draw_noise<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        noise_sample(rng, self.white_rms).get() + self.flicker.next_sample(rng)
+        let white = rng.sample(StandardNormal);
+        let flicker = rng.sample(StandardNormal);
+        self.noise_from_normals(white, flicker)
+    }
+
+    /// The noise formula: one tick's input-referred noise from its two
+    /// standard normals — the white one scaled to the white rms, the
+    /// flicker one through the flicker filter (whose state it advances).
+    #[inline]
+    pub fn noise_from_normals(&mut self, white: f64, flicker: f64) -> f64 {
+        self.white_rms.get() * white + self.flicker.filter(flicker)
+    }
+
+    /// Forms `N` amplifiers' noise lanes in one pass over pre-drawn
+    /// standard normals. `normals` is tick-major: per tick, lane 0's white
+    /// and flicker normals, then lane 1's, and so on — the order `N`
+    /// [`draw_noise`](Self::draw_noise) calls per tick, in lane order, draw
+    /// them. Each lane gets exactly the values (and each amplifier ends in
+    /// exactly the flicker state) those calls would give. The amplifiers
+    /// are copied into locals for the pass so their filter states stay in
+    /// registers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `normals` holds `2·N` values per tick for as many
+    /// ticks as every lane has elements.
+    pub fn noise_lanes<const N: usize>(
+        amps: [&mut InstrumentationAmp; N],
+        normals: &[f64],
+        lanes: [&mut [f64]; N],
+    ) {
+        let depth = lanes.first().map_or(0, |lane| lane.len());
+        assert_eq!(
+            normals.len(),
+            2 * N * depth,
+            "two normals per lane and tick"
+        );
+        let lanes = lanes.map(|lane| &mut lane[..depth]);
+        let mut local: [InstrumentationAmp; N] = core::array::from_fn(|l| amps[l].clone());
+        for (k, z) in normals.chunks_exact(2 * N).enumerate() {
+            for l in 0..N {
+                lanes[l][k] = local[l].noise_from_normals(z[2 * l], z[2 * l + 1]);
+            }
+        }
+        for (amp, local) in amps.into_iter().zip(local) {
+            *amp = local;
+        }
     }
 
     /// Amplifies one sample whose noise was already drawn with
@@ -307,6 +355,24 @@ mod tests {
     }
 
     #[test]
+    fn white_noise_draws_have_the_configured_rms() {
+        let cfg = InAmpConfig {
+            flicker_rms: Volts::ZERO,
+            ..InAmpConfig::isif_default()
+        };
+        let mut amp = InstrumentationAmp::new(cfg, Hertz::from_kilohertz(256.0)).unwrap();
+        let mut r = rng();
+        let n = 100_000;
+        let sum2: f64 = (0..n).map(|_| amp.draw_noise(&mut r).powi(2)).sum();
+        let measured = (sum2 / n as f64).sqrt();
+        let rms = amp.white_noise_rms().get();
+        assert!(
+            (measured / rms - 1.0).abs() < 0.02,
+            "rms {measured} vs {rms}"
+        );
+    }
+
+    #[test]
     fn noise_floor_scales_with_density() {
         let cfg = InAmpConfig {
             noise_density: 10e-9,
@@ -318,6 +384,62 @@ mod tests {
         let amp = InstrumentationAmp::new(cfg, fs).unwrap();
         // 10 nV/√Hz over 128 kHz → 3.58 µV rms input-referred.
         assert!((amp.white_noise_rms().get() - 3.58e-6).abs() < 0.05e-6);
+    }
+
+    /// Lanes formed from pre-drawn normals equal the per-tick
+    /// `draw_noise` sequence, lane by lane and bit for bit, and leave every
+    /// flicker filter in the state the scalar draws leave it in, across
+    /// frames of different lengths.
+    #[test]
+    fn noise_lanes_match_draw_noise_in_lane_order() {
+        use rand::distributions::StandardNormal;
+        let fs = Hertz::from_kilohertz(256.0);
+        let base = InAmpConfig::isif_default();
+        let configs = [
+            base,
+            InAmpConfig {
+                noise_density: 25e-9,
+                flicker_rms: Volts::new(1.1e-6),
+                ..base
+            },
+            InAmpConfig {
+                noise_density: 0.0,
+                flicker_rms: Volts::new(0.2e-6),
+                ..base
+            },
+        ];
+        let mut scalar = configs.map(|c| InstrumentationAmp::new(c, fs).unwrap());
+        let mut batched = scalar.clone();
+        let mut r = rng();
+        for depth in [256usize, 1, 37, 256] {
+            let mut normals = vec![0.0; 6 * depth];
+            let mut drawn = r.clone();
+            StandardNormal::fill(&mut drawn, &mut normals);
+            let mut expected = vec![[0.0; 3]; depth];
+            for tick in &mut expected {
+                for (value, amp) in tick.iter_mut().zip(&mut scalar) {
+                    *value = amp.draw_noise(&mut r);
+                }
+            }
+            assert_eq!(drawn, r, "six normals per tick");
+
+            let mut lanes: [Vec<f64>; 3] = core::array::from_fn(|_| vec![0.0; depth]);
+            let [a, b, c] = &mut batched;
+            let [la, lb, lc] = &mut lanes;
+            InstrumentationAmp::noise_lanes([a, b, c], &normals, [la, lb, lc]);
+            for (k, tick) in expected.iter().enumerate() {
+                for l in 0..3 {
+                    assert_eq!(
+                        lanes[l][k].to_bits(),
+                        tick[l].to_bits(),
+                        "tick {k} lane {l}"
+                    );
+                }
+            }
+            for (b, s) in batched.iter().zip(&scalar) {
+                assert_eq!(format!("{b:?}"), format!("{s:?}"));
+            }
+        }
     }
 
     #[test]

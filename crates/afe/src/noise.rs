@@ -1,11 +1,11 @@
 //! Electronic noise helpers: Johnson–Nyquist and amplifier noise.
 //!
-//! Every Gaussian draw comes from the vendored `rand`'s ziggurat
-//! [`StandardNormal`], one 64-bit word per draw on the common path.
+//! The amplifier's Gaussian draws come from the vendored `rand`'s ziggurat
+//! [`StandardNormal`](rand::distributions::StandardNormal), one 64-bit
+//! word per draw on the common path; the flicker filter here takes its
+//! draws from the caller.
 
 use hotwire_units::{Kelvin, Ohms, Volts};
-use rand::distributions::StandardNormal;
-use rand::Rng;
 
 /// Boltzmann constant, J/K.
 pub const BOLTZMANN: f64 = 1.380_649e-23;
@@ -23,11 +23,6 @@ pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// ```
 pub fn johnson_rms(r: Ohms, temperature: Kelvin, bandwidth_hz: f64) -> Volts {
     Volts::new((4.0 * BOLTZMANN * temperature.get() * r.get() * bandwidth_hz).sqrt())
-}
-
-/// Draws one sample of zero-mean Gaussian voltage noise with the given rms.
-pub fn noise_sample<R: Rng + ?Sized>(rng: &mut R, rms: Volts) -> Volts {
-    Volts::new(rms.get() * rng.sample::<f64, _>(StandardNormal))
 }
 
 /// A stateful 1/f ("flicker") noise generator: the sum of three
@@ -63,9 +58,9 @@ impl FlickerNoise {
         }
     }
 
-    /// Draws the next flicker sample.
-    pub fn next_sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let w: f64 = rng.sample(StandardNormal);
+    /// The next flicker sample, driven by one standard normal draw `w`.
+    #[inline]
+    pub fn filter(&mut self, w: f64) -> f64 {
         let mut sum = 0.0;
         for (s, a) in self.states.iter_mut().zip(self.alphas) {
             *s += a * (w - *s);
@@ -78,7 +73,8 @@ impl FlickerNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::distributions::StandardNormal;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xA0)
@@ -96,18 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn noise_sample_statistics() {
-        let mut r = rng();
-        let rms = Volts::new(1e-6);
-        let n = 100_000;
-        let sum2: f64 = (0..n)
-            .map(|_| noise_sample(&mut r, rms).get().powi(2))
-            .sum();
-        let measured = (sum2 / n as f64).sqrt();
-        assert!((measured / 1e-6 - 1.0).abs() < 0.02, "rms {measured}");
-    }
-
-    #[test]
     fn flicker_is_low_frequency_heavy() {
         let mut r = rng();
         let mut f = FlickerNoise::new(1.0, 10_000.0);
@@ -117,7 +101,7 @@ mod tests {
         let mut prev = 0.0;
         let (mut p_raw, mut p_diff) = (0.0, 0.0);
         for i in 0..n {
-            let x = f.next_sample(&mut r);
+            let x = f.filter(r.sample(StandardNormal));
             p_raw += x * x;
             if i > 0 {
                 p_diff += (x - prev) * (x - prev);
@@ -135,7 +119,9 @@ mod tests {
         let mut r = rng();
         let mut f = FlickerNoise::new(2.0, 10_000.0);
         let n = 400_000;
-        let sum2: f64 = (0..n).map(|_| f.next_sample(&mut r).powi(2)).sum();
+        let sum2: f64 = (0..n)
+            .map(|_| f.filter(r.sample(StandardNormal)).powi(2))
+            .sum();
         let rms = (sum2 / n as f64).sqrt();
         assert!((1.0..4.0).contains(&rms), "rms {rms} (target 2.0 ± 3 dB)");
     }

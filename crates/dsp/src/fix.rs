@@ -169,84 +169,6 @@ pub fn saturate_bits(x: i64, bits: u32) -> i64 {
     x.clamp(-max - 1, max)
 }
 
-/// A flat struct-of-arrays scratch block: `lanes` contiguous runs of `depth`
-/// elements in a single allocation.
-///
-/// The modulator-rate hot path stages one decimation frame of per-channel
-/// signals (analog differentials, pre-drawn noise, modulator bits) in one of
-/// these instead of interleaved per-tick structs: each lane is a contiguous
-/// slice the block kernels (the ΣΔ modulator's `step_block`,
-/// [`CicDecimator::push_block`](crate::cic::CicDecimator::push_block), the
-/// in-amp/anti-alias block walks) can stream over, which is what lets the
-/// compiler keep filter state in registers and vectorize the arithmetic.
-#[derive(Debug, Clone)]
-pub struct SoaBlock<T> {
-    data: Vec<T>,
-    lanes: usize,
-    depth: usize,
-}
-
-impl<T: Copy + Default> SoaBlock<T> {
-    /// Allocates a block of `lanes` × `depth` default-initialized elements.
-    pub fn new(lanes: usize, depth: usize) -> Self {
-        SoaBlock {
-            data: vec![T::default(); lanes * depth],
-            lanes,
-            depth,
-        }
-    }
-
-    /// Number of lanes.
-    #[inline]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Elements per lane.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Reuses the allocation for a new geometry, growing only if needed.
-    /// Contents are unspecified afterwards (lanes are scratch, not state).
-    pub fn reshape(&mut self, lanes: usize, depth: usize) {
-        let need = lanes * depth;
-        if self.data.len() < need {
-            self.data.resize(need, T::default());
-        }
-        self.lanes = lanes;
-        self.depth = depth;
-    }
-
-    /// Overwrites every element of every lane.
-    pub fn fill(&mut self, value: T) {
-        self.data[..self.lanes * self.depth].fill(value);
-    }
-
-    /// One lane as a contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= lanes()`.
-    #[inline]
-    pub fn lane(&self, lane: usize) -> &[T] {
-        assert!(lane < self.lanes);
-        &self.data[lane * self.depth..(lane + 1) * self.depth]
-    }
-
-    /// One lane as a mutable contiguous slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= lanes()`.
-    #[inline]
-    pub fn lane_mut(&mut self, lane: usize) -> &mut [T] {
-        assert!(lane < self.lanes);
-        &mut self.data[lane * self.depth..(lane + 1) * self.depth]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -174,9 +174,13 @@ impl InputChannel {
         let amplified = self.inamp.amplify(v_diff, chip_overtemp_k, rng);
         let filtered = self.antialias.push(amplified);
         let bit = self.modulator.push(filtered);
-        self.cic
-            .push(bit)
-            .map(|raw| ((raw >> self.norm_shift) as i32).clamp(-32768, 32767))
+        self.cic.push(bit).map(|raw| self.word(raw))
+    }
+
+    /// A raw CIC output as the signed 16-bit word the channel emits.
+    #[inline]
+    fn word(&self, raw: i64) -> i32 {
+        ((raw >> self.norm_shift) as i32).clamp(-32768, 32767)
     }
 
     /// Draws the per-tick input-referred noise sample for this channel —
@@ -193,12 +197,11 @@ impl InputChannel {
     ///
     /// `diffs` holds the differential inputs in volts; `noises` holds one
     /// pre-drawn [`draw_noise`](Self::draw_noise) value per tick; `bits` is
-    /// scratch for the modulator bitstream. The three analog stages run as
-    /// one fused register-hoisted pass
-    /// ([`hotwire_afe::chain::amplify_filter_modulate_block`]), then the
-    /// CIC walks the bitstream. Bit-identical to the equivalent sequence
-    /// of scalar `sample(AnalogInput::Differential(..))` calls whose noise
-    /// was drawn in the same RNG order.
+    /// scratch for the modulator bitstream. The one-channel instance of
+    /// [`sample_blocks`](Self::sample_blocks), and like it bit-identical to
+    /// the equivalent sequence of scalar
+    /// `sample(AnalogInput::Differential(..))` calls whose noise was drawn
+    /// in the same RNG order.
     ///
     /// # Panics
     ///
@@ -212,27 +215,73 @@ impl InputChannel {
         chip_overtemp_k: f64,
         out: &mut Vec<i32>,
     ) {
-        assert!(
-            matches!(self.config.mode, ReadoutMode::Instrumentation),
-            "sample_block supports instrumentation mode only"
-        );
-        hotwire_afe::chain::amplify_filter_modulate_block(
-            &mut self.inamp,
-            &mut self.antialias,
-            &mut self.modulator,
+        Self::sample_blocks([self], [diffs], [noises], [bits], chip_overtemp_k, [out]);
+    }
+
+    /// Pushes a block through each of `N` channels' full chains at once:
+    /// one fused kernel walks every channel's in-amp → anti-alias → ΣΔ
+    /// element by element
+    /// ([`hotwire_afe::chain::amplify_filter_modulate_lanes`]), then each
+    /// channel's CIC walks its bitstream and its words are appended to its
+    /// `out`. Lane `l` carries channel `l`'s `diffs`, `noises` and `bits`
+    /// exactly as [`sample_block`](Self::sample_block) takes them, and ends
+    /// with the same words and state: the channels share nothing but the
+    /// walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is not in instrumentation mode or the slice
+    /// lengths disagree.
+    pub fn sample_blocks<const N: usize>(
+        mut channels: [&mut InputChannel; N],
+        diffs: [&[f64]; N],
+        noises: [&[f64]; N],
+        mut bits: [&mut [i32]; N],
+        chip_overtemp_k: f64,
+        out: [&mut Vec<i32>; N],
+    ) {
+        for chan in &channels {
+            assert!(
+                matches!(chan.config.mode, ReadoutMode::Instrumentation),
+                "sample_block supports instrumentation mode only"
+            );
+        }
+        let mut chans = channels.iter_mut();
+        let mut bit_lanes = bits.iter_mut();
+        hotwire_afe::chain::amplify_filter_modulate_lanes(
+            core::array::from_fn(|_| {
+                let chan = &mut **chans.next().expect("one channel per lane");
+                (&mut chan.inamp, &mut chan.antialias, &mut chan.modulator)
+            }),
             diffs,
             noises,
             chip_overtemp_k,
-            bits,
+            core::array::from_fn(|_| &mut **bit_lanes.next().expect("one bitstream per lane")),
         );
-        self.cic_scratch.clear();
-        self.cic.push_block(bits, &mut self.cic_scratch);
-        let shift = self.norm_shift;
-        out.extend(
-            self.cic_scratch
-                .iter()
-                .map(|&raw| ((raw >> shift) as i32).clamp(-32768, 32767)),
-        );
+        for ((chan, bits), out) in channels.into_iter().zip(bits).zip(out) {
+            chan.cic_scratch.clear();
+            chan.cic.push_block(bits, &mut chan.cic_scratch);
+            out.extend(chan.cic_scratch.iter().map(|&raw| chan.word(raw)));
+        }
+    }
+
+    /// Forms `N` channels' per-tick noise lanes in one pass over pre-drawn
+    /// standard normals ([`InstrumentationAmp::noise_lanes`]): `normals`
+    /// holds, per tick, each channel's white then flicker normal in
+    /// channel order — the normals `N` [`draw_noise`](Self::draw_noise)
+    /// calls per tick, in that order, draw — and lane `l` receives the
+    /// values channel `l`'s `draw_noise` calls would return.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `normals` holds `2·N` values per tick for as many
+    /// ticks as every lane has elements.
+    pub fn noise_blocks<const N: usize>(
+        channels: [&mut InputChannel; N],
+        normals: &[f64],
+        noises: [&mut [f64]; N],
+    ) {
+        InstrumentationAmp::noise_lanes(channels.map(|c| &mut c.inamp), normals, noises);
     }
 
     /// The signed 16-bit word the full chain settles to for a quasi-static
@@ -371,6 +420,104 @@ mod tests {
         let sd = var.sqrt();
         assert!(sd > 0.05, "noise floor {sd} LSB suspiciously clean");
         assert!(sd < 8.0, "noise floor {sd} LSB too dirty for 16 bits");
+    }
+
+    /// Every analog and digital state word of a channel.
+    fn state(chan: &InputChannel) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?}",
+            chan.inamp, chan.antialias, chan.modulator, chan.cic
+        )
+    }
+
+    /// Three channels that differ in gain, offset, reference, anti-alias
+    /// corner and CIC geometry, fed blocks that are not frame-aligned:
+    /// `sample_blocks` gives each channel the words and end state of its
+    /// own `sample_block` run and of its own scalar `sample` walk, with the
+    /// noise drawn per tick in channel order on every path.
+    #[test]
+    fn sample_blocks_match_single_blocks_and_scalar_samples() {
+        let fs = Hertz::from_kilohertz(256.0);
+        let base = ChannelConfig::maf_bridge();
+        let configs = [
+            base,
+            ChannelConfig {
+                inamp: InAmpConfig {
+                    gain: 20.0,
+                    input_offset: Volts::from_millivolts(-0.5),
+                    ..base.inamp
+                },
+                cic_order: 2,
+                decimation: 64,
+                ..base
+            },
+            ChannelConfig {
+                inamp: InAmpConfig {
+                    gain: 80.0,
+                    ..base.inamp
+                },
+                antialias_corner: Hertz::from_kilohertz(12.0),
+                vref: Volts::new(1.0),
+                ..base
+            },
+        ];
+        let mut lanes = configs.map(|c| InputChannel::new(c, fs).unwrap());
+        let mut singles = configs.map(|c| InputChannel::new(c, fs).unwrap());
+        let mut scalars = configs.map(|c| InputChannel::new(c, fs).unwrap());
+        let (mut r_lanes, mut r_singles, mut r_scalar) = (rng(), rng(), rng());
+        let mut got: [Vec<i32>; 3] = Default::default();
+        let mut single_words: [Vec<i32>; 3] = Default::default();
+        let mut expected: [Vec<i32>; 3] = Default::default();
+        for (block, len) in [256usize, 100, 412, 768].into_iter().enumerate() {
+            let diffs: [Vec<f64>; 3] = core::array::from_fn(|l| {
+                (0..len)
+                    .map(|k| 0.06 * ((k as f64) * 0.011 + (block + l) as f64).sin())
+                    .collect()
+            });
+            let mut noises: [Vec<f64>; 3] = core::array::from_fn(|_| vec![0.0; len]);
+            let mut single_noises = noises.clone();
+            for k in 0..len {
+                for l in 0..3 {
+                    noises[l][k] = lanes[l].draw_noise(&mut r_lanes);
+                    single_noises[l][k] = singles[l].draw_noise(&mut r_singles);
+                    let input = AnalogInput::Differential(Volts::new(diffs[l][k]));
+                    if let Some(word) = scalars[l].sample(input, 3.0, &mut r_scalar) {
+                        expected[l].push(word);
+                    }
+                }
+            }
+            for (l, chan) in singles.iter_mut().enumerate() {
+                let mut bits = vec![0; len];
+                chan.sample_block(
+                    &diffs[l],
+                    &single_noises[l],
+                    &mut bits,
+                    3.0,
+                    &mut single_words[l],
+                );
+            }
+            let mut bits: [Vec<i32>; 3] = core::array::from_fn(|_| vec![0; len]);
+            let [a, b, c] = &mut lanes;
+            let [ba, bb, bc] = &mut bits;
+            let [ga, gb, gc] = &mut got;
+            InputChannel::sample_blocks(
+                [a, b, c],
+                [&diffs[0], &diffs[1], &diffs[2]],
+                [&noises[0], &noises[1], &noises[2]],
+                [ba, bb, bc],
+                3.0,
+                [ga, gb, gc],
+            );
+        }
+        assert_eq!(r_lanes, r_scalar);
+        assert_eq!(r_singles, r_scalar);
+        for l in 0..3 {
+            assert!(!expected[l].is_empty());
+            assert_eq!(got[l], expected[l], "lane {l}");
+            assert_eq!(single_words[l], expected[l], "lane {l}");
+            assert_eq!(state(&lanes[l]), state(&scalars[l]), "lane {l}");
+            assert_eq!(state(&singles[l]), state(&scalars[l]), "lane {l}");
+        }
     }
 
     #[test]

@@ -98,6 +98,31 @@ impl IsifPlatform {
             .ok_or(IsifError::NoSuchChannel { index })
     }
 
+    /// Borrows several configured channels at once, in the order of
+    /// `indices` — what a kernel walking `N` channels together needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsifError::NoSuchChannel`] for the first index that is
+    /// out of range, unconfigured or repeated.
+    pub fn channels_mut<const N: usize>(
+        &mut self,
+        indices: [usize; N],
+    ) -> Result<[&mut InputChannel; N], IsifError> {
+        let mut picked: [Option<&mut InputChannel>; N] = [(); N].map(|_| None);
+        for (index, slot) in self.channels.iter_mut().enumerate() {
+            if let Some(lane) = indices.iter().position(|&i| i == index) {
+                picked[lane] = slot.as_mut();
+            }
+        }
+        if let Some(lane) = picked.iter().position(Option::is_none) {
+            return Err(IsifError::NoSuchChannel {
+                index: indices[lane],
+            });
+        }
+        Ok(picked.map(|c| c.expect("every lane checked above")))
+    }
+
     /// Number of configured channels.
     pub fn configured_channels(&self) -> usize {
         self.channels.iter().filter(|c| c.is_some()).count()
@@ -200,6 +225,24 @@ mod tests {
             p.configure_channel(7, ChannelConfig::maf_bridge()),
             Err(IsifError::NoSuchChannel { index: 7 })
         ));
+    }
+
+    #[test]
+    fn channels_borrow_together_in_the_order_asked() {
+        let mut p = platform();
+        for (index, gain) in [(0, 10.0), (1, 20.0), (2, 30.0)] {
+            let mut config = ChannelConfig::maf_bridge();
+            config.inamp.gain = gain;
+            p.configure_channel(index, config).unwrap();
+        }
+        let [a, b] = p.channels_mut([2, 0]).unwrap();
+        assert_eq!((a.config().inamp.gain, b.config().inamp.gain), (30.0, 10.0));
+        for (indices, bad) in [([1, 3], 3), ([1, 9], 9), ([1, 1], 1)] {
+            assert!(matches!(
+                p.channels_mut(indices),
+                Err(IsifError::NoSuchChannel { index }) if index == bad
+            ));
+        }
     }
 
     #[test]
