@@ -143,25 +143,42 @@ impl KingCalibration {
     /// vs calibration *film* temperatures (fluid + half the overheat). This
     /// is the paper's "temperature sensor for tracking thermal flow
     /// variation" put to use.
+    ///
+    /// `cal` is the calibration-side law,
+    /// [`film_law`](Self::film_law)`(calibration_temperature)`. It depends
+    /// only on the overheat and the calibration temperature, so a caller
+    /// compensating every control frame keeps it between calibrations
+    /// instead of re-deriving it.
     #[must_use]
     pub fn compensated_for(
         &self,
         fluid_estimate: hotwire_units::Celsius,
-        calibration_temperature: hotwire_units::Celsius,
+        cal: &hotwire_physics::kings_law::KingsLaw,
     ) -> Self {
-        use hotwire_physics::fluid::Water;
-        use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
-        let half = KelvinDelta::new(self.overheat.get() / 2.0);
-        let geometry = WireGeometry::maf_heater();
-        let at = KingsLaw::from_kramers(&Water::potable(), fluid_estimate + half, geometry);
-        let cal =
-            KingsLaw::from_kramers(&Water::potable(), calibration_temperature + half, geometry);
+        let at = self.film_law(fluid_estimate);
         KingCalibration {
             a: self.a * at.a() / cal.a(),
             b: self.b * at.b() / cal.b(),
             n: self.n,
             overheat: self.overheat,
         }
+    }
+
+    /// The Kramers-derived law of the heater in potable water at the film
+    /// temperature for fluid at `temperature`: `temperature` plus half this
+    /// calibration's overheat.
+    pub fn film_law(
+        &self,
+        temperature: hotwire_units::Celsius,
+    ) -> hotwire_physics::kings_law::KingsLaw {
+        use hotwire_physics::fluid::Water;
+        use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
+        let half = KelvinDelta::new(self.overheat.get() / 2.0);
+        KingsLaw::from_kramers(
+            &Water::potable(),
+            temperature + half,
+            WireGeometry::maf_heater(),
+        )
     }
 
     /// Persists the calibration to the platform EEPROM, writing the primary
@@ -498,7 +515,7 @@ mod tests {
         let g_warm = king_warm.conductance(MetersPerSecond::new(v_true));
         let raw = cal.velocity_from_conductance(g_warm).get();
         let comp = cal
-            .compensated_for(t_warm, t_cal)
+            .compensated_for(t_warm, &cal.film_law(t_cal))
             .velocity_from_conductance(g_warm)
             .get();
         let raw_err = (raw - v_true).abs() / v_true;
