@@ -485,6 +485,25 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// `decode(text)` must not panic; an accepted sketch must hold
+        /// `count == zero + Σ buckets` and decode its own encoding back to
+        /// itself.
+        fn check_decode(text: &str) {
+            let decoded = std::panic::catch_unwind(|| QuantileSketch::decode(text));
+            let Ok(decoded) = decoded else {
+                panic!("decode panicked on {text:?}");
+            };
+            if let Ok(sketch) = decoded {
+                let buckets: u64 = sketch.pos.values().chain(sketch.neg.values()).sum();
+                assert_eq!(sketch.count, sketch.zero + buckets, "accepted {text:?}");
+                assert_eq!(
+                    QuantileSketch::decode(&sketch.encode()),
+                    Ok(sketch),
+                    "{text:?} does not round-trip"
+                );
+            }
+        }
+
         proptest! {
             /// Merging is associative bucket-for-bucket: any grouping of
             /// the same values produces a bit-identical sketch. This is
@@ -535,6 +554,58 @@ mod tests {
                         <= QuantileSketch::RELATIVE_ERROR * exact.abs() + 1e-12,
                     "q={} est={} exact={}", q, est, exact
                 );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// Hostile text, as token soup: `decode` returns `Ok` or `Err`
+            /// and never panics, and whatever it accepts is consistent and
+            /// round-trips.
+            #[test]
+            fn decode_survives_token_soup(
+                picks in proptest::collection::vec(any::<u8>(), 0..48),
+            ) {
+                const SOUP: [&str; 24] = [
+                    "nan", "zero", "count", "min", "max", "neg", "pos", "=", "=", " ", " ",
+                    ",", ":", "-", "0", "1", "7", "-1047", "1048", "18446744073709551615",
+                    "7ff8000000000000", "fff0000000000000", "-1", "x",
+                ];
+                let text: String = picks.iter().map(|&p| SOUP[p as usize % SOUP.len()]).collect();
+                check_decode(&text);
+                // The same bytes as raw (lossy) text.
+                check_decode(&String::from_utf8_lossy(&picks));
+            }
+
+            /// A valid encoding of random values — zeros, NaNs and both
+            /// signs among them — with one byte replaced, deleted or
+            /// inserted: `decode` never panics, and whatever it accepts is
+            /// consistent and round-trips.
+            #[test]
+            fn decode_survives_one_byte_mutation(
+                xs in proptest::collection::vec(-1.0e12f64..1.0e12, 0..60),
+                specials in proptest::collection::vec(0u8..4, 0..8),
+                op in 0u8..3,
+                at in any::<usize>(),
+                byte in any::<u8>(),
+            ) {
+                let mut sketch = sketch_of(&xs);
+                for s in specials {
+                    sketch.push([0.0, -0.0, f64::NAN, 1e-300][s as usize]);
+                }
+                let text = sketch.encode();
+                prop_assert_eq!(QuantileSketch::decode(&text), Ok(sketch));
+                let mut bytes = text.into_bytes();
+                let i = at % (bytes.len() + 1);
+                match op {
+                    0 if i < bytes.len() => bytes[i] = byte,
+                    1 if i < bytes.len() => {
+                        bytes.remove(i);
+                    }
+                    _ => bytes.insert(i, byte),
+                }
+                check_decode(&String::from_utf8_lossy(&bytes));
             }
         }
     }
