@@ -104,9 +104,11 @@ impl SurfaceCondition {
 /// velocity (or a film drift past 0.5 K), and the surface degradation is
 /// held, because the meter advances the surface layers once per frame
 /// ([`MafDie::step_surfaces`](crate::MafDie::step_surfaces)). Keying on
-/// their raw bit patterns lets the modulator-rate hot loop skip the `exp`
-/// and both divisions on every repeated tick without changing a single
-/// result bit: a hit returns the very value a recomputation would produce.
+/// their raw bit patterns lets the die's thermal walk skip the `exp` and
+/// both divisions whenever a stretch of ticks repeats the last one's
+/// inputs (a frame at an unchanged velocity), and a one-tick step on every
+/// repeated tick, without changing a single result bit: a hit returns the
+/// very value a recomputation would produce.
 /// A surface step on every tick defeats the memo: in potable water the
 /// scale grows on every step, so `G_tot` never repeats and every lookup
 /// misses.
@@ -141,6 +143,62 @@ impl DecayCache {
 impl Default for DecayCache {
     fn default() -> Self {
         DecayCache::empty()
+    }
+}
+
+/// The part of one node's heat balance that holds across steps sharing the
+/// ideal conductance, the surface condition and the rim temperature: the
+/// degraded convection `G_conv`, the total `G_tot` and the rim term
+/// `G_sub·T_rim`. The drive and the incoming-fluid temperature stay per
+/// step. The node's only heat-balance arithmetic lives here, so a walk that
+/// derives it once per stretch of steps and a single step agree to the bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeatBalance {
+    g_conv: ThermalConductance,
+    g_tot: f64,
+    rim: f64,
+}
+
+impl HeatBalance {
+    #[inline]
+    pub(crate) fn new(
+        params: &MembraneParams,
+        ideal: ThermalConductance,
+        surface: SurfaceCondition,
+        t_rim: Celsius,
+    ) -> Self {
+        let g_conv = surface.effective_conductance(ideal);
+        let g_sub = params.substrate_conductance + params.backside_conductance;
+        let g_tot = g_conv + g_sub;
+        HeatBalance {
+            g_conv,
+            g_tot: g_tot.get(),
+            rim: g_sub.get() * t_rim.get(),
+        }
+    }
+
+    /// The convective conductance after surface degradation.
+    #[inline]
+    pub(crate) fn conductance(&self) -> ThermalConductance {
+        self.g_conv
+    }
+
+    /// The exponential-Euler decay factor `exp(−dt/τ)`, `τ = C/G_tot`,
+    /// through the node's memo.
+    #[inline]
+    pub(crate) fn decay(
+        &self,
+        dt: Seconds,
+        params: &MembraneParams,
+        cache: &mut DecayCache,
+    ) -> f64 {
+        cache.decay(dt.get(), self.g_tot, params.heat_capacity.get())
+    }
+
+    /// `T_inf = (P + G_sub·T_rim + G_conv·T_fluid) / G_tot`.
+    #[inline]
+    fn steady_state(&self, p_el: f64, t_fluid: f64) -> f64 {
+        (p_el + self.rim + self.g_conv.get() * t_fluid) / self.g_tot
     }
 }
 
@@ -201,9 +259,9 @@ impl MembraneState {
     ///
     /// Bit-identical to `step` when `ideal == king.conductance(v)`: a cache
     /// miss performs exactly the same `τ = C/G_tot`, `exp(−dt/τ)` sequence,
-    /// and a hit returns the bit-equal stored value. This is the die's
-    /// modulator-rate entry point — the caller hoists the (per-control-tick
-    /// constant) King evaluation and each node keeps its own cache.
+    /// and a hit returns the bit-equal stored value. The die's thermal walk
+    /// ([`MafDie::step_thermal_with`](crate::MafDie::step_thermal_with))
+    /// runs the same heat balance with its per-stretch part derived once.
     #[allow(clippy::too_many_arguments)] // mirrors the physical heat-balance terms
     pub fn step_cached(
         &mut self,
@@ -216,15 +274,24 @@ impl MembraneState {
         t_rim: Celsius,
         cache: &mut DecayCache,
     ) -> ThermalConductance {
-        let g_conv = surface.effective_conductance(ideal);
-        let g_sub = params.substrate_conductance + params.backside_conductance;
-        let g_tot = g_conv + g_sub;
-        // T_inf = (P + G_sub·T_rim + G_conv·T_fluid) / G_tot
-        let t_inf =
-            (p_el.get() + g_sub.get() * t_rim.get() + g_conv.get() * t_fluid.get()) / g_tot.get();
-        let decay = cache.decay(dt.get(), g_tot.get(), params.heat_capacity.get());
+        let balance = HeatBalance::new(params, ideal, surface, t_rim);
+        let decay = balance.decay(dt, params, cache);
+        self.advance(&balance, decay, p_el, t_fluid);
+        balance.conductance()
+    }
+
+    /// One exponential-Euler step under `balance` with decay factor `decay`
+    /// (from [`HeatBalance::decay`] at the step's `dt`).
+    #[inline]
+    pub(crate) fn advance(
+        &mut self,
+        balance: &HeatBalance,
+        decay: f64,
+        p_el: Watts,
+        t_fluid: Celsius,
+    ) {
+        let t_inf = balance.steady_state(p_el.get(), t_fluid.get());
         self.temperature = Celsius::new(t_inf + (self.temperature.get() - t_inf) * decay);
-        g_conv
     }
 
     /// The steady-state temperature the node would reach at constant drive.
@@ -237,12 +304,8 @@ impl MembraneState {
         t_fluid: Celsius,
         t_rim: Celsius,
     ) -> Celsius {
-        let g_conv = surface.effective_conductance(king.conductance(v));
-        let g_sub = params.substrate_conductance + params.backside_conductance;
-        let g_tot = g_conv + g_sub;
-        Celsius::new(
-            (p_el.get() + g_sub.get() * t_rim.get() + g_conv.get() * t_fluid.get()) / g_tot.get(),
-        )
+        let balance = HeatBalance::new(params, king.conductance(v), surface, t_rim);
+        Celsius::new(balance.steady_state(p_el.get(), t_fluid.get()))
     }
 }
 

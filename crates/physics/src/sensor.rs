@@ -16,7 +16,7 @@ use crate::bubbles::{BubbleLayer, BubbleParams};
 use crate::fluid::{Air, Fluid, FluidProperties, Water};
 use crate::fouling::{FoulingLayer, FoulingParams, Passivation};
 use crate::kings_law::{KingsLaw, WireGeometry};
-use crate::membrane::{DecayCache, MembraneParams, MembraneState, SurfaceCondition};
+use crate::membrane::{DecayCache, HeatBalance, MembraneParams, MembraneState, SurfaceCondition};
 use crate::resistor::Rtd;
 use crate::PhysicsError;
 use hotwire_units::{Celsius, MetersPerSecond, Ohms, Pascals, Seconds, ThermalConductance, Watts};
@@ -416,14 +416,9 @@ impl MafDie {
         self.step_surfaces(dt, env.pressure, rng);
     }
 
-    /// Advances the thermal state by `dt` with the surface layers held: the
-    /// King's-law re-derivation check, the advective coupling, both membrane
-    /// nodes and the reference lag. Draws no RNG.
-    ///
-    /// The bubbles (seconds) and the scale (months) move far slower than
-    /// the membrane (~60 µs), so a caller stepping at the modulator rate
-    /// may advance the surfaces once per control frame instead, through
-    /// [`step_surfaces`](Self::step_surfaces) over the frame's span.
+    /// Advances the thermal state by one step of `dt` at constant heater
+    /// powers, with the surface layers held: the one-tick instance of
+    /// [`step_thermal_with`](Self::step_thermal_with). Draws no RNG.
     pub fn step_thermal(
         &mut self,
         dt: Seconds,
@@ -431,89 +426,140 @@ impl MafDie {
         power_b: Watts,
         env: SensorEnvironment,
     ) {
-        // Re-derive King's law when the film temperature moves > 0.5 K
-        // (property drift matters over tens of kelvin, not per sample).
-        let film = 0.5
-            * (env.fluid_temperature.get()
-                + 0.5
-                    * (self.heater_a.membrane.temperature().get()
-                        + self.heater_b.membrane.temperature().get()));
-        if (film - self.king_film_temp).abs() > 0.5 {
-            self.king =
-                KingsLaw::from_kramers(&self.fluid, Celsius::new(film), self.params.geometry);
-            self.king_film_temp = film;
-            self.conductance_cache = None;
-        }
+        self.step_thermal_with(dt, env, 1, |_, _, _, _| (power_a, power_b));
+    }
 
-        // Advective coupling: downstream heater sees pre-heated fluid.
-        let c = self.coupling(env.velocity);
+    /// Advances the thermal state by `ticks` steps of `dt` in one
+    /// environment, with the surface layers held: per tick the King's-law
+    /// re-derivation check, the advective coupling, both membrane nodes and
+    /// the reference lag. Draws no RNG.
+    ///
+    /// Before tick `k` steps, `drive(k, rh_a, rh_b, rt)` receives the
+    /// heater A, heater B and reference resistances at the tick's start and
+    /// returns the tick's heater powers `(p_a, p_b)` — a bridge solve, for
+    /// a caller closing the loop at the modulator rate.
+    ///
+    /// Each stretch of ticks under one King's law first checks the film
+    /// temperature (re-deriving the law if it moved), then derives what the
+    /// stretch holds constant — the coupling, the ideal conductance, both
+    /// nodes' heat balances and decay factors, the reference lag — and runs
+    /// its ticks with the three temperatures in locals. A film temperature
+    /// that moves by more than 0.5 K ends the stretch. Every expression
+    /// keeps the one-tick operand order, so the walk is bit-identical to
+    /// `ticks` one-tick steps fed the same powers.
+    ///
+    /// The bubbles (seconds) and the scale (months) move far slower than
+    /// the membrane (~60 µs), so a caller stepping at the modulator rate
+    /// may advance the surfaces once per control frame instead, through
+    /// [`step_surfaces`](Self::step_surfaces) over the frame's span.
+    pub fn step_thermal_with(
+        &mut self,
+        dt: Seconds,
+        env: SensorEnvironment,
+        ticks: usize,
+        mut drive: impl FnMut(usize, Ohms, Ohms, Ohms) -> (Watts, Watts),
+    ) {
         let t_fluid = env.fluid_temperature;
-        let (pre_a, pre_b) = if env.velocity.get() >= 0.0 {
-            // A upstream, B downstream.
-            (
-                0.0,
-                c * (self.heater_a.membrane.temperature() - t_fluid).get(),
-            )
-        } else {
-            (
-                c * (self.heater_b.membrane.temperature() - t_fluid).get(),
-                0.0,
-            )
-        };
-        let t_eff_a = Celsius::new(t_fluid.get() + pre_a);
-        let t_eff_b = Celsius::new(t_fluid.get() + pre_b);
-
         let v = env.velocity;
-        // Both nodes share the same ideal King's-law conductance at `v` —
-        // evaluate it once, through the bit-keyed memo (the velocity only
-        // changes at the environment rate, so the `powf` almost always
-        // skips). A memo hit returns the exact value a recomputation would.
+        let (rtd_a, rtd_b, rtd_ref) = (self.heater_a.rtd, self.heater_b.rtd, self.reference_rtd);
+        let mut node_a = self.heater_a.membrane;
+        let mut node_b = self.heater_b.membrane;
+        let mut t_ref = self.reference_temperature.get();
+        let film_of = |a: &MembraneState, b: &MembraneState| {
+            0.5 * (t_fluid.get() + 0.5 * (a.temperature().get() + b.temperature().get()))
+        };
+        let mut k = 0;
+        while k < ticks {
+            // Re-derive King's law when the film temperature moves > 0.5 K
+            // (property drift matters over tens of kelvin, not per sample).
+            let film = film_of(&node_a, &node_b);
+            if (film - self.king_film_temp).abs() > 0.5 {
+                self.king =
+                    KingsLaw::from_kramers(&self.fluid, Celsius::new(film), self.params.geometry);
+                self.king_film_temp = film;
+                self.conductance_cache = None;
+            }
+
+            let c = self.coupling(v);
+            let ideal = self.ideal_conductance(v);
+            let membrane = &self.params.membrane;
+            let balance_a = HeatBalance::new(membrane, ideal, self.heater_a.surface(), t_fluid);
+            let balance_b = HeatBalance::new(membrane, ideal, self.heater_b.surface(), t_fluid);
+            let decay_a = balance_a.decay(dt, membrane, &mut self.heater_a.decay_cache);
+            let decay_b = balance_b.decay(dt, membrane, &mut self.heater_b.decay_cache);
+            self.heater_a.last_conductance = balance_a.conductance();
+            self.heater_b.last_conductance = balance_b.conductance();
+            let rho = self.reference_lag(dt);
+            let king_film_temp = self.king_film_temp;
+
+            loop {
+                let (p_a, p_b) = drive(
+                    k,
+                    rtd_a.resistance(node_a.temperature()),
+                    rtd_b.resistance(node_b.temperature()),
+                    rtd_ref.resistance(Celsius::new(t_ref)),
+                );
+                // Advective coupling: downstream heater sees pre-heated fluid.
+                let (pre_a, pre_b) = if v.get() >= 0.0 {
+                    // A upstream, B downstream.
+                    (0.0, c * (node_a.temperature() - t_fluid).get())
+                } else {
+                    (c * (node_b.temperature() - t_fluid).get(), 0.0)
+                };
+                node_a.advance(
+                    &balance_a,
+                    decay_a,
+                    p_a,
+                    Celsius::new(t_fluid.get() + pre_a),
+                );
+                node_b.advance(
+                    &balance_b,
+                    decay_b,
+                    p_b,
+                    Celsius::new(t_fluid.get() + pre_b),
+                );
+                // Reference resistor tracks the fluid with a first-order lag.
+                t_ref = t_fluid.get() + (t_ref - t_fluid.get()) * rho;
+                k += 1;
+                if k == ticks || (film_of(&node_a, &node_b) - king_film_temp).abs() > 0.5 {
+                    break;
+                }
+            }
+        }
+        self.heater_a.membrane = node_a;
+        self.heater_b.membrane = node_b;
+        self.reference_temperature = Celsius::new(t_ref);
+    }
+
+    /// The ideal King's-law conductance at `v`, shared by both nodes,
+    /// through the bit-keyed memo: the velocity only changes at the
+    /// environment rate, so the `powf` almost always skips, and a hit
+    /// returns the exact value a recomputation would.
+    fn ideal_conductance(&mut self, v: MetersPerSecond) -> ThermalConductance {
         let v_bits = v.get().to_bits();
-        let ideal = match self.conductance_cache {
+        match self.conductance_cache {
             Some((bits, g)) if bits == v_bits => ThermalConductance::new(g),
             _ => {
                 let g = self.king.conductance(v);
                 self.conductance_cache = Some((v_bits, g.get()));
                 g
             }
-        };
-        let surface_a = self.heater_a.surface();
-        let surface_b = self.heater_b.surface();
-        self.heater_a.last_conductance = self.heater_a.membrane.step_cached(
-            dt,
-            power_a,
-            &self.params.membrane,
-            ideal,
-            surface_a,
-            t_eff_a,
-            t_fluid,
-            &mut self.heater_a.decay_cache,
-        );
-        self.heater_b.last_conductance = self.heater_b.membrane.step_cached(
-            dt,
-            power_b,
-            &self.params.membrane,
-            ideal,
-            surface_b,
-            t_eff_b,
-            t_fluid,
-            &mut self.heater_b.decay_cache,
-        );
+        }
+    }
 
-        // Reference resistor tracks the fluid with a first-order lag. The
-        // lag factor depends only on `dt` (the lag is a fixed parameter), so
-        // it memoizes on the step's bit pattern.
+    /// The reference-lag factor `exp(−dt/lag)`. It depends only on `dt`
+    /// (the lag is a fixed parameter), so it memoizes on the step's bit
+    /// pattern.
+    fn reference_lag(&mut self, dt: Seconds) -> f64 {
         let dt_bits = dt.get().to_bits();
-        let rho = match self.rho_cache {
+        match self.rho_cache {
             Some((bits, rho)) if bits == dt_bits => rho,
             _ => {
                 let rho = (-dt.get() / self.params.reference_lag.get()).exp();
                 self.rho_cache = Some((dt_bits, rho));
                 rho
             }
-        };
-        self.reference_temperature =
-            Celsius::new(t_fluid.get() + (self.reference_temperature.get() - t_fluid.get()) * rho);
+        }
     }
 
     /// Advances both faces' surface layers by `dt` at the present wall

@@ -10,7 +10,7 @@ use hotwire_physics::pipe::Pipe;
 use hotwire_physics::resistor::Rtd;
 use hotwire_physics::sensor::HeaterId;
 use hotwire_physics::{MafDie, MafParams, SensorEnvironment};
-use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, Pascals, Seconds, Watts};
+use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, Ohms, Pascals, Seconds, Watts};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -197,6 +197,106 @@ proptest! {
             split.reference_resistance().get().to_bits()
         );
         prop_assert_eq!(whole_rng.state(), split_rng.state(), "same RNG words drawn");
+    }
+
+    /// One thermal walk over `ticks` equals that many one-tick walks, bit
+    /// for bit, when both are driven by powers derived from the
+    /// resistances they are handed: temperatures, last conductances and
+    /// the King's law. A cold start (the die at the fluid temperature under
+    /// a strong drive) keeps the law on the first tick and re-derives it
+    /// a few ticks in, strictly inside the walk; the test asserts that.
+    #[test]
+    fn thermal_walk_is_bit_identical_to_one_tick_walks(
+        ticks in 1usize..300,
+        dt_us in 1.0f64..20.0,
+        supply in 1.0f64..4.0,
+        v in -2.5f64..2.5,
+        fluid in 5.0f64..40.0,
+        coverage in 0.0f64..1.0,
+        fouling_um in 0.0f64..5.0,
+        warm_up in 0usize..400,
+        cold in any::<bool>(),
+    ) {
+        let mut walked = MafDie::in_potable_water(MafParams::worst_case());
+        walked.inject_bubble_burst(coverage);
+        walked.deposit_fouling(fouling_um);
+        let dt = Seconds::from_micros(dt_us);
+        let mut env = SensorEnvironment {
+            velocity: MetersPerSecond::new(v),
+            fluid_temperature: Celsius::new(fluid),
+            ..SensorEnvironment::still_water()
+        };
+        let (ticks, supply) = if cold {
+            env.fluid_temperature = walked.reference_temperature();
+            (ticks.max(40), supply.max(3.0))
+        } else {
+            // A warm die, settled partway in another environment.
+            let settle = SensorEnvironment {
+                fluid_temperature: Celsius::new(fluid + 3.0),
+                ..env
+            };
+            for _ in 0..warm_up {
+                walked.step_thermal(dt, Watts::new(0.02), Watts::new(0.015), settle);
+            }
+            (ticks, supply)
+        };
+        // A bridge-like map: each heater in series with 52.8 Ω across a
+        // supply that follows the reference arm's ratio, so all three
+        // resistances feed the powers.
+        let drive = |rh_a: Ohms, rh_b: Ohms, rt: Ohms| {
+            let u = 2.0 * supply * rt.get() / (2000.0 + rt.get());
+            let power = |rh: Ohms| {
+                let i = u / (52.8 + rh.get());
+                Watts::new(i * i * rh.get())
+            };
+            (power(rh_a), power(rh_b))
+        };
+
+        let mut stepped = walked.clone();
+        let mut seen = Vec::with_capacity(ticks);
+        walked.step_thermal_with(dt, env, ticks, |k, rh_a, rh_b, rt| {
+            seen.push(k);
+            drive(rh_a, rh_b, rt)
+        });
+        prop_assert_eq!(seen, (0..ticks).collect::<Vec<_>>());
+
+        let mut rederived_at = Vec::new();
+        for k in 0..ticks {
+            let law = *stepped.kings_law();
+            let (p_a, p_b) = drive(
+                stepped.heater_resistance(HeaterId::A),
+                stepped.heater_resistance(HeaterId::B),
+                stepped.reference_resistance(),
+            );
+            stepped.step_thermal(dt, p_a, p_b, env);
+            if *stepped.kings_law() != law {
+                rederived_at.push(k);
+            }
+        }
+        if cold {
+            prop_assert!(
+                rederived_at.iter().any(|&k| k > 0),
+                "no re-derivation inside the walk: {:?}",
+                rederived_at
+            );
+        }
+
+        for id in [HeaterId::A, HeaterId::B] {
+            prop_assert_eq!(
+                walked.heater_temperature(id).get().to_bits(),
+                stepped.heater_temperature(id).get().to_bits()
+            );
+            prop_assert_eq!(
+                walked.last_conductance(id).get().to_bits(),
+                stepped.last_conductance(id).get().to_bits()
+            );
+        }
+        prop_assert_eq!(
+            walked.reference_temperature().get().to_bits(),
+            stepped.reference_temperature().get().to_bits()
+        );
+        let bits = |law: &KingsLaw| [law.a(), law.b(), law.n()].map(f64::to_bits);
+        prop_assert_eq!(bits(walked.kings_law()), bits(stepped.kings_law()));
     }
 
     #[test]
