@@ -512,11 +512,12 @@ impl FlowMeter {
     }
 
     /// The exact frame walk, in passes that consume the RNG stream in the
-    /// scalar walk's order: the die and both bridges tick by tick (the
-    /// thermal step draws nothing), the frame's standard normals (six per
-    /// tick, with the die's surface step between the last tick's thermal
-    /// step and its six), the three noise lanes from those normals, and
-    /// one kernel over the three channels' chains.
+    /// scalar walk's order: one thermal walk over the frame whose drive
+    /// solves both bridges and draws the tick's six standard normals (the
+    /// thermal step draws nothing), then the die's surface step and the
+    /// last tick's six (the scalar walk advances the surfaces between the
+    /// last tick's thermal step and its draws), the three noise lanes from
+    /// those normals, and one kernel over the three channels' chains.
     fn step_frame_exact(&mut self, env: SensorEnvironment) -> Measurement {
         let depth = self.config.decimation as usize;
         self.frame.prepare(depth);
@@ -524,28 +525,32 @@ impl FlowMeter {
         let overtemp = env.fluid_temperature.get() - 25.0;
         let frame_dt = self.frame_dt();
 
+        let bridge = self.bridge;
+        let reference_level = supply * self.ref_ratio_cal;
         let [dir, temp, ctrl] = lanes_mut(&mut self.frame.diffs);
-        for k in 0..depth {
-            let rh_a = self.die.heater_resistance(HeaterId::A);
-            let rh_b = self.die.heater_resistance(HeaterId::B);
-            let rt = self.die.reference_resistance();
-            let out_a = self.bridge.solve(supply, rh_a, rt);
-            let out_b = self.bridge.solve(supply, rh_b, rt);
-            self.die
-                .step_thermal(self.dt, out_a.heater_power, out_b.heater_power, env);
-            dir[k] = (out_a.differential - out_b.differential).get();
-            temp[k] = (out_a.reference_mid - supply * self.ref_ratio_cal).get();
-            ctrl[k] = ((out_a.differential + out_b.differential) * 0.5).get();
-        }
-
-        // As in the scalar walk, the frame's last tick advances the surface
-        // layers over the frame after its thermal step and before its
-        // noise draws.
         let (early, last) = self
             .frame
             .normals
             .split_at_mut(NORMALS_PER_TICK * (depth - 1));
-        StandardNormal::fill(&mut self.rng, early);
+        let mut early = early.chunks_exact_mut(NORMALS_PER_TICK);
+        // The drive draws on a local copy of the generator, written back
+        // after the walk, so the sampler touches no meter state; its
+        // throughput-bound draws fill the latency gaps of the thermal
+        // recurrence.
+        let mut rng = self.rng.clone();
+        self.die
+            .step_thermal_with(self.dt, env, depth, |k, rh_a, rh_b, rt| {
+                let out_a = bridge.solve(supply, rh_a, rt);
+                let out_b = bridge.solve(supply, rh_b, rt);
+                dir[k] = (out_a.differential - out_b.differential).get();
+                temp[k] = (out_a.reference_mid - reference_level).get();
+                ctrl[k] = ((out_a.differential + out_b.differential) * 0.5).get();
+                if let Some(normals) = early.next() {
+                    StandardNormal::fill(&mut rng, normals);
+                }
+                (out_a.heater_power, out_b.heater_power)
+            });
+        self.rng = rng;
         self.die
             .step_surfaces(frame_dt, env.pressure, &mut self.rng);
         StandardNormal::fill(&mut self.rng, last);
@@ -1484,6 +1489,48 @@ mod tests {
             scalar.die().reference_resistance().get().to_bits(),
             framed.die().reference_resistance().get().to_bits()
         );
+    }
+
+    #[test]
+    fn step_frame_matches_scalar_steps_across_mid_frame_rederivations() {
+        // A cold start heats the die through King's-law re-derivations,
+        // and each fluid-temperature step moves the film again while the
+        // reference lags behind: the frame's thermal walk must leave its
+        // stretch and re-derive at the same ticks as the scalar walk.
+        let mut scalar = meter(5);
+        let mut framed = meter(5);
+        let frame = scalar.config().decimation;
+        let mut inside = 0;
+        for round in 0..40u32 {
+            let e = SensorEnvironment {
+                fluid_temperature: Celsius::new([15.0, 24.0, 9.0, 18.0][round as usize / 10]),
+                ..env(60.0)
+            };
+            let mut last = None;
+            for k in 0..frame {
+                let law = *scalar.die().kings_law();
+                if let Some(m) = scalar.step(e) {
+                    last = Some(m);
+                }
+                if k > 0 && *scalar.die().kings_law() != law {
+                    inside += 1;
+                }
+            }
+            assert_eq!(last, Some(framed.step_frame(e)), "round {round}");
+        }
+        assert!(inside > 0, "no re-derivation inside a frame");
+        let law_bits = |m: &FlowMeter| {
+            let law = m.die().kings_law();
+            [law.a(), law.b(), law.n()].map(f64::to_bits)
+        };
+        assert_eq!(law_bits(&scalar), law_bits(&framed));
+        for id in [HeaterId::A, HeaterId::B] {
+            assert_eq!(
+                scalar.die().heater_temperature(id).get().to_bits(),
+                framed.die().heater_temperature(id).get().to_bits()
+            );
+        }
+        assert_eq!(scalar.state_digest(), framed.state_digest());
     }
 
     /// A test-profile meter at the naive 40 K overheat with half of each
