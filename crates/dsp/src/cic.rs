@@ -93,60 +93,53 @@ impl CicDecimator {
     /// Pushes one high-rate sample; returns a decimated output every `R`
     /// samples.
     pub fn push(&mut self, x: i32) -> Option<i64> {
-        let mut acc = x as i64;
-        for stage in self.integrators.iter_mut().take(self.order) {
-            *stage = stage.wrapping_add(acc);
-            acc = *stage;
-        }
+        let acc = integrate(&mut self.integrators[..self.order], x);
         self.phase += 1;
         if self.phase < self.ratio {
             return None;
         }
         self.phase = 0;
-        let mut y = acc;
-        for stage in self.combs.iter_mut().take(self.order) {
-            let prev = *stage;
-            *stage = y;
-            y = y.wrapping_sub(prev);
-        }
-        Some(y)
+        Some(comb(&mut self.combs[..self.order], acc))
     }
 
     /// Pushes a block of high-rate samples, appending every decimated output
     /// produced along the way to `out`. Bit-identical to calling
-    /// [`push`](Self::push) per element — the integrator/comb arrays and the
-    /// phase counter are hoisted into locals so the inner walk stays in
-    /// registers instead of bouncing through `&mut self` per tick.
+    /// [`push`](Self::push) per element. The block runs in one walk
+    /// specialised to the filter's order, so the stage loops unroll and the
+    /// integrator/comb states and the phase counter stay in registers
+    /// instead of bouncing through `&mut self` per tick.
     ///
     /// Feeding exactly `ratio()` samples from a frame-aligned phase (phase
     /// 0) yields exactly one output.
     pub fn push_block(&mut self, xs: &[i32], out: &mut Vec<i64>) {
-        let order = self.order;
+        match self.order {
+            1 => self.push_block_of::<1>(xs, out),
+            2 => self.push_block_of::<2>(xs, out),
+            3 => self.push_block_of::<3>(xs, out),
+            4 => self.push_block_of::<4>(xs, out),
+            5 => self.push_block_of::<5>(xs, out),
+            6 => self.push_block_of::<6>(xs, out),
+            _ => unreachable!("order checked in new()"),
+        }
+    }
+
+    /// [`push_block`](Self::push_block) for order `N`.
+    fn push_block_of<const N: usize>(&mut self, xs: &[i32], out: &mut Vec<i64>) {
         let ratio = self.ratio;
-        let mut integrators = self.integrators;
-        let mut combs = self.combs;
+        let mut integrators: [i64; N] = std::array::from_fn(|i| self.integrators[i]);
+        let mut combs: [i64; N] = std::array::from_fn(|i| self.combs[i]);
         let mut phase = self.phase;
         for &x in xs {
-            let mut acc = x as i64;
-            for stage in integrators.iter_mut().take(order) {
-                *stage = stage.wrapping_add(acc);
-                acc = *stage;
-            }
+            let acc = integrate(&mut integrators, x);
             phase += 1;
             if phase < ratio {
                 continue;
             }
             phase = 0;
-            let mut y = acc;
-            for stage in combs.iter_mut().take(order) {
-                let prev = *stage;
-                *stage = y;
-                y = y.wrapping_sub(prev);
-            }
-            out.push(y);
+            out.push(comb(&mut combs, acc));
         }
-        self.integrators = integrators;
-        self.combs = combs;
+        self.integrators[..N].copy_from_slice(&integrators);
+        self.combs[..N].copy_from_slice(&combs);
         self.phase = phase;
     }
 
@@ -164,6 +157,29 @@ impl CicDecimator {
         self.combs = [0; MAX_ORDER];
         self.phase = 0;
     }
+}
+
+/// Runs one sample through the integrator cascade (wrapping, as the
+/// modular-arithmetic CIC requires); returns the last stage's output.
+#[inline(always)]
+fn integrate(stages: &mut [i64], x: i32) -> i64 {
+    let mut acc = x as i64;
+    for stage in stages {
+        *stage = stage.wrapping_add(acc);
+        acc = *stage;
+    }
+    acc
+}
+
+/// Runs one decimated sample through the comb cascade.
+#[inline(always)]
+fn comb(stages: &mut [i64], mut y: i64) -> i64 {
+    for stage in stages {
+        let prev = *stage;
+        *stage = y;
+        y = y.wrapping_sub(prev);
+    }
+    y
 }
 
 #[cfg(test)]
