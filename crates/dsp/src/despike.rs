@@ -30,34 +30,43 @@ impl Median5 {
         Median5::default()
     }
 
-    /// Pushes a sample and returns the median of the last five (fewer during
-    /// warm-up).
+    /// Pushes a sample and returns the median of the last five (during
+    /// warm-up, the upper median of the samples so far).
     pub fn push(&mut self, x: i32) -> i32 {
         self.window[self.head] = x;
-        self.head = (self.head + 1) % 5;
-        if self.filled < 5 {
-            self.filled += 1;
+        self.head += 1;
+        if self.head == 5 {
+            self.head = 0;
         }
-        let mut buf = [0i32; 5];
-        buf[..self.filled].copy_from_slice(
-            &{
-                let mut tmp = [0i32; 5];
-                for (i, t) in tmp.iter_mut().take(self.filled).enumerate() {
-                    // Oldest-to-newest order does not matter for a median.
-                    *t = self.window[(self.head + 5 - self.filled + i) % 5];
-                }
-                tmp
-            }[..self.filled],
-        );
-        let slice = &mut buf[..self.filled];
-        slice.sort_unstable();
-        slice[self.filled / 2]
+        if self.filled == 5 {
+            // The median does not depend on the samples' order, so the
+            // ring goes through the network as it lies.
+            return median_of_five(self.window);
+        }
+        // Warm-up: the ring has not wrapped, so its first `filled` slots
+        // hold every sample so far.
+        self.filled += 1;
+        let mut sorted = self.window;
+        let sorted = &mut sorted[..self.filled];
+        sorted.sort_unstable();
+        sorted[self.filled / 2]
     }
 
     /// Clears the window.
     pub fn reset(&mut self) {
         *self = Median5::default();
     }
+}
+
+/// The median of five values through a fixed min/max network. The larger
+/// of two pair minima and the smaller of the two pair maxima are the
+/// middle two of those four values; the median of all five is the median
+/// of those two and the fifth.
+#[inline]
+fn median_of_five([a, b, c, d, e]: [i32; 5]) -> i32 {
+    let low = a.min(b).max(c.min(d));
+    let high = a.max(b).min(c.max(d));
+    e.min(low).max(e.max(low).min(high))
 }
 
 /// A boxcar moving average with a 64-bit running sum.

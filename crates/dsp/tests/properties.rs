@@ -99,6 +99,31 @@ proptest! {
     }
 
     #[test]
+    fn median5_matches_a_sorted_window(
+        // Mostly a narrow range, so windows fill with ties, with a
+        // full-range sample now and then; `pick == 0` also resets the
+        // filter, so warm-up recurs mid-stream.
+        pushes in prop::collection::vec((-3i32..=3, any::<i32>(), 0u32..16), 1..200),
+    ) {
+        let mut m = Median5::new();
+        let mut window: Vec<i32> = Vec::new();
+        for &(narrow, wide, pick) in &pushes {
+            if pick == 0 {
+                m.reset();
+                window.clear();
+            }
+            let x = if pick < 4 { wide } else { narrow };
+            window.push(x);
+            if window.len() > 5 {
+                window.remove(0);
+            }
+            let mut sorted = window.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(m.push(x), sorted[sorted.len() / 2], "window {:?}", window);
+        }
+    }
+
+    #[test]
     fn moving_average_within_window_extremes(
         xs in prop::collection::vec(-1_000_000i32..=1_000_000, 1..128),
         len in 1usize..16,
