@@ -609,7 +609,7 @@ mod tests {
 
     #[test]
     fn write_and_load_are_inverse() {
-        let dir = std::env::temp_dir().join("hotwire-ck-test");
+        let dir = std::env::temp_dir().join(format!("hotwire-ck-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fleet.ck");
         let ck = FleetCheckpoint::new(1, 12, sample_shard(true));
@@ -620,6 +620,7 @@ mod tests {
         let missing = dir.join("never-written.ck");
         assert_eq!(FleetCheckpoint::load_if_present(&missing).unwrap(), None);
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

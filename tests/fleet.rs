@@ -227,7 +227,8 @@ fn sketch_aggregates_track_exact_within_alpha() {
 /// faulted lines in the population, on both AFE tiers.
 #[test]
 fn interrupted_resume_is_bit_identical_at_any_jobs() {
-    let dir = std::env::temp_dir().join("hotwire-fleet-resume-test");
+    let dir =
+        std::env::temp_dir().join(format!("hotwire-fleet-resume-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (jobs, fast_tier) in [(1, false), (2, false), (3, false), (2, true)] {
         let mut spec = faulted_fleet(13, 1.0, 0.3, 0.3).with_batch_size(4);
@@ -270,6 +271,7 @@ fn interrupted_resume_is_bit_identical_at_any_jobs() {
         }
         std::fs::remove_file(&path).unwrap();
     }
+    std::fs::remove_dir(&dir).unwrap();
 }
 
 /// A checkpoint this fleet could not have written refuses to seed its run
@@ -279,7 +281,10 @@ fn interrupted_resume_is_bit_identical_at_any_jobs() {
 /// count the remaining lines would overflow.
 #[test]
 fn resume_refuses_a_foreign_checkpoint() {
-    let dir = std::env::temp_dir().join("hotwire-fleet-foreign-ck-test");
+    let dir = std::env::temp_dir().join(format!(
+        "hotwire-fleet-foreign-ck-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("foreign.ck");
     let _ = std::fs::remove_file(&path);
@@ -325,6 +330,7 @@ fn resume_refuses_a_foreign_checkpoint() {
         "{reason}"
     );
     std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir(&dir).unwrap();
 }
 
 /// Regression: lines with NaN statistics (no settled coverage, no err

@@ -173,7 +173,10 @@ fn hybrid_maintained_fleet_is_jobs_invariant_on_both_modalities() {
 /// finishes identical to the uninterrupted run.
 #[test]
 fn maintained_fleet_resumes_bit_identical_after_kill() {
-    let dir = std::env::temp_dir().join("hotwire-maintenance-resume-test");
+    let dir = std::env::temp_dir().join(format!(
+        "hotwire-maintenance-resume-test-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     for modality in [Modality::Cta, Modality::HeatPulse] {
         let spec = maintained_fleet(modality, 9);
@@ -202,4 +205,5 @@ fn maintained_fleet_resumes_bit_identical_after_kill() {
         assert!(resumed.aggregates.maintenance.actions() > 0);
         std::fs::remove_file(&path).unwrap();
     }
+    std::fs::remove_dir(&dir).unwrap();
 }

@@ -262,7 +262,7 @@ fn mixed_modality_fleet_mixes_reference_comparators() {
 /// layer needs nothing modality-specific.
 #[test]
 fn heat_pulse_fleet_checkpoint_resumes_bit_identically() {
-    let dir = std::env::temp_dir().join("hotwire-hp-resume-test");
+    let dir = std::env::temp_dir().join(format!("hotwire-hp-resume-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("hp.ck");
     let _ = std::fs::remove_file(&path);
@@ -299,6 +299,7 @@ fn heat_pulse_fleet_checkpoint_resumes_bit_identically() {
         assert_eq!(a.meter_digest, b.meter_digest, "line {} meter", a.line);
     }
     std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir(&dir).unwrap();
 }
 
 /// A heat-pulse spec through the campaign path: same `RunSpec` surface,
