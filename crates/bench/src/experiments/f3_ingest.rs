@@ -55,8 +55,8 @@ pub struct IngestResult {
 /// The fleet template at a given scale: every `FAULT_STRIDE`-th line gets
 /// an ADC-stuck fault *and* a full-run UART corruption window, so the
 /// ingest service must recognize unhealthy lines through a degraded link.
-/// Public so `ingest_bench` and the determinism tests exercise exactly the
-/// experiment's population.
+/// Public so `hwbench`'s `ingest_replay` workload and the byte-ledger test
+/// (`tests/ingest_ledger.rs`) replay exactly the experiment's population.
 pub fn fleet_spec(lines: usize, duration_s: f64) -> FleetSpec {
     FleetSpec::new(
         "f3-ingest",

@@ -535,7 +535,11 @@ impl RunSpec {
     /// The number of samples a run of this spec is expected to record —
     /// the right capacity for a full-trace sink.
     pub fn expected_samples(&self) -> usize {
-        crate::runner::expected_samples(self.scenario.duration_s, self.sample_period_s)
+        crate::runner::expected_samples(
+            self.scenario.duration_s,
+            self.sample_period_s,
+            self.config.control_period().get(),
+        )
     }
 
     /// Executes this spec on the current thread, pushing every recorded
@@ -926,6 +930,28 @@ mod tests {
             derive_seed(0xBEEF, i),
         )
         .with_windows((1.0, 1.0))
+    }
+
+    /// `execute` sizes a full trace by what the run can record: one
+    /// sample per control tick, however short the spec's cadence.
+    #[test]
+    fn full_trace_reserves_only_what_a_run_can_record() {
+        let s = RunSpec::new(
+            "fine-cadence",
+            FlowMeterConfig::test_profile(),
+            Scenario::steady(100.0, 0.5),
+            5,
+        )
+        .with_sample_period(1e-5);
+        let outcome = s.execute().unwrap();
+        let rows = outcome.trace.samples.len();
+        assert!(s.expected_samples() <= rows + 2, "{}", s.expected_samples());
+        assert!(
+            outcome.trace.samples.heap_bytes()
+                <= crate::record::TraceStore::with_capacity(rows + 2).heap_bytes(),
+            "reserved {} bytes for {rows} rows",
+            outcome.trace.samples.heap_bytes()
+        );
     }
 
     #[test]

@@ -770,7 +770,7 @@ impl FleetSpec {
         let count = count.max(1);
         let base = self.lines / count;
         let rem = self.lines % count;
-        let mut shards = Vec::with_capacity(count);
+        let mut shards = Vec::with_capacity(count.min(self.lines));
         let mut start = 0usize;
         for i in 0..count {
             let len = base + usize::from(i < rem);
@@ -878,8 +878,8 @@ impl FleetSpec {
     /// [`FleetSpec::run_checkpointed`] with a progress observer invoked at
     /// every batch boundary. Returning [`ControlFlow::Break`] stops the
     /// run with [`FleetError::Interrupted`] — the deterministic stand-in
-    /// for a kill, used by the resume tests and `fleet_bench
-    /// --kill-after-lines`.
+    /// for a kill, used by the resume tests (one of which also ends its
+    /// own child process from the observer, a real kill).
     ///
     /// # Errors
     ///
@@ -1325,9 +1325,9 @@ impl ShardAggregates {
         Ok(())
     }
 
-    /// Approximate retained heap of the accumulator, bytes — what
-    /// `fleet_bench` reports to demonstrate O(shard) memory. Sketch
-    /// buckets plus incidence keys plus any retained summaries.
+    /// Approximate retained heap of the accumulator, bytes — what the
+    /// fleet tests bound to show O(shard) memory. Sketch buckets plus
+    /// incidence keys plus any retained summaries.
     pub fn heap_bytes(&self) -> usize {
         let incidence: usize = self
             .fault_incidence

@@ -582,9 +582,8 @@ fn check_config(config: &IngestConfig) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// [`ingest_line`] for an explicit [`RunSpec`] — the load-generator entry
-/// point `ingest_bench` uses to capture a corpus once and replay it many
-/// times.
+/// [`ingest_line`] for an explicit [`RunSpec`]: one wiretapped run, fed
+/// through one session.
 ///
 /// # Errors
 ///

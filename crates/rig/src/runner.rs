@@ -196,7 +196,11 @@ impl<M: Meter> LineRunner<M> {
     /// record (+1 covers the t=0 sample, +1 the final edge) — the right
     /// capacity to reserve in a full-trace sink.
     pub fn expected_samples(&self, sample_period_s: f64) -> usize {
-        expected_samples(self.line.scenario().duration_s, sample_period_s)
+        expected_samples(
+            self.line.scenario().duration_s,
+            sample_period_s,
+            self.control_dt.get(),
+        )
     }
 
     /// Runs the scenario to completion, recording one sample every
@@ -367,11 +371,14 @@ impl<M: Meter> LineRunner<M> {
 }
 
 /// Expected sample count for a `duration_s` scenario at `sample_period_s`
-/// (+1 covers the t=0 sample, +1 the final edge) — the right capacity for
-/// a full-trace sink.
-pub fn expected_samples(duration_s: f64, sample_period_s: f64) -> usize {
+/// on a meter whose control tick is `control_period_s` (+1 covers the t=0
+/// sample, +1 the final edge) — the right capacity for a full-trace sink.
+/// The runner records at most one sample per control tick, so a cadence
+/// shorter than the tick reserves for the tick: the reservation never
+/// grows with a smaller `sample_period_s` than the run can record.
+pub fn expected_samples(duration_s: f64, sample_period_s: f64, control_period_s: f64) -> usize {
     if sample_period_s > 0.0 {
-        (duration_s / sample_period_s).ceil() as usize + 2
+        (duration_s / sample_period_s.max(control_period_s)).ceil() as usize + 2
     } else {
         0
     }
@@ -388,6 +395,22 @@ mod tests {
 
     fn test_meter(seed: u64) -> FlowMeter {
         FlowMeter::new(FlowMeterConfig::test_profile(), MafParams::nominal(), seed).unwrap()
+    }
+
+    /// A cadence far below the control tick records one sample per tick,
+    /// and the full trace is sized for those, not for the cadence (which
+    /// reserved 50 002 rows for the 250 this run records).
+    #[test]
+    fn full_trace_reserves_only_what_a_run_can_record() {
+        let mut runner = LineRunner::new(Scenario::steady(100.0, 0.5), test_meter(3), 3);
+        let trace = runner.run(1e-5);
+        let rows = trace.samples.len();
+        assert_eq!(rows, 250, "one sample per 2 ms control tick");
+        assert!(
+            trace.samples.heap_bytes() <= TraceStore::with_capacity(rows + 2).heap_bytes(),
+            "reserved {} bytes for {rows} rows",
+            trace.samples.heap_bytes()
+        );
     }
 
     #[test]

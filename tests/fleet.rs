@@ -9,10 +9,14 @@
 //!   1000-line fleet holds zero trace bytes; above the exact threshold
 //!   the accumulator is a fixed-size sketch (O(shard), not O(lines));
 //! * **restartability** — a run killed between batches and resumed from
-//!   its checkpoint finishes with the uninterrupted run's exact bits.
+//!   its checkpoint finishes with the uninterrupted run's exact bits, a
+//!   real process death included.
 
 use std::ops::ControlFlow;
+use std::path::Path;
+use std::process::Command;
 
+use hotwire::core::config::AfeTier;
 use hotwire::prelude::*;
 
 /// A low-rate config so the 1000-line test stays cheap in debug builds
@@ -157,7 +161,7 @@ fn thousand_line_fleet_is_metrics_only_and_jobs_invariant() {
 fn sharded_merge_reproduces_monolithic_bits() {
     let spec = faulted_fleet(26, 1.5, 0.4, 0.4).with_batch_size(7);
     let mono = spec.run_jobs(1).unwrap();
-    for (shards, jobs) in [(2, 1), (3, 2), (5, 3), (26, 2)] {
+    for (shards, jobs) in [(2, 1), (3, 2), (5, 3), (26, 2), (usize::MAX, 2)] {
         let sharded = spec.run_sharded(shards, jobs).unwrap();
         assert_outcomes_identical(&mono, &sharded, &format!("{shards} shards at jobs {jobs}"));
     }
@@ -176,6 +180,30 @@ fn sharded_merge_reproduces_monolithic_bits() {
         format!("{merged:?}"),
         "hand-merged shards diverge from the monolithic aggregates"
     );
+}
+
+/// O(shard) memory at fleet scale: on the sketch path every shard's
+/// accumulator stays under a fixed 64 KiB (two bounded sketches plus the
+/// fault-incidence map) however many lines it folds, keeps no per-line
+/// summary, and its fast-tier lines hold no trace bytes.
+#[test]
+fn sketch_path_shards_hold_bounded_heap_and_no_summaries() {
+    let spec = faulted_fleet(800, 0.6, 0.2, 0.2)
+        .with_config(LineConfig::new().with_afe_tier(AfeTier::Fast))
+        .with_exact_threshold(0);
+    let shards = spec.shards(8);
+    assert_eq!(shards.len(), 8);
+    for (i, shard) in shards.into_iter().enumerate() {
+        let part = shard.run_jobs(2).unwrap();
+        assert_eq!(part.lines(), 100, "shard {i}");
+        assert!(
+            part.heap_bytes() <= 64 * 1024,
+            "shard {i} holds {} heap bytes",
+            part.heap_bytes()
+        );
+        assert!(part.summaries.is_empty(), "shard {i} kept line summaries");
+        assert_eq!(part.trace_heap_bytes, 0, "shard {i} held trace bytes");
+    }
 }
 
 /// The sketch path (exact_threshold 0) keeps integer aggregates, extrema
@@ -241,8 +269,8 @@ fn interrupted_resume_is_bit_identical_at_any_jobs() {
         let path = dir.join(format!("jobs{jobs}-fast{fast_tier}.ck"));
         let _ = std::fs::remove_file(&path);
         // First attempt: stop mid-run after the first batch boundary —
-        // the deterministic stand-in for a kill (fleet_bench exercises
-        // the real process death in CI).
+        // the deterministic stand-in for a kill (the test below kills a
+        // real process).
         let stopped = spec.run_checkpointed_with(&path, 1, jobs, |progress| {
             if progress.completed_lines >= 4 {
                 ControlFlow::Break(())
@@ -271,6 +299,63 @@ fn interrupted_resume_is_bit_identical_at_any_jobs() {
         }
         std::fs::remove_file(&path).unwrap();
     }
+    std::fs::remove_dir(&dir).unwrap();
+}
+
+/// Set only in the child process of
+/// `killed_process_resumes_bit_identically_from_its_checkpoint`, to the
+/// checkpoint path the child writes before it dies.
+const KILL_CHILD_CHECKPOINT: &str = "HOTWIRE_FLEET_KILL_CHILD_CHECKPOINT";
+
+/// Exit code of the child's deliberate death, so a crash reads otherwise.
+const KILL_EXIT: i32 = 86;
+
+/// A real process death: this test re-runs its own executable as a child,
+/// which runs a checkpointed fleet and exits from the progress callback once
+/// 8 lines are on disk — no unwinding, no cleanup, the durable state is
+/// what the atomic checkpoint write left. The parent then resumes from that
+/// file and must finish with the uninterrupted run's bits.
+#[test]
+fn killed_process_resumes_bit_identically_from_its_checkpoint() {
+    let spec = faulted_fleet(24, 1.0, 0.3, 0.3)
+        .with_config(LineConfig::new().with_afe_tier(AfeTier::Fast))
+        .with_batch_size(4);
+    if let Some(path) = std::env::var_os(KILL_CHILD_CHECKPOINT) {
+        let _ = spec.run_checkpointed_with(Path::new(&path), 1, 2, |progress| {
+            if progress.completed_lines >= 8 {
+                std::process::exit(KILL_EXIT);
+            }
+            ControlFlow::Continue(())
+        });
+        panic!("the child finished the fleet instead of dying");
+    }
+    let dir = std::env::temp_dir().join(format!("hotwire-fleet-kill-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("killed.ck");
+    let _ = std::fs::remove_file(&path);
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "killed_process_resumes_bit_identically_from_its_checkpoint",
+        ])
+        .env(KILL_CHILD_CHECKPOINT, &path)
+        .output()
+        .unwrap();
+    assert_eq!(
+        child.status.code(),
+        Some(KILL_EXIT),
+        "child: {}",
+        String::from_utf8_lossy(&child.stderr)
+    );
+    let on_disk = std::fs::metadata(&path).map_or(0, |m| m.len());
+    assert!(on_disk > 0, "the killed process left no checkpoint");
+    let resumed = spec.run_checkpointed(&path, 1, 2).unwrap();
+    let uninterrupted = spec.run_jobs(2).unwrap();
+    assert_outcomes_identical(&uninterrupted, &resumed, "resume after a process death");
+    for (a, b) in uninterrupted.lines.iter().zip(&resumed.lines) {
+        assert_eq!(a.meter_digest, b.meter_digest, "line {} meter", a.line);
+    }
+    std::fs::remove_file(&path).unwrap();
     std::fs::remove_dir(&dir).unwrap();
 }
 

@@ -257,6 +257,41 @@ fn mixed_modality_fleet_mixes_reference_comparators() {
     );
 }
 
+/// Heat-pulse DUT lines with every 4th line a Promag reference comparator:
+/// two sensing physics plus a truth channel through one generic engine owe
+/// the CTA fleet's contract — the same bits at jobs 1 and 2, and from 3
+/// shards merged in line order (the reference stride crosses the shard
+/// boundaries).
+#[test]
+fn heat_pulse_and_promag_fleet_is_jobs_and_shard_invariant() {
+    let spec = FleetSpec::new(
+        "mixed-heat-pulse",
+        FlowMeterConfig::test_profile(),
+        Scenario::steady(100.0, 2.0),
+        0x4D31_F1EE,
+    )
+    .with_config(LineConfig::new().with_modality(Modality::HeatPulse))
+    .with_lines(16)
+    .with_sample_period(0.05)
+    .with_windows(Windows::settled(1.0, 2.0))
+    .with_variation(
+        LineVariation::new()
+            .with_flow_jitter(0.03)
+            .with_references_every(4, 3, ReferenceKind::Promag),
+    );
+    let mono = spec.run_jobs(1).unwrap();
+    let parallel = spec.run_jobs(2).unwrap();
+    let sharded = spec.run_sharded(3, 2).unwrap();
+    for (other, what) in [(&parallel, "jobs 2"), (&sharded, "3 shards")] {
+        assert_eq!(
+            format!("{mono:?}"),
+            format!("{other:?}"),
+            "mixed heat-pulse/Promag fleet diverges at {what}"
+        );
+    }
+    assert_eq!(mono.lines.len(), 16);
+}
+
 /// A heat-pulse fleet interrupted between batches resumes from its
 /// checkpoint with the uninterrupted run's exact bits — the checkpoint
 /// layer needs nothing modality-specific.

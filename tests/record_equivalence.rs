@@ -205,3 +205,30 @@ fn reductions_are_policy_and_jobs_invariant() {
         );
     }
 }
+
+/// Endurance: half an hour of simulated deployment under
+/// [`RecordPolicy::MetricsOnly`] (1 kHz modulator decimated by 2, the test
+/// profile's 500 Hz control rate at 1/32 the modulator cost) streams every
+/// sample through the reductions and keeps a trace store of zero bytes —
+/// the paper's months-long water-station logging, in miniature.
+#[test]
+fn metrics_only_endurance_run_holds_no_trace_bytes() {
+    let config = FlowMeterConfig {
+        modulator_rate: hotwire::units::Hertz::new(1000.0),
+        decimation: 2,
+        ..FlowMeterConfig::test_profile()
+    };
+    let outcome = RunSpec::new("endurance", config, Scenario::steady(100.0, 1800.0), 0xBE7C)
+        .with_sample_period(0.01)
+        .with_windows(Windows::settled(30.0, 0.0).with_err(30.0, f64::INFINITY))
+        .with_record(RecordPolicy::MetricsOnly)
+        .execute()
+        .unwrap();
+    assert!(
+        outcome.reduced.samples > 150_000,
+        "{}",
+        outcome.reduced.samples
+    );
+    assert_eq!(outcome.trace.samples.heap_bytes(), 0);
+    assert!(outcome.trace.samples.is_empty());
+}
