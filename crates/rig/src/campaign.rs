@@ -796,8 +796,9 @@ pub fn collect_calibration_points(
             while !line.finished() {
                 // A fresh replica is frame-aligned and stays aligned: each
                 // control tick is one whole modulator frame, run as a SoA
-                // block walk (bit-identical to per-tick stepping).
-                let _ = meter.step_frame(env);
+                // block walk (bit-identical to per-tick stepping). Only the
+                // conductance is read, so the velocity is never decoded.
+                meter.advance_frame(env);
                 env = line.step(control_dt);
                 let promag_reading = promag.step(control_dt, line.bulk_velocity(), &mut ref_rng);
                 if line.time() >= recipe.settle_s {

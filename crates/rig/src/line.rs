@@ -45,6 +45,12 @@ impl WaterLine {
         self.time
     }
 
+    /// The scenario time [`step`](Self::step)`(dt)` will move the clock to.
+    #[inline]
+    pub fn time_after(&self, dt: Seconds) -> f64 {
+        self.time + dt.get()
+    }
+
     /// `true` once the scenario has run its full duration.
     pub fn finished(&self) -> bool {
         self.time >= self.scenario.duration_s
@@ -66,7 +72,7 @@ impl WaterLine {
     /// Advances the line by `dt` and returns the probe environment for the
     /// new instant.
     pub fn step(&mut self, dt: Seconds) -> SensorEnvironment {
-        self.time += dt.get();
+        self.time = self.time_after(dt);
         let t = self.time;
         self.bulk = MetersPerSecond::from_cm_per_s(self.scenario.flow_cm_s.value_at(t));
         let temperature = Celsius::new(self.scenario.temperature_c.value_at(t));

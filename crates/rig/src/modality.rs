@@ -335,6 +335,10 @@ impl Meter for AnyMeter {
         dispatch!(self, m => m.step_frame(env))
     }
 
+    fn advance_frame(&mut self, env: SensorEnvironment) {
+        dispatch!(self, m => m.advance_frame(env))
+    }
+
     fn frame_phase(&self) -> u32 {
         dispatch!(self, m => m.frame_phase())
     }

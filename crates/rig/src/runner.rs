@@ -285,7 +285,16 @@ impl<M: Meter> LineRunner<M> {
             let m = if self.meter.frame_phase() == 0 && !subtick_fault {
                 // Hot path: the whole modulator-rate frame runs as one SoA
                 // block walk, bit-identical to the per-tick ticks below.
-                let m = self.meter.step_frame(self.env);
+                // Only an observer or a sample due after the frame reads
+                // its measurement; any other frame skips what only the
+                // measurement needs.
+                let read = observing || self.line.time_after(self.control_dt) >= next_sample_t;
+                let m = if read {
+                    Some(self.meter.step_frame(self.env))
+                } else {
+                    self.meter.advance_frame(self.env);
+                    None
+                };
                 if let Some(obs) = run_obs.as_mut() {
                     obs.counters.modulator_steps += frame_ticks;
                     steps_since_control += frame_ticks;
@@ -301,9 +310,10 @@ impl<M: Meter> LineRunner<M> {
                     steps_since_control += 1;
                 }
                 let Some(m) = measurement else { continue };
-                m
+                Some(m)
             };
             if let Some(obs) = run_obs.as_mut() {
+                let m = m.expect("an observed run reads every frame");
                 obs.counters.control_ticks += 1;
                 // Modulator ticks from the ADC samples entering the channel
                 // to this conditioned measurement (= the CIC decimation).
@@ -328,6 +338,7 @@ impl<M: Meter> LineRunner<M> {
 
             let t = self.line.time();
             if t >= next_sample_t {
+                let m = m.expect("the frame before a due sample is read");
                 next_sample_t = t + sample_period_s;
                 if let Some(injector) = self.injector.as_mut() {
                     injector.observe(t, &m, &mut self.meter);

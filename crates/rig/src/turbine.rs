@@ -35,6 +35,11 @@ pub struct TurbineMeter {
     travel_m: f64,
     /// Internal LCG state for gate-to-gate bearing jitter.
     jitter_state: u64,
+    /// Memo of the rotor lag `1 − exp(−dt/τ)`, keyed on the bits of `dt`
+    /// (τ is fixed at construction, and a run steps at one control
+    /// period). A miss re-derives the same factor, so the memo is not
+    /// meter state.
+    lag_cache: Option<(u64, f64)>,
 }
 
 impl TurbineMeter {
@@ -53,6 +58,7 @@ impl TurbineMeter {
             reading: MetersPerSecond::ZERO,
             travel_m: 0.0,
             jitter_state: 0x5DEECE66D,
+            lag_cache: None,
         }
     }
 
@@ -77,7 +83,7 @@ impl TurbineMeter {
             // Bearing drag subtracts a fraction of the starting velocity.
             demand - 0.5 * self.effective_starting_velocity().get()
         };
-        let alpha = 1.0 - (-dt.get() / self.rotor_tau.get()).exp();
+        let alpha = self.rotor_lag(dt);
         self.rotor_velocity += alpha * (target - self.rotor_velocity);
         self.travel_m += self.rotor_velocity * dt.get();
 
@@ -111,6 +117,19 @@ impl TurbineMeter {
             self.since_gate = 0.0;
         }
         self.reading
+    }
+
+    /// The rotor lag factor `1 − exp(−dt/τ)` through the memo.
+    fn rotor_lag(&mut self, dt: Seconds) -> f64 {
+        let dt_bits = dt.get().to_bits();
+        match self.lag_cache {
+            Some((bits, alpha)) if bits == dt_bits => alpha,
+            _ => {
+                let alpha = 1.0 - (-dt.get() / self.rotor_tau.get()).exp();
+                self.lag_cache = Some((dt_bits, alpha));
+                alpha
+            }
+        }
     }
 
     /// The latest held reading.
@@ -221,6 +240,42 @@ mod tests {
         });
         assert_eq!(bits, PINNED);
         assert_eq!(m.travel_m().to_bits(), 0x409a1c177af4333b);
+    }
+
+    /// The memoized rotor lag returns exactly what recomputing
+    /// `1 − exp(−dt/τ)` every tick returns: the rotor and its travel follow
+    /// a fresh recomputation bit for bit through steps whose `dt` changes
+    /// (a miss at each change, hits in between).
+    #[test]
+    fn memoized_rotor_lag_matches_fresh_recomputation_bit_for_bit() {
+        let mut m = TurbineMeter::dn50();
+        let tau = m.rotor_tau.get();
+        let (mut rotor, mut travel) = (0.0f64, 0.0f64);
+        for (dt_ms, v_cm_s) in [
+            (2.0, 100.0),
+            (1.0, 20.0),
+            (2.0, -250.0),
+            (0.5, 4.0),
+            (2.0, 60.0),
+        ] {
+            let dt = Seconds::from_millis(dt_ms);
+            let bulk = MetersPerSecond::from_cm_per_s(v_cm_s);
+            for _ in 0..400 {
+                let start = m.effective_starting_velocity().get();
+                let demand = bulk.get().abs();
+                let target = if demand < start {
+                    0.0
+                } else {
+                    demand - 0.5 * start
+                };
+                let alpha = 1.0 - (-dt.get() / tau).exp();
+                rotor += alpha * (target - rotor);
+                travel += rotor * dt.get();
+                m.step(dt, bulk);
+                assert_eq!(m.rotor_velocity.to_bits(), rotor.to_bits(), "dt {dt_ms} ms");
+                assert_eq!(m.travel_m.to_bits(), travel.to_bits(), "dt {dt_ms} ms");
+            }
+        }
     }
 
     #[test]

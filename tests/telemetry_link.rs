@@ -85,7 +85,6 @@ fn burst_probe_reports_over_the_link() {
     let m = probe
         .meter()
         .last_measurement()
-        .copied()
         .expect("burst produced control ticks");
     let record = TelemetryRecord::from_measurement(&m);
     let frame = record.to_frame().expect("encodes");
