@@ -40,12 +40,9 @@
 //!   and one without compute bit-identical measurements; observers only
 //!   receive events.
 //!
-//! # Object safety
-//!
-//! The trait is deliberately dyn-compatible (no generic methods, no
-//! `Self`-returning methods), which `tests/meter_trait.rs` asserts at
-//! compile time; the engines are nonetheless generic (`LineRunner<M>`)
-//! so the hot loop monomorphizes and pays no vtable dispatch.
+//! The engines are generic (`LineRunner<M>`), so the hot loop
+//! monomorphizes; the rig's closed `AnyMeter` enum carries every modality
+//! through one generic instantiation.
 
 use crate::error::CoreError;
 use crate::faults::AdcFault;
@@ -146,7 +143,7 @@ pub trait Meter: Send + std::fmt::Debug {
     // whether the calibration underneath is a King's-law fit or a
     // time-of-flight scale. All defaults are inert no-ops so stateless
     // instruments (the rig's reference adapters) satisfy the contract
-    // without code, and the trait stays dyn-compatible.
+    // without code.
     //
     // Determinism: none of these methods may draw from the meter's RNG
     // lanes (they run at frame boundaries between RNG-consuming steps, and
@@ -259,13 +256,4 @@ pub trait Meter: Send + std::fmt::Debug {
 
     /// Worst-case fouling thickness across the sensing surfaces, µm.
     fn worst_fouling_um(&self) -> f64;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The trait is dyn-compatible: engines could hold `Box<dyn Meter>`
-    /// (they stay generic instead, for monomorphized hot loops).
-    fn _object_safe(_: &dyn Meter) {}
 }

@@ -38,6 +38,7 @@
 //! # Ok::<(), hotwire_core::CoreError>(())
 //! ```
 
+use crate::clock::TickClock;
 use crate::exec;
 use crate::fault::FaultSchedule;
 use crate::line::WaterLine;
@@ -347,6 +348,130 @@ pub enum Calibration {
     },
 }
 
+/// A run input that no run accepts, found by [`RunSpec::validate`] and
+/// [`FleetSpec::validate`](crate::FleetSpec::validate) before any control
+/// tick runs. [`RunSpec::execute`] returns it as [`CoreError::Config`],
+/// `FleetSpec::validate` wrapped in
+/// [`FleetSpecError::Line`](crate::FleetSpecError::Line).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecError {
+    /// `sample_period_s` is not a positive finite number.
+    BadSamplePeriod,
+    /// `scenario.duration_s` is NaN, infinite or negative, or holds more
+    /// control frames than a `u64` counts; or a [`Calibration::Field`]
+    /// recipe's `settle_s + average_s` is not finite (a non-finite run
+    /// never finishes).
+    BadDuration,
+    /// The scenario's flow, pressure or temperature schedule holds a
+    /// non-finite value (see [`Schedule::is_finite`](crate::Schedule::is_finite)).
+    NonFiniteSchedule {
+        /// The offending schedule: `flow_cm_s`, `pressure_bar` or
+        /// `temperature_c`.
+        schedule: &'static str,
+    },
+    /// A fault event has a non-finite window or parameter (see
+    /// [`FaultEvent::is_finite`](crate::fault::FaultEvent::is_finite)).
+    NonFiniteFault {
+        /// The event's index in the schedule.
+        event: usize,
+        /// The event's fault class.
+        fault: &'static str,
+    },
+    /// A windowed fault is shorter than one control tick (see
+    /// [`FaultEvent::is_subtick`](crate::fault::FaultEvent::is_subtick)).
+    SubTickFault {
+        /// The event's index in the schedule.
+        event: usize,
+        /// The event's fault class.
+        fault: &'static str,
+    },
+}
+
+impl SpecError {
+    /// The rule the input broke, without the offending schedule or event.
+    fn reason(&self) -> &'static str {
+        match self {
+            SpecError::BadSamplePeriod => {
+                "sample period must be a positive finite number of seconds"
+            }
+            SpecError::BadDuration => {
+                "scenario duration must be finite, non-negative and hold at most \
+                 2^64 control frames, and field-calibration windows finite"
+            }
+            SpecError::NonFiniteSchedule { .. } => "a scenario schedule holds a non-finite value",
+            SpecError::NonFiniteFault { .. } => {
+                "a fault event has a non-finite window or parameter"
+            }
+            SpecError::SubTickFault { .. } => "a windowed fault is shorter than one control tick",
+        }
+    }
+}
+
+impl core::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(self.reason())?;
+        match self {
+            SpecError::NonFiniteSchedule { schedule } => write!(f, " ({schedule})"),
+            SpecError::NonFiniteFault { event, fault }
+            | SpecError::SubTickFault { event, fault } => write!(f, " (event {event}, {fault})"),
+            SpecError::BadSamplePeriod | SpecError::BadDuration => Ok(()),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+impl From<SpecError> for CoreError {
+    fn from(e: SpecError) -> Self {
+        CoreError::Config { reason: e.reason() }
+    }
+}
+
+/// Checks one line's run inputs against what a run on `clock` accepts —
+/// the sample period, the duration, the field-calibration windows, the
+/// scenario schedules, and each fault's window and parameters — before
+/// any of them is converted to control ticks. [`RunSpec::validate`] and
+/// [`FleetSpec::validate`](crate::FleetSpec::validate) both come through
+/// here.
+pub(crate) fn check_line(
+    clock: TickClock,
+    scenario: &Scenario,
+    sample_period_s: f64,
+    calibration: &Calibration,
+    faults: Option<&FaultSchedule>,
+) -> Result<(), SpecError> {
+    if !(sample_period_s.is_finite() && sample_period_s > 0.0) {
+        return Err(SpecError::BadSamplePeriod);
+    }
+    let duration = scenario.duration_s;
+    let endless_calibration = match calibration {
+        Calibration::Field(recipe) => !(recipe.settle_s + recipe.average_s).is_finite(),
+        _ => false,
+    };
+    if !(duration >= 0.0 && clock.frames(duration).is_some()) || endless_calibration {
+        return Err(SpecError::BadDuration);
+    }
+    for (schedule, values) in [
+        ("flow_cm_s", &scenario.flow_cm_s),
+        ("pressure_bar", &scenario.pressure_bar),
+        ("temperature_c", &scenario.temperature_c),
+    ] {
+        if !values.is_finite() {
+            return Err(SpecError::NonFiniteSchedule { schedule });
+        }
+    }
+    for (event, e) in faults.iter().flat_map(|s| s.events.iter()).enumerate() {
+        let fault = e.kind.name();
+        if !e.is_finite() {
+            return Err(SpecError::NonFiniteFault { event, fault });
+        }
+        if e.is_subtick(clock) {
+            return Err(SpecError::SubTickFault { event, fault });
+        }
+    }
+    Ok(())
+}
+
 /// A declarative description of one co-simulation run.
 ///
 /// Everything a run depends on is in the spec; two equal specs produce
@@ -532,13 +657,31 @@ impl RunSpec {
         self.windows.reduction_plan()
     }
 
-    /// The number of samples a run of this spec is expected to record —
-    /// the right capacity for a full-trace sink.
+    /// The number of samples a run of this spec records — the right
+    /// capacity for a full-trace sink (see
+    /// [`runner::expected_samples`](crate::runner::expected_samples)).
     pub fn expected_samples(&self) -> usize {
         crate::runner::expected_samples(
             self.scenario.duration_s,
             self.sample_period_s,
             self.config.control_period().get(),
+        )
+    }
+
+    /// Checks this spec's run inputs on its meter's control clock: the
+    /// sample period, the duration, the field-calibration windows, the
+    /// scenario schedules, and each fault's window and parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`SpecError`] found.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        check_line(
+            TickClock::new(self.config.control_period()),
+            &self.scenario,
+            self.sample_period_s,
+            &self.calibration,
+            self.faults.as_ref(),
         )
     }
 
@@ -554,9 +697,11 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError`] if the meter cannot be built or the
-    /// calibration fit fails (e.g. a railed bridge at an unreachable
-    /// overheat — experiment `a01` treats that as a data point).
+    /// Returns [`CoreError::Config`] if the spec fails
+    /// [`validate`](Self::validate), and [`CoreError`] if the meter cannot
+    /// be built or the calibration fit fails (e.g. a railed bridge at an
+    /// unreachable overheat — experiment `a01` treats that as a data
+    /// point).
     pub fn execute_with<R: Recorder + ?Sized>(
         &self,
         recorder: &mut R,
@@ -616,6 +761,7 @@ impl RunSpec {
         recorder: &mut R,
         wiretap: bool,
     ) -> Result<(RunTail, AnyMeter, Vec<u8>), CoreError> {
+        self.validate()?;
         let mut meter = self.build_dut()?;
         if self.obs.enabled {
             // Installed after calibration and auto-zero, so the event log
@@ -647,6 +793,8 @@ impl RunSpec {
     ///
     /// See [`execute_with`](Self::execute_with).
     pub fn execute(&self) -> Result<RunOutcome, CoreError> {
+        // Refused before the trace is sized, too.
+        self.validate()?;
         let mut recorder = PolicyRecorder::new(self.record, self.reduction_plan());
         recorder.reserve(self.expected_samples());
         let (tail, meter) = self.execute_with(&mut recorder)?;
@@ -771,8 +919,9 @@ pub fn build_meter(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError`] if a replica cannot be built or a setpoint
-/// records no settled samples.
+/// Returns [`CoreError::Config`] if the recipe's windows do not add up to
+/// a finite run, and [`CoreError`] if a replica cannot be built or a
+/// setpoint records no settled samples.
 pub fn collect_calibration_points(
     prototype: &FlowMeter,
     recipe: &FieldCalibration,
@@ -781,19 +930,26 @@ pub fn collect_calibration_points(
     let config = *prototype.config();
     let params = *prototype.die().params();
     let meter_seed = prototype.build_seed();
+    let control_dt = config.control_period();
+    let clock = TickClock::new(control_dt);
+    let frames = clock
+        .frames(recipe.settle_s + recipe.average_s)
+        .ok_or(CoreError::Config {
+            reason: "field-calibration windows must add up to a finite run",
+        })?;
+    let settled_tick = clock.tick_at(recipe.settle_s);
     let results = exec::parallel_map_indexed(
         &recipe.setpoints_cm_s,
         jobs,
         |i, &setpoint| -> Result<(CalPoint, f64), CoreError> {
             let mut meter = FlowMeter::new(config, params, meter_seed)?;
-            let control_dt = config.control_period();
             let scenario = Scenario::steady(setpoint, recipe.settle_s + recipe.average_s);
             let mut line = WaterLine::new(scenario, recipe.seed.wrapping_add(i as u64));
             let mut promag = Promag50::new(config.full_scale);
             let mut ref_rng = StdRng::seed_from_u64(recipe.seed ^ ((i as u64) << 8));
             let mut env = SensorEnvironment::still_water();
             let (mut g_sum, mut v_sum, mut n) = (0.0, 0.0, 0u64);
-            while !line.finished() {
+            for frame in 0..frames {
                 // A fresh replica is frame-aligned and stays aligned: each
                 // control tick is one whole modulator frame, run as a SoA
                 // block walk (bit-identical to per-tick stepping). Only the
@@ -801,7 +957,7 @@ pub fn collect_calibration_points(
                 meter.advance_frame(env);
                 env = line.step(control_dt);
                 let promag_reading = promag.step(control_dt, line.bulk_velocity(), &mut ref_rng);
-                if line.time() >= recipe.settle_s {
+                if frame + 1 >= settled_tick {
                     g_sum += meter.instantaneous_conductance().get();
                     v_sum += promag_reading.to_cm_per_s().abs();
                     n += 1;
@@ -946,12 +1102,10 @@ mod tests {
         .with_sample_period(1e-5);
         let outcome = s.execute().unwrap();
         let rows = outcome.trace.samples.len();
-        assert!(s.expected_samples() <= rows + 2, "{}", s.expected_samples());
-        assert!(
-            outcome.trace.samples.heap_bytes()
-                <= crate::record::TraceStore::with_capacity(rows + 2).heap_bytes(),
-            "reserved {} bytes for {rows} rows",
-            outcome.trace.samples.heap_bytes()
+        assert_eq!(s.expected_samples(), rows);
+        assert_eq!(
+            outcome.trace.samples.heap_bytes(),
+            crate::record::TraceStore::with_capacity(rows).heap_bytes()
         );
     }
 

@@ -17,14 +17,19 @@
 //!   the heater surfaces. These attack the §4 liquid-specific failure
 //!   modes directly, bypassing the slow natural growth models.
 //!
-//! Windowed faults (ADC, DAC, brownout, UART) are active over
-//! `[at_s, at_s + duration_s)` and reverted afterwards; impulse faults
-//! (EEPROM flip, bubble burst, fouling step) fire once at `at_s` and leave
-//! the firmware's graceful-degradation machinery
+//! Faults run on the control-tick clock ([`crate::clock`]): an event's
+//! onset `at_s` and its end `at_s + duration_s` each move to the first
+//! control frame that starts at or after them. Windowed faults (ADC, DAC,
+//! brownout, UART) engage before their onset frame and revert before
+//! their end frame; a window shorter than one control tick is refused.
+//! Impulse faults (EEPROM flip, bubble burst, fouling step) ignore
+//! `duration_s`: they fire and clear at their onset tick and leave the
+//! firmware's graceful-degradation machinery
 //! ([`HealthMonitor`](hotwire_core::HealthMonitor)) to clean up.
 //!
 //! [`RunSpec`]: crate::campaign::RunSpec
 
+use crate::clock::TickClock;
 use hotwire_afe::ThermometerDac;
 use hotwire_core::faults::AdcFault;
 use hotwire_core::obs::EventKind;
@@ -107,6 +112,17 @@ impl FaultKind {
         }
     }
 
+    /// Whether the fault fires once at its onset (EEPROM flip, bubble
+    /// burst, fouling step) rather than holding a window.
+    pub fn is_impulse(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::EepromBitFlip { .. }
+                | FaultKind::BubbleBurst { .. }
+                | FaultKind::SteppedFouling { .. }
+        )
+    }
+
     /// Interns a [`FaultKind::name`] string back to its `&'static str`,
     /// or `None` for an unknown label. The fleet checkpoint codec uses
     /// this to rebuild `LineSummary::fault_kinds` (which hold static
@@ -129,9 +145,11 @@ impl FaultKind {
 /// One scheduled fault occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct FaultEvent {
-    /// Scenario time at which the fault engages, seconds.
+    /// Scenario time at which the fault engages, seconds (moved to the
+    /// first control frame that starts at or after it).
     pub at_s: f64,
-    /// Active window length, seconds (ignored by impulse faults).
+    /// Active window length, seconds: at least one control tick for a
+    /// windowed fault, ignored by impulse faults.
     pub duration_s: f64,
     /// What breaks.
     pub kind: FaultKind,
@@ -147,14 +165,23 @@ impl FaultEvent {
         }
     }
 
-    /// End of the active window, seconds.
-    pub fn end_s(&self) -> f64 {
-        self.at_s + self.duration_s
+    /// The control ticks the event engages and clears at on `clock`: the
+    /// first frames that start at or after its onset and its end. An
+    /// impulse clears at its onset.
+    pub fn ticks(&self, clock: TickClock) -> (u64, u64) {
+        let on = clock.tick_at(self.at_s);
+        if self.kind.is_impulse() {
+            (on, on)
+        } else {
+            (on, clock.tick_at(self.at_s + self.duration_s))
+        }
     }
 
-    /// Whether scenario time `t` falls inside the active window.
-    pub fn contains(&self, t: f64) -> bool {
-        t >= self.at_s && t < self.end_s()
+    /// Whether this is a windowed fault shorter than one tick of `clock`
+    /// (which no run accepts).
+    pub fn is_subtick(&self, clock: TickClock) -> bool {
+        let ticks = clock.ticks(self.duration_s);
+        !self.kind.is_impulse() && (ticks.is_nan() || ticks < 1.0)
     }
 
     /// Whether the window and every parameter of the fault are finite.
@@ -243,13 +270,15 @@ enum Phase {
 /// Executes a [`FaultSchedule`] against a live meter, one control tick at a
 /// time.
 ///
-/// The runner calls [`apply`](Self::apply) with the current scenario time
-/// before each control tick (engaging and reverting windowed faults), and
+/// The runner calls [`apply`](Self::apply) with each control frame's tick
+/// before the frame runs (engaging and reverting faults), and
 /// [`observe`](Self::observe) for each recorded measurement (driving the
 /// telemetry wire simulation when the schedule has a UART fault).
 #[derive(Debug)]
 pub struct FaultInjector {
     schedule: FaultSchedule,
+    /// Each event's engage and clear ticks ([`FaultEvent::ticks`]).
+    ticks: Vec<(u64, u64)>,
     phases: Vec<Phase>,
     saved_dac: Vec<Option<ThermometerDac>>,
     rng: StdRng,
@@ -260,11 +289,26 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Builds an injector for `schedule`.
-    pub fn new(schedule: FaultSchedule) -> Self {
+    /// Builds an injector for `schedule` on a meter ticking on `clock`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a windowed fault is shorter than one control tick
+    /// ([`FaultEvent::is_subtick`]); [`RunSpec`](crate::campaign::RunSpec)
+    /// and [`FleetSpec`](crate::fleet::FleetSpec) refuse such a schedule
+    /// with a typed error before any run.
+    pub fn new(schedule: FaultSchedule, clock: TickClock) -> Self {
         let n = schedule.events.len();
         let uart_enabled = schedule.has_uart_fault();
+        if let Some(e) = schedule.events.iter().find(|e| e.is_subtick(clock)) {
+            panic!(
+                "FaultInjector: a {} window of {} s is shorter than one control tick",
+                e.kind.name(),
+                e.duration_s
+            );
+        }
         FaultInjector {
+            ticks: schedule.events.iter().map(|e| e.ticks(clock)).collect(),
             rng: StdRng::seed_from_u64(schedule.seed ^ 0xFA_01_7E_57),
             phases: vec![Phase::Pending; n],
             saved_dac: vec![None; n],
@@ -300,72 +344,49 @@ impl FaultInjector {
         self.wire.take().unwrap_or_default()
     }
 
-    /// Engages and reverts scheduled faults for scenario time `t`. Works
-    /// against any [`Meter`]: each modality maps the attack onto its own
-    /// hardware through the trait's fault hooks (a CTA brownout swaps the
-    /// supply DAC; a heat-pulse brownout derates the heater drive).
-    pub fn apply<M: Meter>(&mut self, t: f64, meter: &mut M) {
-        for i in 0..self.schedule.events.len() {
-            let event = self.schedule.events[i];
-            match self.phases[i] {
-                Phase::Pending if t >= event.at_s => {
-                    // Activation is reported *before* the engage, so any
-                    // consequence event (e.g. the calibration reload an
-                    // EEPROM flip forces) appears after its cause in the
-                    // run's event log.
-                    meter.observe(EventKind::FaultActivated {
-                        fault: event.kind.name(),
-                    });
-                    self.saved_dac[i] = engage(event.kind, meter);
-                    // A zero-length window reverts on the next call.
-                    self.phases[i] = Phase::Active;
-                }
-                Phase::Active if t >= event.end_s() => {
-                    revert(event.kind, self.saved_dac[i].take(), meter);
-                    meter.observe(EventKind::FaultCleared {
-                        fault: event.kind.name(),
-                    });
-                    self.phases[i] = Phase::Done;
-                }
-                _ => {}
+    /// Engages and reverts scheduled faults before the control frame that
+    /// starts at `tick`. Works against any [`Meter`]: each modality maps
+    /// the attack onto its own hardware through the trait's fault hooks (a
+    /// CTA brownout swaps the supply DAC; a heat-pulse brownout derates the
+    /// heater drive). An impulse fires and clears in the same call.
+    pub fn apply<M: Meter>(&mut self, tick: u64, meter: &mut M) {
+        for (i, &(on, off)) in self.ticks.iter().enumerate() {
+            let kind = self.schedule.events[i].kind;
+            if self.phases[i] == Phase::Pending && tick >= on {
+                // Activation is reported *before* the engage, so any
+                // consequence event (e.g. the calibration reload an
+                // EEPROM flip forces) appears after its cause in the
+                // run's event log.
+                meter.observe(EventKind::FaultActivated { fault: kind.name() });
+                self.saved_dac[i] = engage(kind, meter);
+                self.phases[i] = Phase::Active;
+            }
+            if self.phases[i] == Phase::Active && tick >= off {
+                revert(kind, self.saved_dac[i].take(), meter);
+                meter.observe(EventKind::FaultCleared { fault: kind.name() });
+                self.phases[i] = Phase::Done;
             }
         }
     }
 
-    /// Whether a scheduled window would both engage *and* expire at
-    /// scenario time `t` — a window shorter than one control tick. The
-    /// per-tick step path gives such a window exactly one modulator tick
-    /// of engagement (engaged by the `apply` before the first tick at
-    /// `t`, reverted by the `apply` before the second); a whole-frame
-    /// block step cannot reproduce that single faulted tick, so the
-    /// runner drops to per-tick stepping while one is pending. Must be
-    /// consulted *before* the frame's `apply` call — afterwards the
-    /// window is already `Active` and no longer visible here.
-    pub fn has_subtick_window(&self, t: f64) -> bool {
-        self.schedule
-            .events
-            .iter()
-            .zip(&self.phases)
-            .any(|(e, p)| *p == Phase::Pending && t >= e.at_s && t >= e.end_s())
-    }
-
-    /// Runs one recorded measurement through the telemetry wire simulation
-    /// (no-op unless the schedule has a UART fault). `meter` is only used
-    /// to report frame-error events into the run's observability log — the
-    /// wire simulation itself never touches the instrument.
-    pub fn observe<M: Meter>(&mut self, t: f64, m: &Measurement, meter: &mut M) {
+    /// Runs one measurement, recorded at control tick `tick`, through the
+    /// telemetry wire simulation (no-op unless the schedule has a UART
+    /// fault). `meter` is only used to report frame-error events into the
+    /// run's observability log — the wire simulation itself never touches
+    /// the instrument.
+    pub fn observe<M: Meter>(&mut self, tick: u64, m: &Measurement, meter: &mut M) {
         if !self.uart_enabled {
             return;
         }
         // The worst active UART window governs this frame's byte noise.
         let (mut flip_p, mut drop_p) = (0.0_f64, 0.0_f64);
-        for e in &self.schedule.events {
+        for (e, &(on, off)) in self.schedule.events.iter().zip(&self.ticks) {
             if let FaultKind::UartCorruption {
                 flip_per_byte,
                 drop_per_byte,
             } = e.kind
             {
-                if e.contains(t) {
+                if (on..off).contains(&tick) {
                     flip_p = flip_p.max(flip_per_byte.clamp(0.0, 1.0));
                     drop_p = drop_p.max(drop_per_byte.clamp(0.0, 1.0));
                 }
@@ -479,14 +500,34 @@ mod tests {
         FlowMeter::new(FlowMeterConfig::test_profile(), MafParams::nominal(), seed).unwrap()
     }
 
+    fn clock() -> TickClock {
+        TickClock::new(FlowMeterConfig::test_profile().control_period())
+    }
+
+    /// Onsets and ends move to the first 2-ms frame that starts at or
+    /// after them; an impulse clears at its onset, whatever its window.
     #[test]
     fn event_window_semantics() {
         let e = FaultEvent::new(1.0, 0.5, FaultKind::AdcStuck { code: 0 });
-        assert!(!e.contains(0.99));
-        assert!(e.contains(1.0));
-        assert!(e.contains(1.49));
-        assert!(!e.contains(1.5));
-        assert_eq!(e.end_s(), 1.5);
+        assert_eq!(e.ticks(clock()), (500, 750));
+        let e = FaultEvent::new(0.0031, 0.002, FaultKind::AdcStuck { code: 0 });
+        assert_eq!(e.ticks(clock()), (2, 3));
+        let burst = FaultEvent::new(0.7, 0.5, FaultKind::BubbleBurst { coverage: 0.1 });
+        assert_eq!(burst.ticks(clock()), (350, 350));
+        assert!(!burst.is_subtick(clock()));
+        assert!(FaultEvent::new(1.0, 0.0019, FaultKind::AdcStuck { code: 0 }).is_subtick(clock()));
+        assert!(!FaultEvent::new(1.0, 0.002, FaultKind::AdcStuck { code: 0 }).is_subtick(clock()));
+        // Within the clock's snapping distance of one tick.
+        let e = FaultEvent::new(1.0, 0.002 * (1.0 - 1e-9), FaultKind::AdcStuck { code: 0 });
+        assert!(!e.is_subtick(clock()));
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than one control tick")]
+    fn subtick_window_is_refused_by_a_direct_caller() {
+        let schedule =
+            FaultSchedule::new(1).with_event(0.5, 0.001, FaultKind::AdcOffset { codes: 1 });
+        let _ = FaultInjector::new(schedule, clock());
     }
 
     #[test]
@@ -498,13 +539,15 @@ mod tests {
             0.5,
             FaultKind::SupplyBrownout { fraction: 0.6 },
         );
-        let mut inj = FaultInjector::new(schedule);
-        inj.apply(0.5, &mut meter);
+        let mut inj = FaultInjector::new(schedule, clock());
+        inj.apply(250, &mut meter);
         assert_eq!(meter.platform_mut().supply_dac().vref().get(), nominal_vref);
-        inj.apply(1.0, &mut meter);
+        inj.apply(500, &mut meter);
         let sagged = meter.platform_mut().supply_dac().vref().get();
         assert!((sagged - 0.6 * nominal_vref).abs() < 1e-12, "vref {sagged}");
-        inj.apply(1.6, &mut meter);
+        inj.apply(749, &mut meter);
+        assert!(meter.platform_mut().supply_dac().vref().get() < nominal_vref);
+        inj.apply(750, &mut meter);
         assert_eq!(meter.platform_mut().supply_dac().vref().get(), nominal_vref);
     }
 
@@ -513,10 +556,10 @@ mod tests {
         let mut meter = test_meter(32);
         let schedule =
             FaultSchedule::new(32).with_event(0.0, 1.0, FaultKind::AdcOffset { codes: 123 });
-        let mut inj = FaultInjector::new(schedule);
-        inj.apply(0.0, &mut meter);
+        let mut inj = FaultInjector::new(schedule, clock());
+        inj.apply(0, &mut meter);
         assert_eq!(meter.adc_fault(), Some(AdcFault::Offset(123)));
-        inj.apply(1.0, &mut meter);
+        inj.apply(500, &mut meter);
         assert_eq!(meter.adc_fault(), None);
     }
 

@@ -91,8 +91,11 @@ use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::path::Path;
 
-use crate::campaign::{derive_seed, Calibration, LineConfig, RunOutcome, RunSpec, Windows};
+use crate::campaign::{
+    check_line, derive_seed, Calibration, LineConfig, RunOutcome, RunSpec, SpecError, Windows,
+};
 use crate::checkpoint::{CheckpointError, FleetCheckpoint};
+use crate::clock::TickClock;
 use crate::exec;
 use crate::fault::FaultSchedule;
 use crate::maintain::{Maintenance, MaintenanceCounters};
@@ -256,27 +259,10 @@ pub enum FleetSpecError {
         /// The template's stride.
         stride: usize,
     },
-    /// `sample_period_s` is not a positive finite number.
-    BadSamplePeriod,
-    /// `scenario.duration_s` is NaN, infinite or negative, or a
-    /// [`Calibration::Field`] setpoint's `settle_s + average_s` is not
-    /// finite (a non-finite run never finishes).
-    BadDuration,
-    /// The scenario's flow, pressure or temperature schedule holds a
-    /// non-finite value (see [`Schedule::is_finite`](crate::Schedule::is_finite)).
-    NonFiniteSchedule {
-        /// The offending schedule: `flow_cm_s`, `pressure_bar` or
-        /// `temperature_c`.
-        schedule: &'static str,
-    },
-    /// A fault template event has a non-finite window or parameter (see
-    /// [`FaultEvent::is_finite`](crate::fault::FaultEvent::is_finite)).
-    NonFiniteFault {
-        /// The event's index in the template schedule.
-        event: usize,
-        /// The event's fault class.
-        fault: &'static str,
-    },
+    /// The template line's run inputs fail the per-line checks
+    /// [`RunSpec::validate`] applies too (the fault template's schedule
+    /// stands in for the line's faults).
+    Line(SpecError),
     /// `flow_jitter` is not a finite fraction in `[0, 1)`.
     BadFlowJitter,
     /// The reference template's `stride` is zero.
@@ -302,22 +288,7 @@ impl core::fmt::Display for FleetSpecError {
                 f,
                 "fault template offset {offset} must lie below its stride {stride}"
             ),
-            FleetSpecError::BadSamplePeriod => write!(
-                f,
-                "sample period must be a positive finite number of seconds"
-            ),
-            FleetSpecError::BadDuration => write!(
-                f,
-                "scenario duration must be finite and non-negative, and \
-                 field-calibration windows finite"
-            ),
-            FleetSpecError::NonFiniteSchedule { schedule } => {
-                write!(f, "scenario {schedule} schedule holds a non-finite value")
-            }
-            FleetSpecError::NonFiniteFault { event, fault } => write!(
-                f,
-                "fault template event {event} ({fault}) has a non-finite window or parameter"
-            ),
+            FleetSpecError::Line(e) => write!(f, "{e}"),
             FleetSpecError::BadFlowJitter => {
                 write!(f, "flow jitter must be a finite fraction in [0, 1)")
             }
@@ -618,27 +589,14 @@ impl FleetSpec {
         if self.batch_size == 0 {
             return Err(FleetSpecError::ZeroBatchSize);
         }
-        if !(self.sample_period_s.is_finite() && self.sample_period_s > 0.0) {
-            return Err(FleetSpecError::BadSamplePeriod);
-        }
-        let duration = self.scenario.duration_s;
-        let endless_calibration = match &self.calibration {
-            Calibration::Field(recipe) => !(recipe.settle_s + recipe.average_s).is_finite(),
-            _ => false,
-        };
-        if !(duration.is_finite() && duration >= 0.0) || endless_calibration {
-            return Err(FleetSpecError::BadDuration);
-        }
-        let s = &self.scenario;
-        for (schedule, values) in [
-            ("flow_cm_s", &s.flow_cm_s),
-            ("pressure_bar", &s.pressure_bar),
-            ("temperature_c", &s.temperature_c),
-        ] {
-            if !values.is_finite() {
-                return Err(FleetSpecError::NonFiniteSchedule { schedule });
-            }
-        }
+        check_line(
+            TickClock::new(self.config.control_period()),
+            &self.scenario,
+            self.sample_period_s,
+            &self.calibration,
+            self.variation.faults.as_ref().map(|t| &t.schedule),
+        )
+        .map_err(FleetSpecError::Line)?;
         let j = self.variation.flow_jitter;
         if !(j.is_finite() && (0.0..1.0).contains(&j)) {
             return Err(FleetSpecError::BadFlowJitter);
@@ -651,13 +609,6 @@ impl FleetSpec {
                 return Err(FleetSpecError::FaultOffsetOutOfRange {
                     offset: t.offset,
                     stride: t.stride,
-                });
-            }
-            let events = &t.schedule.events;
-            if let Some(event) = events.iter().position(|e| !e.is_finite()) {
-                return Err(FleetSpecError::NonFiniteFault {
-                    event,
-                    fault: events[event].kind.name(),
                 });
             }
         }
@@ -929,12 +880,12 @@ impl FleetSpec {
             ));
         }
         // A line records at most one sample and takes at most one
-        // maintenance action per control tick, and stores no trace samples
-        // (`MetricsOnly`). The runner's clock sums control periods in
-        // floating point, hence the headroom over the exact tick count.
-        let periods = (self.scenario.duration_s / self.config.control_period().get()).ceil();
-        let ticks = (periods as u64).saturating_mul(2).saturating_add(2);
-        let ticks = ticks.saturating_mul(acc.lines() as u64);
+        // maintenance action per control frame, and stores no trace samples
+        // (`MetricsOnly`).
+        let frames = TickClock::new(self.config.control_period())
+            .frames(self.scenario.duration_s)
+            .unwrap_or(u64::MAX);
+        let ticks = frames.saturating_mul(acc.lines() as u64);
         let m = &acc.maintenance;
         for (counter, value, bound) in [
             ("total_samples", acc.total_samples, ticks),
@@ -1648,11 +1599,11 @@ mod tests {
         );
         assert_eq!(
             small_fleet().with_sample_period(0.0).validate(),
-            Err(FleetSpecError::BadSamplePeriod)
+            Err(FleetSpecError::Line(SpecError::BadSamplePeriod))
         );
         assert_eq!(
             small_fleet().with_sample_period(f64::NAN).validate(),
-            Err(FleetSpecError::BadSamplePeriod)
+            Err(FleetSpecError::Line(SpecError::BadSamplePeriod))
         );
         assert_eq!(
             small_fleet()
@@ -1665,7 +1616,7 @@ mod tests {
             endless.scenario.duration_s = duration;
             assert_eq!(
                 endless.validate(),
-                Err(FleetSpecError::BadDuration),
+                Err(FleetSpecError::Line(SpecError::BadDuration)),
                 "duration {duration}"
             );
         }
@@ -1677,7 +1628,7 @@ mod tests {
             }));
             assert_eq!(
                 endless.validate(),
-                Err(FleetSpecError::BadDuration),
+                Err(FleetSpecError::Line(SpecError::BadDuration)),
                 "calibration windows {settle_s} + {average_s}"
             );
         }
@@ -1693,7 +1644,9 @@ mod tests {
                 *target = Schedule::constant(1.0).then_ramp(value, 0.5);
                 assert_eq!(
                     endless.validate(),
-                    Err(FleetSpecError::NonFiniteSchedule { schedule }),
+                    Err(FleetSpecError::Line(SpecError::NonFiniteSchedule {
+                        schedule
+                    })),
                     "{schedule} reaching {value}"
                 );
             }
@@ -1739,10 +1692,10 @@ mod tests {
                 .with_variation(LineVariation::new().with_faults_every(3, 1, schedule));
             assert_eq!(
                 fleet.validate(),
-                Err(FleetSpecError::NonFiniteFault {
+                Err(FleetSpecError::Line(SpecError::NonFiniteFault {
                     event: 1,
                     fault: bad.kind.name()
-                }),
+                })),
                 "{bad:?}"
             );
         }
@@ -1770,10 +1723,10 @@ mod tests {
                         0,
                         FaultSchedule::new(0).with_event(0.2, 0.3, kind),
                     ));
-            let expected = FleetSpecError::NonFiniteFault {
+            let expected = FleetSpecError::Line(SpecError::NonFiniteFault {
                 event: 0,
                 fault: kind.name(),
-            };
+            });
             assert!(
                 matches!(fleet.run_jobs(1), Err(FleetError::Spec(e)) if e == expected),
                 "{kind:?}"
@@ -1790,7 +1743,8 @@ mod tests {
     fn infinite_and_huge_flows_return() {
         // Regression: the turbine reference counted pulses one by one, so
         // an infinite flow never finished a control tick and a 1e12 cm/s
-        // one took billions of iterations per tick.
+        // one took billions of iterations per tick. A spec with an
+        // infinite flow is refused before it runs, alone or in a fleet.
         let (done, finished) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             let fast = fast_profile();
@@ -1808,14 +1762,21 @@ mod tests {
         let (single, infinite, huge) = finished
             .recv_timeout(std::time::Duration::from_secs(20))
             .expect("the runs return");
-        assert!(single.is_ok(), "{single:?}");
+        assert_eq!(
+            single,
+            Err(CoreError::from(SpecError::NonFiniteSchedule {
+                schedule: "flow_cm_s"
+            }))
+        );
         assert!(huge.is_ok(), "{huge:?}");
         assert!(
             matches!(
                 infinite,
-                Err(FleetError::Spec(FleetSpecError::NonFiniteSchedule {
-                    schedule: "flow_cm_s"
-                }))
+                Err(FleetError::Spec(FleetSpecError::Line(
+                    SpecError::NonFiniteSchedule {
+                        schedule: "flow_cm_s"
+                    }
+                )))
             ),
             "{infinite:?}"
         );
@@ -1854,7 +1815,12 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .expect("a non-finite duration returns");
             assert!(
-                matches!(run, Err(FleetError::Spec(FleetSpecError::BadDuration))),
+                matches!(
+                    run,
+                    Err(FleetError::Spec(FleetSpecError::Line(
+                        SpecError::BadDuration
+                    )))
+                ),
                 "duration {duration}: {run:?}"
             );
             assert!(ingest.is_err(), "duration {duration}: ingest ran");

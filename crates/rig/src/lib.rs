@@ -9,6 +9,9 @@
 //!   ramps, staircases, pressure peaks)
 //! * [`mod@line`] — the measurement line: schedules + pipe profile + turbulence
 //!   → the instantaneous [`SensorEnvironment`] at the probe
+//! * [`clock`] — the control-tick clock: every second-valued run input
+//!   (duration, sample period, fault windows, calibration and maintenance
+//!   intervals) becomes whole control ticks through one [`TickClock`]
 //! * [`maintain`] — deterministic per-line maintenance policies
 //!   ([`Policy`], [`MaintenanceEngine`]): scheduled / event-triggered /
 //!   hybrid re-zero–refit–persist decisions driven through the
@@ -105,6 +108,7 @@
 
 pub mod campaign;
 pub mod checkpoint;
+pub mod clock;
 pub mod exec;
 pub mod fault;
 pub mod fleet;
@@ -122,10 +126,11 @@ pub mod sketch;
 pub mod turbine;
 
 pub use campaign::{
-    Calibration, Campaign, FieldCalibration, LineConfig, RunOutcome, RunSpec, Windows,
+    Calibration, Campaign, FieldCalibration, LineConfig, RunOutcome, RunSpec, SpecError, Windows,
     PAPER_SETPOINTS_CM_S,
 };
 pub use checkpoint::{CheckpointError, FleetCheckpoint};
+pub use clock::TickClock;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultSchedule, UartStats};
 pub use fleet::{
     FleetAggregates, FleetError, FleetOutcome, FleetShard, FleetSpec, FleetSpecError, LineSummary,

@@ -3,6 +3,9 @@
 //! Translates a [`Scenario`]'s bulk-flow schedule into the *local* velocity
 //! the insertion probe actually sees (profile factor + turbulence), and
 //! packages pressure and temperature into a [`SensorEnvironment`].
+//!
+//! The line keeps time as a count of steps: after `k` steps of `dt` its
+//! clock reads `k × dt` (see [`crate::clock`]), never a running sum.
 
 use crate::scenario::Scenario;
 use hotwire_physics::fluid::Water;
@@ -18,7 +21,10 @@ pub struct WaterLine {
     scenario: Scenario,
     probe: ProbeFlow,
     rng: StdRng,
-    time: f64,
+    /// Steps taken.
+    ticks: u64,
+    /// The period of the latest step, seconds.
+    dt: f64,
     /// Most recent bulk velocity (signed, m/s).
     bulk: MetersPerSecond,
     /// Most recent local probe velocity (signed, m/s).
@@ -33,27 +39,18 @@ impl WaterLine {
             scenario,
             probe: ProbeFlow::new(Pipe::dn50(), Water::potable()),
             rng: StdRng::seed_from_u64(seed),
-            time: 0.0,
+            ticks: 0,
+            dt: 0.0,
             bulk: MetersPerSecond::ZERO,
             local: MetersPerSecond::ZERO,
         }
     }
 
-    /// Elapsed scenario time in seconds.
+    /// Elapsed scenario time in seconds: the steps taken times the step
+    /// period.
     #[inline]
     pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// The scenario time [`step`](Self::step)`(dt)` will move the clock to.
-    #[inline]
-    pub fn time_after(&self, dt: Seconds) -> f64 {
-        self.time + dt.get()
-    }
-
-    /// `true` once the scenario has run its full duration.
-    pub fn finished(&self) -> bool {
-        self.time >= self.scenario.duration_s
+        self.ticks as f64 * self.dt
     }
 
     /// The scenario being run.
@@ -72,8 +69,9 @@ impl WaterLine {
     /// Advances the line by `dt` and returns the probe environment for the
     /// new instant.
     pub fn step(&mut self, dt: Seconds) -> SensorEnvironment {
-        self.time = self.time_after(dt);
-        let t = self.time;
+        self.ticks += 1;
+        self.dt = dt.get();
+        let t = self.time();
         self.bulk = MetersPerSecond::from_cm_per_s(self.scenario.flow_cm_s.value_at(t));
         let temperature = Celsius::new(self.scenario.temperature_c.value_at(t));
         let pressure = Pascals::from_bar(self.scenario.pressure_bar.value_at(t));
@@ -89,6 +87,7 @@ impl WaterLine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::TickClock;
     use crate::scenario::Schedule;
     use rand::distributions::StandardNormal;
     use rand::Rng;
@@ -97,7 +96,7 @@ mod tests {
     /// temperature and bulk velocity, OU coefficients per step) return
     /// exactly what recomputing the model every tick returns: over a
     /// steady day (a hit on every tick) and a diurnal one (ramps miss,
-    /// plateaus hit).
+    /// plateaus hit). The reference clock is the tick count times `dt`.
     #[test]
     fn memoized_line_matches_fresh_recomputation_bit_for_bit() {
         let dt = Seconds::from_millis(1.0);
@@ -111,10 +110,12 @@ mod tests {
         ] {
             let mut line = WaterLine::new(scenario.clone(), 11);
             let mut rng = StdRng::seed_from_u64(11);
-            let (mut t, mut xi) = (0.0, 0.0);
-            while !line.finished() {
+            let mut xi = 0.0;
+            let frames = TickClock::new(dt).frames(scenario.duration_s).unwrap();
+            for k in 1..=frames {
                 let env = line.step(dt);
-                t += dt.get();
+                let t = k as f64 * dt.get();
+                assert_eq!(line.time().to_bits(), t.to_bits());
                 let bulk = MetersPerSecond::from_cm_per_s(scenario.flow_cm_s.value_at(t));
                 let temperature = Celsius::new(scenario.temperature_c.value_at(t));
                 let re = pipe.reynolds(&water, temperature, bulk);
@@ -164,17 +165,20 @@ mod tests {
         assert!(max - min > 0.02, "no turbulence visible: [{min}, {max}]");
     }
 
+    /// A 2-s line at 10 ms runs the 201 frames that start in [0, 2 s].
     #[test]
     fn schedule_is_followed() {
         let scenario = Scenario {
             flow_cm_s: Schedule::staircase(&[50.0, 150.0], 1.0),
             ..Scenario::steady(0.0, 2.0)
         };
-        let mut line = WaterLine::new(scenario, 3);
         let dt = Seconds::from_millis(10.0);
+        let frames = TickClock::new(dt).frames(scenario.duration_s);
+        assert_eq!(frames, Some(201));
+        let mut line = WaterLine::new(scenario, 3);
         let mut first_phase = 0.0;
         let mut second_phase = 0.0;
-        for i in 0..200 {
+        for i in 0..201 {
             line.step(dt);
             if i == 50 {
                 first_phase = line.bulk_velocity().to_cm_per_s();
@@ -185,7 +189,7 @@ mod tests {
         }
         assert_eq!(first_phase, 50.0);
         assert_eq!(second_phase, 150.0);
-        assert!(line.finished());
+        assert_eq!(line.time(), 201.0 * dt.get());
     }
 
     #[test]

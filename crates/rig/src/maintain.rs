@@ -35,6 +35,7 @@
 //! tracks per slot — erases do not heal cells). Skipped persists are
 //! counted so the f4 frontier can price each policy in write cycles.
 
+use crate::clock::TickClock;
 use hotwire_core::obs::EventKind;
 use hotwire_core::{HealthState, Meter};
 use hotwire_units::Seconds;
@@ -193,8 +194,9 @@ impl MaintenanceCounters {
 /// The per-line policy executor.
 ///
 /// Built by the campaign executor from a [`Maintenance`] config and the
-/// meter's control period (all second-valued limits convert to whole
-/// control ticks once, up front — no float accumulation at run time).
+/// meter's control period (all second-valued limits round to whole
+/// control ticks once, up front, through [`TickClock::ticks_in`] — no
+/// float accumulation at run time).
 /// [`service`](Self::service) is the single entry point; see the
 /// [module docs](self) for when the runner calls it.
 #[derive(Debug, Clone)]
@@ -222,10 +224,10 @@ pub struct MaintenanceEngine {
 impl MaintenanceEngine {
     /// Builds an engine for a meter running at `control_period` per tick.
     pub fn new(cfg: Maintenance, control_period: Seconds) -> Self {
-        let ticks_of = |s: f64| ((s / control_period.get()).round() as u64).max(1);
+        let clock = TickClock::new(control_period);
         let (period_ticks, drift_threshold, temp_delta_c, on_degraded) = match cfg.policy {
             Policy::None => (None, None, None, false),
-            Policy::Scheduled { period_s } => (Some(ticks_of(period_s)), None, None, false),
+            Policy::Scheduled { period_s } => (Some(clock.ticks_in(period_s)), None, None, false),
             Policy::EventTriggered {
                 on_degraded,
                 drift_threshold,
@@ -242,15 +244,15 @@ impl MaintenanceEngine {
                 drift_threshold,
                 temp_delta_c,
             } => (
-                Some(ticks_of(period_s)),
+                Some(clock.ticks_in(period_s)),
                 Some(drift_threshold.abs()),
                 Some(temp_delta_c.abs()),
                 on_degraded,
             ),
         };
         MaintenanceEngine {
-            min_interval_ticks: ticks_of(cfg.min_service_interval_s.max(0.0)),
-            persist_interval_ticks: ticks_of(cfg.persist_min_interval_s.max(0.0)),
+            min_interval_ticks: clock.ticks_in(cfg.min_service_interval_s),
+            persist_interval_ticks: clock.ticks_in(cfg.persist_min_interval_s),
             cfg,
             period_ticks,
             drift_threshold,

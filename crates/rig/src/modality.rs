@@ -4,9 +4,10 @@
 //! instance (specs stay `Clone + Serialize`); the executor turns the tag
 //! into an [`AnyMeter`] — a closed enum over every modality the rig knows
 //! how to build — and drives it through the one generic
-//! [`LineRunner`](crate::runner::LineRunner). A closed enum rather than
-//! `Box<dyn Meter>` keeps specs comparable, the CTA fast path
-//! monomorphized, and the meter extractable by value after a run.
+//! [`LineRunner`](crate::runner::LineRunner). The enum plus generics is
+//! the rig's one dispatch mechanism: it keeps specs comparable, the CTA
+//! fast path monomorphized, and the meter extractable by value after a
+//! run.
 //!
 //! Two adapter families live here:
 //!

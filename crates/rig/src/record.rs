@@ -42,6 +42,10 @@ use std::ops::Range;
 pub const CSV_HEADER: &str =
     "t_s,true_cm_s,dut_cm_s,promag_cm_s,turbine_cm_s,supply_code,bubble_coverage,fouling_um,fault,health\n";
 
+/// The most rows a full-trace store reserves before a run (62 bytes a row
+/// over its ten columns, 62 MiB); a longer run's store grows as it records.
+pub const MAX_RESERVED_ROWS: usize = 1 << 20;
+
 /// A sink that [`LineRunner::run_with`] pushes each recorded sample into.
 ///
 /// Implementations must be order-sensitive-safe: samples arrive exactly
@@ -97,6 +101,14 @@ impl TraceStore {
     /// An empty store.
     pub fn new() -> Self {
         TraceStore::default()
+    }
+
+    /// An empty store pre-sized for a run expected to record `samples`
+    /// rows, up to [`MAX_RESERVED_ROWS`]; the columns grow past that as
+    /// rows arrive, so an untrusted spec's count never sizes an
+    /// allocation.
+    pub fn for_run(samples: usize) -> Self {
+        TraceStore::with_capacity(samples.min(MAX_RESERVED_ROWS))
     }
 
     /// An empty store with room for `n` samples in every column.
@@ -626,11 +638,12 @@ impl PolicyRecorder {
         }
     }
 
-    /// Pre-sizes the store for a run expected to record `samples` rows
-    /// (a no-op under [`RecordPolicy::MetricsOnly`]).
+    /// Pre-sizes the store for a run expected to record `samples` rows, up
+    /// to [`MAX_RESERVED_ROWS`] (a no-op under
+    /// [`RecordPolicy::MetricsOnly`]).
     pub fn reserve(&mut self, samples: usize) {
         if self.policy == RecordPolicy::Full {
-            self.store = TraceStore::with_capacity(samples);
+            self.store = TraceStore::for_run(samples);
         }
     }
 

@@ -4,7 +4,13 @@
 //! commercial references through a [`Scenario`] on *shared true flow* —
 //! the semantics of the paper's evaluation line, where the MAF prototype
 //! and the Promag 50 see the same water.
+//!
+//! A run counts control ticks ([`crate::clock`]): it steps the frames that
+//! start inside `[0, duration]` and records the sample after frames
+//! 0, P, 2P, … — control ticks 1, 1 + P, 1 + 2P, … — where P is the sample
+//! period rounded to whole ticks.
 
+use crate::clock::TickClock;
 use crate::fault::{FaultInjector, FaultSchedule, UartStats};
 use crate::line::WaterLine;
 use crate::maintain::{MaintenanceCounters, MaintenanceEngine};
@@ -119,6 +125,7 @@ pub struct LineRunner<M: Meter> {
     ref_rng: StdRng,
     env: SensorEnvironment,
     control_dt: Seconds,
+    clock: TickClock,
     injector: Option<FaultInjector>,
     maintain: Option<MaintenanceEngine>,
 }
@@ -137,6 +144,7 @@ impl<M: Meter> LineRunner<M> {
             ref_rng: StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF),
             env: SensorEnvironment::still_water(),
             control_dt,
+            clock: TickClock::new(control_dt),
             injector: None,
             maintain: None,
         }
@@ -151,10 +159,15 @@ impl<M: Meter> LineRunner<M> {
         self.maintain = Some(engine);
     }
 
-    /// Installs a fault schedule: its events will fire at their scheduled
-    /// scenario times during [`run`](Self::run).
+    /// Installs a fault schedule: its events will fire at the control
+    /// ticks their scenario times move to during [`run`](Self::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a windowed fault is shorter than one control tick (see
+    /// [`FaultInjector::new`]).
     pub fn install_faults(&mut self, schedule: FaultSchedule) {
-        self.injector = Some(FaultInjector::new(schedule));
+        self.injector = Some(FaultInjector::new(schedule, self.clock));
     }
 
     /// Enables telemetry wire capture for the next run: every byte that
@@ -164,7 +177,7 @@ impl<M: Meter> LineRunner<M> {
     /// their telemetry onto the tap.
     pub fn capture_wire(&mut self) {
         if self.injector.is_none() {
-            self.injector = Some(FaultInjector::new(FaultSchedule::new(0)));
+            self.injector = Some(FaultInjector::new(FaultSchedule::new(0), self.clock));
         }
         self.injector
             .as_mut()
@@ -192,9 +205,8 @@ impl<M: Meter> LineRunner<M> {
         self.meter
     }
 
-    /// The number of samples a run at `sample_period_s` is expected to
-    /// record (+1 covers the t=0 sample, +1 the final edge) — the right
-    /// capacity to reserve in a full-trace sink.
+    /// The number of samples a run at `sample_period_s` records (see
+    /// [`expected_samples`]).
     pub fn expected_samples(&self, sample_period_s: f64) -> usize {
         expected_samples(
             self.line.scenario().duration_s,
@@ -218,7 +230,7 @@ impl<M: Meter> LineRunner<M> {
     /// [`run_with`](Self::run_with)).
     pub fn run(&mut self, sample_period_s: f64) -> Trace {
         // Pre-allocating keeps the hot recording loop free of reallocation.
-        let mut store = TraceStore::with_capacity(self.expected_samples(sample_period_s));
+        let mut store = TraceStore::for_run(self.expected_samples(sample_period_s));
         let tail = self.run_with(sample_period_s, &mut store);
         Trace {
             samples: store,
@@ -230,17 +242,20 @@ impl<M: Meter> LineRunner<M> {
     /// Runs the scenario to completion, pushing one sample every
     /// `sample_period_s` of scenario time into `recorder`.
     ///
-    /// The line and reference meters advance at the control rate (the probe
-    /// environment is held between control ticks — turbulence above the
-    /// control bandwidth is invisible to every instrument on the line).
+    /// The run steps every control frame that starts inside
+    /// `[0, duration]` and records the sample after frames 0, P, 2P, …,
+    /// where P is `sample_period_s` rounded to whole control ticks (at
+    /// least one; see [`crate::clock`]). The line and reference meters
+    /// advance at the control rate (the probe environment is held between
+    /// control ticks — turbulence above the control bandwidth is invisible
+    /// to every instrument on the line).
     ///
     /// # Panics
     ///
-    /// Panics if `sample_period_s` is not a positive number. A
-    /// non-positive cadence used to silently record *every* control tick
-    /// (`t >= next_sample_t` always held) while pre-allocating for none —
-    /// the contract is now explicit. Panics, too, if the scenario duration
-    /// is not finite: the run would never end.
+    /// Panics if `sample_period_s` is not a positive number, or if the
+    /// scenario duration is not finite: the run would never end.
+    /// [`RunSpec::execute`](crate::campaign::RunSpec::execute) refuses both
+    /// with a typed error before any run.
     pub fn run_with<R: Recorder + ?Sized>(
         &mut self,
         sample_period_s: f64,
@@ -257,69 +272,61 @@ impl<M: Meter> LineRunner<M> {
             "LineRunner::run: the scenario duration must be finite or the run \
              never ends, got {duration_s} s"
         );
+        // A duration whose frame count overflows a u64 never ends either.
+        let frames = self.clock.frames(duration_s).unwrap_or(u64::MAX);
+        let period = self.clock.ticks_in(sample_period_s);
         let mut tail = RunTail::default();
-        let mut next_sample_t = 0.0;
         // Hot-loop instrumentation is gated on the observer's presence:
         // without one, the per-step overhead is a single `bool` test.
         let observing = self.meter.has_observer();
         let mut run_obs = observing.then(RunObs::default);
-        let mut steps_since_control: u64 = 0;
         let frame_ticks = u64::from(self.meter.ticks_per_frame());
-        while !self.line.finished() {
-            // Sub-control-tick fault windows engage and expire at the same
-            // scenario time; only per-tick `apply` calls give them their
-            // single faulted tick, so the frame path stands down for them.
-            // Checked before `apply` — engaging hides the window.
-            let t_now = self.line.time();
-            let subtick_fault = self
-                .injector
-                .as_ref()
-                .is_some_and(|inj| inj.has_subtick_window(t_now));
-            // Faults engage/revert on the scenario clock, before the tick
-            // they first affect. The scenario clock is constant between
-            // control ticks, so for a frame-aligned meter one `apply`
-            // reaches the same phase fixed point the per-tick path does.
+        // The next frame whose sample is due: 0, P, 2P, ….
+        let mut next_due = 0;
+        for frame in 0..frames {
+            // Faults engage/revert before the frame they first affect. The
+            // environment is constant over a frame, so for a frame-aligned
+            // meter one `apply` reaches the same phase fixed point
+            // per-tick stepping does.
             if let Some(injector) = self.injector.as_mut() {
-                injector.apply(t_now, &mut self.meter);
+                injector.apply(frame, &mut self.meter);
             }
-            let m = if self.meter.frame_phase() == 0 && !subtick_fault {
+            let due = frame == next_due;
+            if due {
+                next_due = frame.saturating_add(period);
+            }
+            let (m, steps) = if self.meter.frame_phase() == 0 {
                 // Hot path: the whole modulator-rate frame runs as one SoA
-                // block walk, bit-identical to the per-tick ticks below.
-                // Only an observer or a sample due after the frame reads
-                // its measurement; any other frame skips what only the
-                // measurement needs.
-                let read = observing || self.line.time_after(self.control_dt) >= next_sample_t;
-                let m = if read {
+                // block walk, bit-identical to per-tick stepping. Only an
+                // observer or a due sample reads its measurement; any
+                // other frame skips what only the measurement needs.
+                let m = if observing || due {
                     Some(self.meter.step_frame(self.env))
                 } else {
                     self.meter.advance_frame(self.env);
                     None
                 };
-                if let Some(obs) = run_obs.as_mut() {
-                    obs.counters.modulator_steps += frame_ticks;
-                    steps_since_control += frame_ticks;
-                }
-                m
+                (m, frame_ticks)
             } else {
                 // Per-tick path: a de-aligned meter (single-stepped before
-                // being handed to the runner) or a pending sub-tick fault
-                // window.
-                let measurement = self.meter.step(self.env);
-                if let Some(obs) = run_obs.as_mut() {
-                    obs.counters.modulator_steps += 1;
-                    steps_since_control += 1;
+                // being handed to the runner) steps to its next
+                // measurement.
+                let mut steps = 1;
+                loop {
+                    if let Some(m) = self.meter.step(self.env) {
+                        break (Some(m), steps);
+                    }
+                    steps += 1;
                 }
-                let Some(m) = measurement else { continue };
-                Some(m)
             };
             if let Some(obs) = run_obs.as_mut() {
                 let m = m.expect("an observed run reads every frame");
+                obs.counters.modulator_steps += steps;
                 obs.counters.control_ticks += 1;
                 // Modulator ticks from the ADC samples entering the channel
                 // to this conditioned measurement (= the CIC decimation).
-                obs.latency_ticks.record(steps_since_control as i64);
+                obs.latency_ticks.record(steps as i64);
                 obs.pi_output.record(m.supply_code as i64);
-                steps_since_control = 0;
             }
 
             // Frame boundary: one maintenance-policy evaluation per
@@ -336,18 +343,16 @@ impl<M: Meter> LineRunner<M> {
             let promag = self.promag.step(self.control_dt, bulk, &mut self.ref_rng);
             let turbine = self.turbine.step(self.control_dt, bulk);
 
-            let t = self.line.time();
-            if t >= next_sample_t {
+            if due {
                 let m = m.expect("the frame before a due sample is read");
-                next_sample_t = t + sample_period_s;
                 if let Some(injector) = self.injector.as_mut() {
-                    injector.observe(t, &m, &mut self.meter);
+                    injector.observe(frame + 1, &m, &mut self.meter);
                 }
                 if let Some(obs) = run_obs.as_mut() {
                     obs.counters.samples_recorded += 1;
                 }
                 recorder.record(&TraceSample {
-                    t,
+                    t: self.line.time(),
                     true_cm_s: bulk.to_cm_per_s(),
                     dut_cm_s: m.velocity.to_cm_per_s(),
                     promag_cm_s: promag.to_cm_per_s(),
@@ -381,17 +386,23 @@ impl<M: Meter> LineRunner<M> {
     }
 }
 
-/// Expected sample count for a `duration_s` scenario at `sample_period_s`
-/// on a meter whose control tick is `control_period_s` (+1 covers the t=0
-/// sample, +1 the final edge) — the right capacity for a full-trace sink.
-/// The runner records at most one sample per control tick, so a cadence
-/// shorter than the tick reserves for the tick: the reservation never
-/// grows with a smaller `sample_period_s` than the run can record.
+/// The samples a run of `duration_s` at `sample_period_s` records on a
+/// meter whose control tick is `control_period_s`: `1 + ⌊(N − 1)/P⌋` for
+/// `N` frames and a period of `P` ticks (see [`crate::clock`]) — the
+/// capacity a full-trace sink needs. Saturates at `usize::MAX` for a run
+/// that never ends, and is 0 for a period the runner refuses.
 pub fn expected_samples(duration_s: f64, sample_period_s: f64, control_period_s: f64) -> usize {
-    if sample_period_s > 0.0 {
-        (duration_s / sample_period_s.max(control_period_s)).ceil() as usize + 2
-    } else {
-        0
+    if sample_period_s.is_nan() || sample_period_s <= 0.0 {
+        return 0;
+    }
+    let clock = TickClock::new(Seconds::new(control_period_s));
+    match clock.frames(duration_s) {
+        Some(0) => 0,
+        Some(frames) => {
+            let samples = 1 + (frames - 1) / clock.ticks_in(sample_period_s);
+            usize::try_from(samples).unwrap_or(usize::MAX)
+        }
+        None => usize::MAX,
     }
 }
 
@@ -409,18 +420,20 @@ mod tests {
     }
 
     /// A cadence far below the control tick records one sample per tick,
-    /// and the full trace is sized for those, not for the cadence (which
-    /// reserved 50 002 rows for the 250 this run records).
+    /// and the full trace is sized for exactly those, not for the
+    /// cadence.
     #[test]
     fn full_trace_reserves_only_what_a_run_can_record() {
         let mut runner = LineRunner::new(Scenario::steady(100.0, 0.5), test_meter(3), 3);
         let trace = runner.run(1e-5);
         let rows = trace.samples.len();
-        assert_eq!(rows, 250, "one sample per 2 ms control tick");
-        assert!(
-            trace.samples.heap_bytes() <= TraceStore::with_capacity(rows + 2).heap_bytes(),
-            "reserved {} bytes for {rows} rows",
-            trace.samples.heap_bytes()
+        assert_eq!(
+            rows, 251,
+            "one sample per 2 ms frame starting in [0, 0.5 s]"
+        );
+        assert_eq!(
+            trace.samples.heap_bytes(),
+            TraceStore::with_capacity(rows).heap_bytes()
         );
     }
 
@@ -489,12 +502,9 @@ mod tests {
         let meter = test_meter(15);
         let mut runner = LineRunner::new(Scenario::steady(100.0, 2.0), meter, 15);
         let trace = runner.run(0.1);
-        // ≈ 20 samples expected for a 2 s scenario at 0.1 s cadence.
-        assert!(
-            (15..=25).contains(&trace.samples.len()),
-            "{} samples",
-            trace.samples.len()
-        );
+        // 1001 frames of 2 ms, a sample every 50: ticks 1, 51, …, 1001.
+        assert_eq!(trace.samples.len(), 21);
+        assert_eq!(trace.samples.len(), runner.expected_samples(0.1));
     }
 
     #[test]
@@ -510,42 +520,6 @@ mod tests {
         for row in &lines[1..] {
             assert_eq!(row.split(',').count(), 10, "row `{row}`");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_period_s must be a positive number")]
-    fn zero_sample_period_is_rejected() {
-        // Regression: `run(0.0)` used to pre-allocate for zero samples and
-        // then record every control tick.
-        let meter = test_meter(18);
-        let mut runner = LineRunner::new(Scenario::steady(50.0, 1.0), meter, 18);
-        runner.run(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_period_s must be a positive number")]
-    fn negative_sample_period_is_rejected() {
-        let meter = test_meter(18);
-        let mut runner = LineRunner::new(Scenario::steady(50.0, 1.0), meter, 18);
-        runner.run(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_period_s must be a positive number")]
-    fn nan_sample_period_is_rejected() {
-        let meter = test_meter(18);
-        let mut runner = LineRunner::new(Scenario::steady(50.0, 1.0), meter, 18);
-        runner.run(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "scenario duration must be finite")]
-    fn nan_duration_is_rejected() {
-        // Regression: the line never finishes a NaN-long scenario, so the
-        // run used to spin forever.
-        let meter = test_meter(18);
-        let mut runner = LineRunner::new(Scenario::steady(50.0, f64::NAN), meter, 18);
-        runner.run(0.05);
     }
 
     #[test]

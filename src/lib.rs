@@ -68,7 +68,7 @@ pub mod prelude {
     pub use hotwire_rig::{
         metrics, Campaign, FaultKind, FaultSchedule, LineConfig, LineRunner, Maintenance,
         MaintenanceCounters, ObsConfig, Policy, RecordPolicy, Recorder, RunOutcome, RunReductions,
-        RunSpec, Scenario, Schedule, TraceStore, Windows,
+        RunSpec, Scenario, Schedule, SpecError, TraceStore, Windows,
     };
     pub use hotwire_units::{Celsius, Hertz, KelvinDelta, MetersPerSecond, Seconds};
 }

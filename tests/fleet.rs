@@ -518,7 +518,9 @@ fn degenerate_specs_are_rejected_up_front() {
     ));
     assert!(matches!(
         base().with_sample_period(-1.0).run_jobs(2),
-        Err(FleetError::Spec(FleetSpecError::BadSamplePeriod))
+        Err(FleetError::Spec(FleetSpecError::Line(
+            SpecError::BadSamplePeriod
+        )))
     ));
     // And the errors render as readable diagnostics.
     let msg = FleetError::from(FleetSpecError::ZeroBatchSize).to_string();

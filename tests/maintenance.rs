@@ -21,7 +21,7 @@ fn flow_env(v_cm_s: f64) -> SensorEnvironment {
 }
 
 /// Drives a meter `frames` control frames at a constant operating point.
-fn warm(meter: &mut dyn Meter, frames: u32, v_cm_s: f64) {
+fn warm<M: Meter>(meter: &mut M, frames: u32, v_cm_s: f64) {
     let env = flow_env(v_cm_s);
     for _ in 0..frames {
         let _ = meter.step_frame(env);
@@ -45,9 +45,8 @@ proptest! {
         let config = FlowMeterConfig::test_profile();
         let cta = FlowMeter::new(config, MafParams::nominal(), seed).unwrap();
         let pulse = HeatPulseMeter::new(config, seed).unwrap();
-        let meters: [Box<dyn Meter>; 2] = [Box::new(cta), Box::new(pulse)];
-        for mut meter in meters {
-            warm(meter.as_mut(), frames, v);
+        for mut meter in [AnyMeter::Cta(cta), AnyMeter::HeatPulse(pulse)] {
+            warm(&mut meter, frames, v);
             if meter.drift_estimate() == 0.0 {
                 let before = meter.state_digest();
                 meter.re_zero();
@@ -72,13 +71,12 @@ proptest! {
 /// unification the calibration API redesign promises: identical calling
 /// code services the CTA EEPROM record and the heat-pulse one.
 #[test]
-fn dyn_meter_persist_and_reload_round_trip() {
+fn any_meter_persist_and_reload_round_trip() {
     let config = FlowMeterConfig::test_profile();
     let cta = FlowMeter::new(config, MafParams::nominal(), 11).unwrap();
     let pulse = HeatPulseMeter::new(config, 11).unwrap();
-    let meters: [Box<dyn Meter>; 2] = [Box::new(cta), Box::new(pulse)];
-    for mut meter in meters {
-        warm(meter.as_mut(), 20, 120.0);
+    for mut meter in [AnyMeter::Cta(cta), AnyMeter::HeatPulse(pulse)] {
+        warm(&mut meter, 20, 120.0);
         let wear = meter.calibration_wear();
         meter.persist().expect("factory calibration persists");
         assert_eq!(
