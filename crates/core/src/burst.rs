@@ -46,9 +46,9 @@ impl BurstConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] for non-positive durations.
+    /// Returns [`CoreError::Config`] for non-positive or NaN durations.
     pub fn validate(&self) -> Result<(), CoreError> {
-        if self.settle.get() <= 0.0 || self.measure.get() <= 0.0 {
+        if !(self.settle.get() > 0.0 && self.measure.get() > 0.0) {
             return Err(CoreError::Config {
                 reason: "burst settle and measure durations must be positive",
             });
@@ -120,30 +120,26 @@ impl BurstController {
     }
 
     /// Executes one wake→settle→measure→sleep burst at the given
-    /// environment and returns the reading.
+    /// environment and returns the reading. Each window runs the whole
+    /// control frames it holds, each frame costing the bridge power in force
+    /// when it starts; panics as [`FlowMeter::run`] does.
     pub fn measure_once(&mut self, env: SensorEnvironment) -> BurstReading {
-        let dt = self.meter.config().modulator_rate.period().get();
-        let settle_steps = (self.config.settle.get() / dt).round() as u64;
-        let measure_steps = (self.config.measure.get() / dt).round() as u64;
-
+        let frame_s = self.meter.control_period().get();
+        let mut power = self.meter.power_draw().get();
         let mut energy = 0.0;
-        for _ in 0..settle_steps {
-            self.meter.step(env);
-            energy += self.meter.power_draw().get() * dt;
-        }
+        self.meter.drive(self.config.settle.get(), env, |meter| {
+            energy += power * frame_s;
+            power = meter.power_draw().get();
+        });
         let mut sum = 0.0;
         let mut sum2 = 0.0;
-        let mut n = 0u64;
-        for _ in 0..measure_steps {
-            let tick = self.meter.step(env);
-            energy += self.meter.power_draw().get() * dt;
-            if tick.is_some() {
-                let v = self.meter.instantaneous_speed().get();
-                sum += v;
-                sum2 += v * v;
-                n += 1;
-            }
-        }
+        let n = self.meter.drive(self.config.measure.get(), env, |meter| {
+            energy += power * frame_s;
+            power = meter.power_draw().get();
+            let v = meter.instantaneous_speed().get();
+            sum += v;
+            sum2 += v * v;
+        });
         let duration = self.config.settle + self.config.measure;
         energy += self.config.electronics_active.get() * duration.get();
         let mean = sum / n.max(1) as f64;
@@ -222,6 +218,16 @@ mod tests {
             hours,
             avg.to_milliwatts()
         );
+    }
+
+    #[test]
+    fn burst_windows_step_whole_frames() {
+        let mut c = controller();
+        c.measure_once(env(100.0));
+        // 0.3 s + 0.7 s at 2 ms: 150 + 350 frames (0.7 / 0.002 is
+        // 349.99999999999994 in f64).
+        assert_eq!(c.meter().frame_phase(), 0);
+        assert_eq!(c.meter().control_ticks(), 500);
     }
 
     #[test]

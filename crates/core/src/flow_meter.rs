@@ -32,6 +32,7 @@
 //! which stay inherent for callers that do not import the trait.
 
 use crate::calibration::{self, CalPoint, KingCalibration};
+use crate::clock::TickClock;
 use crate::config::{fnv1a64_words, AfeTier, FlowMeterConfig, OperatingMode, PulsedConfig};
 use crate::cta::{ConductanceEstimator, CtaLoop, SUPPLY_CODE_MAX};
 use crate::direction::{DirectionDetector, FlowDirection};
@@ -981,39 +982,38 @@ impl FlowMeter {
         stored
     }
 
-    /// Drives `steps` modulator ticks through the fastest available path —
-    /// scalar ticks until the frame boundary, whole batched frames, scalar
-    /// remainder — invoking `on_control` after every completed control tick.
-    /// Bit-identical to an all-scalar walk at the exact tier. Frames leave
-    /// their measurements undecoded.
-    fn drive(&mut self, steps: u64, env: SensorEnvironment, mut on_control: impl FnMut(&mut Self)) {
-        let mut remaining = steps;
-        while remaining > 0 && self.mod_phase != 0 {
-            if self.step(env).is_some() {
-                on_control(self);
-            }
-            remaining -= 1;
-        }
-        let frame = self.config.decimation as u64;
-        while remaining >= frame {
+    /// Drives the whole control frames a span of `seconds` holds
+    /// ([`TickClock::whole_frames`]), invoking `on_control` after each, and
+    /// returns their count. Frames leave their measurements undecoded.
+    pub(crate) fn drive(
+        &mut self,
+        seconds: f64,
+        env: SensorEnvironment,
+        mut on_control: impl FnMut(&mut Self),
+    ) -> u64 {
+        let frames = TickClock::new(self.config.control_period())
+            .whole_frames(seconds)
+            .unwrap_or_else(|| {
+                panic!("a meter span must be finite and non-negative, got {seconds} s")
+            });
+        for _ in 0..frames {
             self.step_frame_undecoded(env);
             on_control(self);
-            remaining -= frame;
         }
-        for _ in 0..remaining {
-            if self.step(env).is_some() {
-                on_control(self);
-            }
-        }
+        frames
     }
 
-    /// Runs `seconds` of simulated time at a constant environment and
-    /// returns the final measurement (if at least one control tick ran).
+    /// Runs the whole control frames `seconds` holds at a constant
+    /// environment and returns the final measurement (`None` when the span
+    /// holds no frame).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seconds` is negative or NaN or holds 2⁶⁴ frames or more,
+    /// or if the meter is not frame-aligned.
     pub fn run(&mut self, seconds: f64, env: SensorEnvironment) -> Option<Measurement> {
-        let steps = (seconds / self.dt.get()).round() as u64;
-        let mut ran = false;
-        self.drive(steps, env, |_| ran = true);
-        ran.then(|| self.last_measurement()).flatten()
+        let frames = self.drive(seconds, env, |_| {});
+        (frames > 0).then(|| self.last_measurement()).flatten()
     }
 
     /// The instantaneous (unconditioned) conductance implied by the present
@@ -1067,7 +1067,8 @@ impl FlowMeter {
     }
 
     /// Records one calibration point at a known reference velocity, running
-    /// `settle_s` of simulation then averaging `average_s` of conductance.
+    /// the whole frames `settle_s` holds, then averaging conductance over
+    /// those `average_s` holds; panics as [`run`](Self::run) does.
     pub fn record_calibration_point(
         &mut self,
         reference: MetersPerSecond,
@@ -1080,16 +1081,13 @@ impl FlowMeter {
             ..env
         };
         self.run(settle_s, env);
-        let steps = (average_s / self.dt.get()).round() as u64;
         let mut sum = 0.0;
-        let mut n = 0u64;
-        self.drive(steps, env, |meter| {
+        let frames = self.drive(average_s, env, |meter| {
             sum += meter.instantaneous_conductance().get();
-            n += 1;
         });
         CalPoint {
             velocity: reference,
-            conductance: ThermalConductance::new(sum / n.max(1) as f64),
+            conductance: ThermalConductance::new(sum / frames.max(1) as f64),
         }
     }
 
@@ -1116,27 +1114,29 @@ impl FlowMeter {
         Ok(self.calibration.as_ref().expect("just installed"))
     }
 
-    /// Auto-zeroes the direction channel: runs `seconds` of simulation at
-    /// the given (zero-flow) environment and learns the channel's
-    /// supply-normalized offset, which is subtracted from all subsequent
-    /// direction decisions. This removes both the in-amp offset and the
-    /// heater-pair mismatch (±1 % tolerance → an offset that would otherwise
-    /// dwarf the coupling signal), so the detector can use a tight deadband.
+    /// Auto-zeroes the direction channel: runs the whole control frames
+    /// `seconds` holds at the given (zero-flow) environment and learns the
+    /// channel's supply-normalized offset, which is subtracted from all
+    /// subsequent direction decisions. This removes both the in-amp offset
+    /// and the heater-pair mismatch (±1 % tolerance → an offset that would
+    /// otherwise dwarf the coupling signal), so the detector can use a
+    /// tight deadband.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run).
     pub fn auto_zero_direction(&mut self, seconds: f64, env: SensorEnvironment) {
         let env = SensorEnvironment {
             velocity: MetersPerSecond::ZERO,
             ..env
         };
-        let steps = (seconds / self.dt.get()).round() as u64;
         let mut sum = 0.0;
-        let mut n: u64 = 0;
-        self.drive(steps, env, |meter| {
+        let frames = self.drive(seconds, env, |meter| {
             let u = meter.platform.supply_voltage().get().max(0.2);
             sum += meter.last_dir_code as f64 / u;
-            n += 1;
         });
-        if n > 0 {
-            self.dir_offset_per_volt = sum / n as f64;
+        if frames > 0 {
+            self.dir_offset_per_volt = sum / frames as f64;
         }
         self.direction.reset();
     }
@@ -1645,24 +1645,51 @@ mod tests {
         assert_eq!(scalar.state_digest(), framed.state_digest());
     }
 
+    /// `run(D)` steps the ⌊D/dt⌋ whole frames `D` holds, bit-identical to
+    /// that many `step_frame` calls while the surface step draws, and
+    /// leaves the meter aligned: at a whole span and at a span ending half
+    /// a frame past a whole one (a3's fast window, 937.5 frames at 2 ms).
     #[test]
-    fn run_matches_scalar_from_any_entry_phase_while_bubbles_draw() {
-        let mut all_scalar = bubbly_meter(21);
-        let mut batched = bubbly_meter(21);
+    fn run_steps_the_whole_frames_a_span_holds() {
         let e = env(150.0);
-        for _ in 0..13 {
-            assert_eq!(all_scalar.step(e), batched.step(e));
+        for (seconds, frames) in [(0.3, 150), (1.875, 937)] {
+            let mut framed = bubbly_meter(21);
+            let mut run = bubbly_meter(21);
+            let last = (0..frames).map(|_| framed.step_frame(e)).last();
+            assert_eq!(run.run(seconds, e), last, "{seconds} s");
+            assert_eq!(run.frame_phase(), 0, "{seconds} s");
+            assert_eq!(run.control_ticks(), frames, "{seconds} s");
+            assert!(run.die().bubble_coverage(HeaterId::A) > 0.0);
+            assert_eq!(run.state_digest(), framed.state_digest(), "{seconds} s");
         }
-        let steps = (0.3 / all_scalar.dt.get()).round() as u64;
-        let mut last = None;
-        for _ in 0..steps {
-            if let Some(m) = all_scalar.step(e) {
-                last = Some(m);
-            }
-        }
-        assert_eq!(last, batched.run(0.3, e));
-        assert!(all_scalar.die().bubble_coverage(HeaterId::A) > 0.0);
-        assert_eq!(all_scalar.state_digest(), batched.state_digest());
+        // A span shorter than one frame runs none.
+        let mut m = meter(3);
+        assert_eq!(m.run(0.0019, e), None);
+        assert_eq!(m.control_ticks(), 0);
+    }
+
+    /// An auto-zero and a calibration point over spans that end mid-frame
+    /// step the whole frames they hold and leave the meter aligned.
+    #[test]
+    fn auto_zero_and_calibration_points_step_whole_frames() {
+        let mut m = meter(4);
+        m.auto_zero_direction(0.2501, SensorEnvironment::still_water());
+        assert_eq!((m.frame_phase(), m.control_ticks()), (0, 125));
+        let v = MetersPerSecond::from_cm_per_s(50.0);
+        m.record_calibration_point(v, env(0.0), 0.0999, 0.0511);
+        assert_eq!((m.frame_phase(), m.control_ticks()), (0, 125 + 49 + 25));
+    }
+
+    #[test]
+    #[should_panic(expected = "a meter span must be finite and non-negative, got NaN s")]
+    fn whole_frames_refuse_a_nan_auto_zero() {
+        meter(5).auto_zero_direction(f64::NAN, SensorEnvironment::still_water());
+    }
+
+    #[test]
+    #[should_panic(expected = "a meter span must be finite and non-negative, got inf s")]
+    fn whole_frames_refuse_an_infinite_run() {
+        meter(5).run(f64::INFINITY, env(50.0));
     }
 
     /// Every field of `got` equals `want`'s, the floats to the bit (so a
@@ -1850,29 +1877,6 @@ mod tests {
                 assert_eq!(last, Some(framed.step_frame(e)), "fault {fault:?}");
             }
         }
-    }
-
-    #[test]
-    fn run_is_bit_identical_regardless_of_entry_phase() {
-        // `run` batches internally; a meter de-aligned by a partial scalar
-        // prefix must produce the same stream as an all-scalar walk.
-        let mut all_scalar = meter(21);
-        let mut batched = meter(21);
-        let e = env(150.0);
-        // De-align both by 13 ticks.
-        for _ in 0..13 {
-            assert_eq!(all_scalar.step(e), batched.step(e));
-        }
-        let steps = (0.3 / all_scalar.dt.get()).round() as u64;
-        let mut last = None;
-        for _ in 0..steps {
-            if let Some(m) = all_scalar.step(e) {
-                last = Some(m);
-            }
-        }
-        let batched_last = batched.run(0.3, e);
-        assert_eq!(last, batched_last);
-        assert_eq!(all_scalar.frame_phase(), batched.frame_phase());
     }
 
     #[test]

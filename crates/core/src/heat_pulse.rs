@@ -40,6 +40,7 @@
 //! to per-tick stepping.
 
 use crate::calibration::{self, recover_mirrored, store_mirrored};
+use crate::clock::TickClock;
 use crate::config::{fnv1a64_words, FlowMeterConfig};
 use crate::direction::FlowDirection;
 use crate::error::CoreError;
@@ -159,10 +160,6 @@ impl HeatPulseConfig {
             deadband_codes: 10.0,
             valid_threshold_codes: 12.0,
         }
-    }
-
-    fn ticks(&self, seconds: f64) -> u32 {
-        ((seconds / self.control_period_s).round() as u32).max(1)
     }
 
     /// Whole pulse cycle, s.
@@ -425,11 +422,13 @@ impl HeatPulseMeter {
         let factory = HeatPulseCalibration::design();
         factory.store(&mut eeprom)?;
         let control_rate = 1.0 / hp.control_period_s;
+        let clock = TickClock::new(config.control_period());
+        let ticks = |seconds| clock.ticks_in(seconds) as u32;
         Ok(HeatPulseMeter {
-            baseline_ticks: hp.ticks(hp.baseline_s),
-            fire_ticks: hp.ticks(hp.fire_s),
-            monitor_ticks: hp.ticks(hp.monitor_s),
-            idle_ticks: hp.ticks(hp.idle_s),
+            baseline_ticks: ticks(hp.baseline_s),
+            fire_ticks: ticks(hp.fire_s),
+            monitor_ticks: ticks(hp.monitor_s),
+            idle_ticks: ticks(hp.idle_s),
             cycle_tick: 0,
             plume_live: false,
             t_since_fire_mid: 0.0,

@@ -35,6 +35,8 @@
 //!   probe.
 //! * [`flow_meter`] — [`FlowMeter`], the assembled instrument
 //!   (die + platform + firmware), stepped sample-by-sample.
+//! * [`clock`] — [`TickClock`], the one conversion of seconds into whole
+//!   control ticks, for the firmware's spans and the rig's run inputs.
 //!
 //! # Threading contract
 //!
@@ -68,6 +70,7 @@
 
 pub mod burst;
 pub mod calibration;
+pub mod clock;
 pub mod config;
 pub mod cta;
 pub mod direction;
@@ -86,6 +89,7 @@ pub mod telemetry;
 
 pub use burst::{BurstConfig, BurstController, BurstReading};
 pub use calibration::{KingCalibration, TempCorrect};
+pub use clock::TickClock;
 pub use config::{FlowMeterConfig, OperatingMode};
 pub use error::CoreError;
 pub use flow_meter::{FlowMeter, Measurement};

@@ -22,6 +22,8 @@
 //!   and must be bit-identical to that many [`step`](Meter::step) calls
 //!   under a constant environment; it may only be called when
 //!   [`frame_phase`](Meter::frame_phase) is 0 and must panic otherwise.
+//!   A meter is aligned when built and the engines step whole frames only,
+//!   so no engine calls `step`: it is that identity's per-tick reference.
 //!   Meters without a modulator-rate inner loop report
 //!   `ticks_per_frame() == 1` and are trivially frame-aligned.
 //!   [`advance_frame`](Meter::advance_frame) is `step_frame` for a caller

@@ -38,7 +38,6 @@
 //! # Ok::<(), hotwire_core::CoreError>(())
 //! ```
 
-use crate::clock::TickClock;
 use crate::exec;
 use crate::fault::FaultSchedule;
 use crate::line::WaterLine;
@@ -52,7 +51,7 @@ use crate::runner::{LineRunner, RunTail, Trace};
 use crate::scenario::Scenario;
 use hotwire_core::calibration::CalPoint;
 use hotwire_core::config::AfeTier;
-use hotwire_core::{CoreError, FlowMeter, FlowMeterConfig, HeatPulseMeter, Meter};
+use hotwire_core::{CoreError, FlowMeter, FlowMeterConfig, HeatPulseMeter, Meter, TickClock};
 use hotwire_physics::{MafParams, SensorEnvironment};
 use hotwire_units::{Celsius, MetersPerSecond, ThermalConductance};
 use rand::rngs::StdRng;
@@ -385,6 +384,9 @@ pub enum SpecError {
         /// The event's fault class.
         fault: &'static str,
     },
+    /// [`RunSpec::auto_zero_s`] is NaN or negative, or holds 2⁶⁴ control
+    /// frames or more (+∞ included).
+    BadAutoZero,
 }
 
 impl SpecError {
@@ -403,6 +405,7 @@ impl SpecError {
                 "a fault event has a non-finite window or parameter"
             }
             SpecError::SubTickFault { .. } => "a windowed fault is shorter than one control tick",
+            SpecError::BadAutoZero => "auto-zero must be non-negative and under 2^64 frames",
         }
     }
 }
@@ -414,7 +417,7 @@ impl core::fmt::Display for SpecError {
             SpecError::NonFiniteSchedule { schedule } => write!(f, " ({schedule})"),
             SpecError::NonFiniteFault { event, fault }
             | SpecError::SubTickFault { event, fault } => write!(f, " (event {event}, {fault})"),
-            SpecError::BadSamplePeriod | SpecError::BadDuration => Ok(()),
+            SpecError::BadSamplePeriod | SpecError::BadDuration | SpecError::BadAutoZero => Ok(()),
         }
     }
 }
@@ -429,16 +432,17 @@ impl From<SpecError> for CoreError {
 
 /// Checks one line's run inputs against what a run on `clock` accepts —
 /// the sample period, the duration, the field-calibration windows, the
-/// scenario schedules, and each fault's window and parameters — before
-/// any of them is converted to control ticks. [`RunSpec::validate`] and
-/// [`FleetSpec::validate`](crate::FleetSpec::validate) both come through
-/// here.
+/// scenario schedules, each fault's window and parameters, and the
+/// auto-zero — before any of them is converted to control ticks.
+/// [`RunSpec::validate`] and [`FleetSpec::validate`](crate::FleetSpec::validate)
+/// both come through here.
 pub(crate) fn check_line(
     clock: TickClock,
     scenario: &Scenario,
     sample_period_s: f64,
     calibration: &Calibration,
     faults: Option<&FaultSchedule>,
+    auto_zero_s: Option<f64>,
 ) -> Result<(), SpecError> {
     if !(sample_period_s.is_finite() && sample_period_s > 0.0) {
         return Err(SpecError::BadSamplePeriod);
@@ -469,6 +473,9 @@ pub(crate) fn check_line(
             return Err(SpecError::SubTickFault { event, fault });
         }
     }
+    if auto_zero_s.is_some_and(|s| clock.whole_frames(s).is_none()) {
+        return Err(SpecError::BadAutoZero);
+    }
     Ok(())
 }
 
@@ -494,8 +501,8 @@ pub struct RunSpec {
     pub meter_seed: u64,
     /// Calibration applied before the run.
     pub calibration: Calibration,
-    /// If set, auto-zero the direction channel in still water for this many
-    /// seconds before the scenario starts.
+    /// If set, auto-zero the direction channel in still water over the whole
+    /// control frames this many seconds hold before the scenario starts.
     pub auto_zero_s: Option<f64>,
     /// The line scenario to drive.
     pub scenario: Scenario,
@@ -670,7 +677,7 @@ impl RunSpec {
 
     /// Checks this spec's run inputs on its meter's control clock: the
     /// sample period, the duration, the field-calibration windows, the
-    /// scenario schedules, and each fault's window and parameters.
+    /// scenario schedules, each fault's window and parameters, and the auto-zero.
     ///
     /// # Errors
     ///
@@ -682,6 +689,7 @@ impl RunSpec {
             self.sample_period_s,
             &self.calibration,
             self.faults.as_ref(),
+            self.auto_zero_s,
         )
     }
 
@@ -950,10 +958,8 @@ pub fn collect_calibration_points(
             let mut env = SensorEnvironment::still_water();
             let (mut g_sum, mut v_sum, mut n) = (0.0, 0.0, 0u64);
             for frame in 0..frames {
-                // A fresh replica is frame-aligned and stays aligned: each
-                // control tick is one whole modulator frame, run as a SoA
-                // block walk (bit-identical to per-tick stepping). Only the
-                // conductance is read, so the velocity is never decoded.
+                // Only the conductance is read, so the velocity is never
+                // decoded.
                 meter.advance_frame(env);
                 env = line.step(control_dt);
                 let promag_reading = promag.step(control_dt, line.bulk_velocity(), &mut ref_rng);

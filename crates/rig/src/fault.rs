@@ -17,7 +17,7 @@
 //!   the heater surfaces. These attack the §4 liquid-specific failure
 //!   modes directly, bypassing the slow natural growth models.
 //!
-//! Faults run on the control-tick clock ([`crate::clock`]): an event's
+//! Faults run on the control-tick clock ([`hotwire_core::clock`]): an event's
 //! onset `at_s` and its end `at_s + duration_s` each move to the first
 //! control frame that starts at or after them. Windowed faults (ADC, DAC,
 //! brownout, UART) engage before their onset frame and revert before
@@ -29,11 +29,10 @@
 //!
 //! [`RunSpec`]: crate::campaign::RunSpec
 
-use crate::clock::TickClock;
 use hotwire_afe::ThermometerDac;
 use hotwire_core::faults::AdcFault;
 use hotwire_core::obs::EventKind;
-use hotwire_core::{Measurement, Meter, TelemetryRecord};
+use hotwire_core::{Measurement, Meter, TelemetryRecord, TickClock};
 use hotwire_isif::uart::{FrameDecoder, FrameEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -95,7 +95,6 @@ use crate::campaign::{
     check_line, derive_seed, Calibration, LineConfig, RunOutcome, RunSpec, SpecError, Windows,
 };
 use crate::checkpoint::{CheckpointError, FleetCheckpoint};
-use crate::clock::TickClock;
 use crate::exec;
 use crate::fault::FaultSchedule;
 use crate::maintain::{Maintenance, MaintenanceCounters};
@@ -105,7 +104,7 @@ use crate::record::{HealthCensus, RecordPolicy};
 use crate::scenario::Scenario;
 use crate::sketch::QuantileSketch;
 use hotwire_core::config::fnv1a64;
-use hotwire_core::{CoreError, FlowMeterConfig, Meter};
+use hotwire_core::{CoreError, FlowMeterConfig, Meter, TickClock};
 use hotwire_physics::MafParams;
 
 /// Fault schedules applied to a strided subset of a fleet's lines.
@@ -595,6 +594,7 @@ impl FleetSpec {
             self.sample_period_s,
             &self.calibration,
             self.variation.faults.as_ref().map(|t| &t.schedule),
+            None,
         )
         .map_err(FleetSpecError::Line)?;
         let j = self.variation.flow_jitter;

@@ -9,9 +9,9 @@
 //!   ramps, staircases, pressure peaks)
 //! * [`mod@line`] — the measurement line: schedules + pipe profile + turbulence
 //!   → the instantaneous [`SensorEnvironment`] at the probe
-//! * [`clock`] — the control-tick clock: every second-valued run input
-//!   (duration, sample period, fault windows, calibration and maintenance
-//!   intervals) becomes whole control ticks through one [`TickClock`]
+//! * [`TickClock`] — the control-tick clock, re-exported from `hotwire_core`:
+//!   every second-valued run input (duration, sample period, fault windows,
+//!   calibration and maintenance intervals) becomes whole control ticks
 //! * [`maintain`] — deterministic per-line maintenance policies
 //!   ([`Policy`], [`MaintenanceEngine`]): scheduled / event-triggered /
 //!   hybrid re-zero–refit–persist decisions driven through the
@@ -108,7 +108,6 @@
 
 pub mod campaign;
 pub mod checkpoint;
-pub mod clock;
 pub mod exec;
 pub mod fault;
 pub mod fleet;
@@ -130,12 +129,12 @@ pub use campaign::{
     PAPER_SETPOINTS_CM_S,
 };
 pub use checkpoint::{CheckpointError, FleetCheckpoint};
-pub use clock::TickClock;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultSchedule, UartStats};
 pub use fleet::{
     FleetAggregates, FleetError, FleetOutcome, FleetShard, FleetSpec, FleetSpecError, LineSummary,
     LineVariation, PartialFleet, ShardAggregates,
 };
+pub use hotwire_core::TickClock;
 pub use ingest::{
     ingest_fleet, Alert, AlertKind, DropPolicy, Fidelity, IngestConfig, IngestReport, IngestStats,
     MeterSession,

@@ -5,7 +5,7 @@
 //! packages pressure and temperature into a [`SensorEnvironment`].
 //!
 //! The line keeps time as a count of steps: after `k` steps of `dt` its
-//! clock reads `k × dt` (see [`crate::clock`]), never a running sum.
+//! clock reads `k × dt` (see [`hotwire_core::clock`]), never a running sum.
 
 use crate::scenario::Scenario;
 use hotwire_physics::fluid::Water;
@@ -87,8 +87,8 @@ impl WaterLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::TickClock;
     use crate::scenario::Schedule;
+    use hotwire_core::TickClock;
     use rand::distributions::StandardNormal;
     use rand::Rng;
 

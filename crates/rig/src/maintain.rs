@@ -21,9 +21,8 @@
 //! interrupted line reruns from scratch, so in-flight engine state never
 //! needs to serialize; only the finished [`MaintenanceCounters`] ride
 //! the line summaries into checkpoints). The runner calls
-//! [`MaintenanceEngine::service`] exactly once per *produced*
-//! measurement — one control tick — which makes the engine's clock
-//! identical between the frame-batched hot path and scalar stepping.
+//! [`MaintenanceEngine::service`] exactly once per control frame, so the
+//! engine's clock is the control-tick count.
 //!
 //! ## Wear economics
 //!
@@ -35,9 +34,8 @@
 //! tracks per slot — erases do not heal cells). Skipped persists are
 //! counted so the f4 frontier can price each policy in write cycles.
 
-use crate::clock::TickClock;
 use hotwire_core::obs::EventKind;
-use hotwire_core::{HealthState, Meter};
+use hotwire_core::{HealthState, Meter, TickClock};
 use hotwire_units::Seconds;
 
 /// When a line's calibration gets serviced.

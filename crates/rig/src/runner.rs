@@ -5,12 +5,11 @@
 //! the semantics of the paper's evaluation line, where the MAF prototype
 //! and the Promag 50 see the same water.
 //!
-//! A run counts control ticks ([`crate::clock`]): it steps the frames that
-//! start inside `[0, duration]` and records the sample after frames
-//! 0, P, 2P, … — control ticks 1, 1 + P, 1 + 2P, … — where P is the sample
-//! period rounded to whole ticks.
+//! A run counts control ticks ([`hotwire_core::clock`]): it steps the
+//! frames that start inside `[0, duration]` and records the sample after
+//! frames 0, P, 2P, … — control ticks 1, 1 + P, 1 + 2P, … — where P is the
+//! sample period rounded to whole ticks.
 
-use crate::clock::TickClock;
 use crate::fault::{FaultInjector, FaultSchedule, UartStats};
 use crate::line::WaterLine;
 use crate::maintain::{MaintenanceCounters, MaintenanceEngine};
@@ -20,7 +19,7 @@ use crate::promag::Promag50;
 use crate::record::{CsvSink, Recorder, TraceStore};
 use crate::scenario::Scenario;
 use crate::turbine::TurbineMeter;
-use hotwire_core::{HealthState, Meter};
+use hotwire_core::{HealthState, Meter, TickClock};
 use hotwire_physics::SensorEnvironment;
 use hotwire_units::Seconds;
 use rand::rngs::StdRng;
@@ -245,7 +244,7 @@ impl<M: Meter> LineRunner<M> {
     /// The run steps every control frame that starts inside
     /// `[0, duration]` and records the sample after frames 0, P, 2P, …,
     /// where P is `sample_period_s` rounded to whole control ticks (at
-    /// least one; see [`crate::clock`]). The line and reference meters
+    /// least one; see [`hotwire_core::clock`]). The line and reference meters
     /// advance at the control rate (the probe environment is held between
     /// control ticks — turbulence above the control bandwidth is invisible
     /// to every instrument on the line).
@@ -255,7 +254,8 @@ impl<M: Meter> LineRunner<M> {
     /// Panics if `sample_period_s` is not a positive number, or if the
     /// scenario duration is not finite: the run would never end.
     /// [`RunSpec::execute`](crate::campaign::RunSpec::execute) refuses both
-    /// with a typed error before any run.
+    /// with a typed error before any run. Panics too on a meter that is not
+    /// frame-aligned.
     pub fn run_with<R: Recorder + ?Sized>(
         &mut self,
         sample_period_s: f64,
@@ -272,6 +272,11 @@ impl<M: Meter> LineRunner<M> {
             "LineRunner::run: the scenario duration must be finite or the run \
              never ends, got {duration_s} s"
         );
+        let phase = self.meter.frame_phase();
+        assert!(
+            phase == 0,
+            "LineRunner::run: the meter must be frame-aligned, got frame phase {phase}"
+        );
         // A duration whose frame count overflows a u64 never ends either.
         let frames = self.clock.frames(duration_s).unwrap_or(u64::MAX);
         let period = self.clock.ticks_in(sample_period_s);
@@ -284,10 +289,7 @@ impl<M: Meter> LineRunner<M> {
         // The next frame whose sample is due: 0, P, 2P, ….
         let mut next_due = 0;
         for frame in 0..frames {
-            // Faults engage/revert before the frame they first affect. The
-            // environment is constant over a frame, so for a frame-aligned
-            // meter one `apply` reaches the same phase fixed point
-            // per-tick stepping does.
+            // Faults engage/revert before the frame they first affect.
             if let Some(injector) = self.injector.as_mut() {
                 injector.apply(frame, &mut self.meter);
             }
@@ -295,43 +297,26 @@ impl<M: Meter> LineRunner<M> {
             if due {
                 next_due = frame.saturating_add(period);
             }
-            let (m, steps) = if self.meter.frame_phase() == 0 {
-                // Hot path: the whole modulator-rate frame runs as one SoA
-                // block walk, bit-identical to per-tick stepping. Only an
-                // observer or a due sample reads its measurement; any
-                // other frame skips what only the measurement needs.
-                let m = if observing || due {
-                    Some(self.meter.step_frame(self.env))
-                } else {
-                    self.meter.advance_frame(self.env);
-                    None
-                };
-                (m, frame_ticks)
+            // Only an observer or a due sample reads the frame's
+            // measurement; any other frame skips what only it needs.
+            let m = if observing || due {
+                Some(self.meter.step_frame(self.env))
             } else {
-                // Per-tick path: a de-aligned meter (single-stepped before
-                // being handed to the runner) steps to its next
-                // measurement.
-                let mut steps = 1;
-                loop {
-                    if let Some(m) = self.meter.step(self.env) {
-                        break (Some(m), steps);
-                    }
-                    steps += 1;
-                }
+                self.meter.advance_frame(self.env);
+                None
             };
             if let Some(obs) = run_obs.as_mut() {
                 let m = m.expect("an observed run reads every frame");
-                obs.counters.modulator_steps += steps;
+                obs.counters.modulator_steps += frame_ticks;
                 obs.counters.control_ticks += 1;
                 // Modulator ticks from the ADC samples entering the channel
                 // to this conditioned measurement (= the CIC decimation).
-                obs.latency_ticks.record(steps as i64);
+                obs.latency_ticks.record(frame_ticks as i64);
                 obs.pi_output.record(m.supply_code as i64);
             }
 
             // Frame boundary: one maintenance-policy evaluation per
-            // produced measurement (identical clocking on the frame-batched
-            // and per-tick paths; draws no RNG, so the reference lanes
+            // produced measurement (draws no RNG, so the reference lanes
             // below are untouched).
             if let Some(engine) = self.maintain.as_mut() {
                 engine.service(&mut self.meter);
@@ -388,7 +373,7 @@ impl<M: Meter> LineRunner<M> {
 
 /// The samples a run of `duration_s` at `sample_period_s` records on a
 /// meter whose control tick is `control_period_s`: `1 + ⌊(N − 1)/P⌋` for
-/// `N` frames and a period of `P` ticks (see [`crate::clock`]) — the
+/// `N` frames and a period of `P` ticks (see [`hotwire_core::clock`]) — the
 /// capacity a full-trace sink needs. Saturates at `usize::MAX` for a run
 /// that never ends, and is 0 for a period the runner refuses.
 pub fn expected_samples(duration_s: f64, sample_period_s: f64, control_period_s: f64) -> usize {
@@ -558,6 +543,14 @@ mod tests {
         assert!(red.samples > 20);
         assert!(red.settled.count() > 0);
         assert!((red.settled.mean() - 70.0).abs() < 35.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "the meter must be frame-aligned, got frame phase 1")]
+    fn run_with_refuses_a_mid_frame_meter() {
+        let mut meter = test_meter(17);
+        meter.step(SensorEnvironment::still_water());
+        LineRunner::new(Scenario::steady(50.0, 0.1), meter, 17).run(0.01);
     }
 
     #[test]

@@ -262,28 +262,34 @@ fn subtick_windows_are_typed_errors() {
     }
 }
 
-/// Seconds the runner's asserts refuse come back as
+/// Seconds the runner's and the meter's asserts refuse come back as
 /// [`CoreError::Config`] from [`RunSpec::execute`].
 #[test]
 fn untrusted_run_seconds_are_config_errors() {
-    for (sample_period_s, duration_s, expected) in [
-        (0.0, 1.0, SpecError::BadSamplePeriod),
-        (-0.1, 1.0, SpecError::BadSamplePeriod),
-        (f64::NAN, 1.0, SpecError::BadSamplePeriod),
-        (0.05, f64::NAN, SpecError::BadDuration),
-        (0.05, f64::INFINITY, SpecError::BadDuration),
+    for (sample_period_s, duration_s, auto_zero_s, expected) in [
+        (0.0, 1.0, None, SpecError::BadSamplePeriod),
+        (-0.1, 1.0, None, SpecError::BadSamplePeriod),
+        (f64::NAN, 1.0, None, SpecError::BadSamplePeriod),
+        (0.05, f64::NAN, None, SpecError::BadDuration),
+        (0.05, f64::INFINITY, None, SpecError::BadDuration),
+        (0.05, 1.0, Some(f64::NAN), SpecError::BadAutoZero),
+        (0.05, 1.0, Some(f64::INFINITY), SpecError::BadAutoZero),
+        (0.05, 1.0, Some(-0.5), SpecError::BadAutoZero),
+        (0.05, 1.0, Some(1e300), SpecError::BadAutoZero),
     ] {
-        let spec = RunSpec::new(
+        let mut spec = RunSpec::new(
             "untrusted",
             fast_profile(),
             Scenario::steady(50.0, duration_s),
             18,
         )
         .with_sample_period(sample_period_s);
+        spec.auto_zero_s = auto_zero_s;
         assert_eq!(
             spec.execute().map(|_| ()),
             Err(CoreError::from(expected)),
-            "sample period {sample_period_s} s, duration {duration_s} s"
+            "sample period {sample_period_s} s, duration {duration_s} s, \
+             auto-zero {auto_zero_s:?}"
         );
     }
 }
@@ -354,6 +360,7 @@ proptest! {
         window in AnySeconds,
         impulse_at in AnySeconds,
         settle in AnySeconds,
+        auto_zero in AnySeconds,
     ) {
         let schedule = FaultSchedule::new(3)
             .with_event(impulse_at, 0.0, FaultKind::BubbleBurst { coverage: 0.1 })
@@ -381,6 +388,14 @@ proptest! {
             // At least one tick, up to the clock's snapping distance.
             && (q(window) >= 1.0 || (q(window) - 1.0).abs() <= 1e-6);
         prop_assert_eq!(verdict.is_ok(), valid, "{:?}", verdict);
+        // An auto-zero holds ⌊A/dt⌋ whole frames, up to snapping; the
+        // spec refuses one no u64 counts after every other input.
+        let zeroed = spec.clone().with_auto_zero(auto_zero).validate();
+        let zero_fits = auto_zero >= 0.0 && q(auto_zero) < 2f64.powi(64);
+        prop_assert_eq!(
+            zeroed,
+            verdict.and(if zero_fits { Ok(()) } else { Err(SpecError::BadAutoZero) })
+        );
         if verdict.is_err() {
             return Ok(());
         }
