@@ -360,14 +360,13 @@ fn json_histogram(h: &Histogram) -> String {
 fn json_scope(s: &ScopeObs) -> String {
     format!(
         "{{\"campaigns\": {}, \"runs\": {}, \"wall_s\": {}, \"samples_per_s\": {}, \
-         \"counters\": {}, \"pi_output\": {}, \"latency_ticks\": {}}}",
+         \"counters\": {}, \"pi_output\": {}}}",
         s.campaigns,
         s.runs,
         json_number(s.wall_s),
         json_number(s.samples_per_s()),
         json_counters(&s.counters),
-        json_histogram(&s.pi_output),
-        json_histogram(&s.latency_ticks)
+        json_histogram(&s.pi_output)
     )
 }
 
@@ -379,7 +378,6 @@ fn registry_total(registry: &BTreeMap<String, ScopeObs>) -> ScopeObs {
         total.runs += s.runs;
         total.counters.merge(&s.counters);
         total.pi_output.merge(&s.pi_output);
-        total.latency_ticks.merge(&s.latency_ticks);
         total.wall_s += s.wall_s;
     }
     total

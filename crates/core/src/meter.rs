@@ -3,12 +3,11 @@
 //! Everything above the firmware — the line runner, the campaign executor,
 //! the fleet engine, the fault injector, checkpointing — used to be
 //! hard-coded to the CTA [`FlowMeter`](crate::FlowMeter). This trait
-//! extracts the surface those engines actually touch, so alternate sensing
-//! modalities (the heat-pulse time-of-flight meter of
-//! [`crate::heat_pulse`], the rig's reference-instrument adapters) plug into
-//! the same physics substrate and the same deterministic execution
-//! machinery. This module holds only the contract; each implementation sits
-//! beside its type.
+//! extracts the surface those engines actually touch, so a second sensing
+//! modality (the heat-pulse time-of-flight meter of [`crate::heat_pulse`])
+//! plugs into the same physics substrate and the same deterministic
+//! execution machinery. This module holds only the contract; each
+//! implementation sits beside its type.
 //!
 //! # Contract
 //!
@@ -143,9 +142,11 @@ pub trait Meter: Send + std::fmt::Debug {
     // (`hotwire_rig::maintain`) decides *when* to act and drives every
     // modality through these five actions/observables without knowing
     // whether the calibration underneath is a King's-law fit or a
-    // time-of-flight scale. All defaults are inert no-ops so stateless
-    // instruments (the rig's reference adapters) satisfy the contract
-    // without code.
+    // time-of-flight scale. The defaults are inert no-ops: the CTA meter
+    // overrides every one, the heat-pulse meter all but
+    // `fluid_temperature` (it has no temperature channel), and a test
+    // double that forwards only stepping and fault hooks
+    // (`tests/tick_clock.rs`'s `CountingMeter`) takes them all.
     //
     // Determinism: none of these methods may draw from the meter's RNG
     // lanes (they run at frame boundaries between RNG-consuming steps, and

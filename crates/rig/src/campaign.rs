@@ -43,7 +43,7 @@ use crate::fault::FaultSchedule;
 use crate::line::WaterLine;
 use crate::maintain::{Maintenance, MaintenanceCounters, MaintenanceEngine};
 use crate::metrics::Welford;
-use crate::modality::{AnyMeter, Modality, ReferenceMeter};
+use crate::modality::{AnyMeter, Modality};
 use crate::obs::{self, EventLog, ObsConfig};
 use crate::promag::Promag50;
 use crate::record::{PolicyRecorder, RecordPolicy, Recorder, ReductionPlan, RunReductions};
@@ -488,10 +488,10 @@ pub struct RunSpec {
     /// Label carried through to the [`RunOutcome`] (for reports).
     pub label: String,
     /// Sensing modality of the device under test
-    /// ([`Modality::Cta`] by default). Non-CTA modalities ignore
+    /// ([`Modality::Cta`] by default). The heat-pulse modality ignores
     /// [`calibration`](Self::calibration) and
-    /// [`auto_zero_s`](Self::auto_zero_s): the heat-pulse meter carries
-    /// its own factory calibration, and reference meters need neither.
+    /// [`auto_zero_s`](Self::auto_zero_s): it carries its own factory
+    /// calibration.
     pub modality: Modality,
     /// Meter configuration.
     pub config: FlowMeterConfig,
@@ -738,8 +738,8 @@ impl RunSpec {
 
     /// Builds this spec's device under test: the CTA path goes through
     /// [`build_meter`] (calibration step, optional auto-zero) exactly as it
-    /// always has; the heat-pulse and reference modalities carry their own
-    /// construction and ignore the spec's calibration/auto-zero fields.
+    /// always has; the heat-pulse meter carries its own construction and
+    /// ignores the spec's calibration/auto-zero fields.
     fn build_dut(&self) -> Result<AnyMeter, CoreError> {
         Ok(match self.modality {
             Modality::Cta => {
@@ -753,12 +753,6 @@ impl RunSpec {
             Modality::HeatPulse => {
                 AnyMeter::HeatPulse(HeatPulseMeter::new(self.config, self.meter_seed)?)
             }
-            Modality::PromagRef | Modality::TurbineRef => AnyMeter::Reference(ReferenceMeter::new(
-                self.modality.reference_kind().expect("reference modality"),
-                self.config.full_scale,
-                self.config.control_period(),
-                self.meter_seed,
-            )),
         })
     }
 

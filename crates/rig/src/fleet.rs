@@ -99,7 +99,7 @@ use crate::exec;
 use crate::fault::FaultSchedule;
 use crate::maintain::{Maintenance, MaintenanceCounters};
 use crate::metrics;
-use crate::modality::{Modality, ReferenceKind};
+use crate::modality::Modality;
 use crate::record::{HealthCensus, RecordPolicy};
 use crate::scenario::Scenario;
 use crate::sketch::QuantileSketch;
@@ -133,43 +133,6 @@ impl FaultTemplate {
     }
 }
 
-/// Reference instruments interleaved into a fleet on a strided subset of
-/// lines.
-///
-/// Every `stride`-th line (phase `offset`) runs a
-/// [`ReferenceMeter`](crate::ReferenceMeter) instead of the fleet's DUT
-/// modality, giving the population a ground-truth comparator channel: the
-/// reference lines see the same scenario template (with their own line-seed
-/// turbulence and jitter draws) and fold into the same aggregates, so a
-/// census can compare DUT statistics against co-deployed reference
-/// statistics with no extra plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReferenceTemplate {
-    /// Replace lines where `i % stride == offset`.
-    /// [`FleetSpec::validate`] rejects `stride == 0`.
-    pub stride: usize,
-    /// Phase of the replaced subset (`offset < stride`).
-    pub offset: usize,
-    /// Which reference instrument the subset runs.
-    pub kind: ReferenceKind,
-}
-
-impl ReferenceTemplate {
-    /// Whether line `i` runs the reference instrument.
-    pub fn applies_to(&self, line: usize) -> bool {
-        let stride = self.stride.max(1);
-        line % stride == self.offset % stride
-    }
-
-    /// The modality the replaced lines run.
-    pub fn modality(&self) -> Modality {
-        match self.kind {
-            ReferenceKind::Promag => Modality::PromagRef,
-            ReferenceKind::Turbine => Modality::TurbineRef,
-        }
-    }
-}
-
 /// How individual lines of a fleet differ from the template.
 ///
 /// Component-tolerance and turbulence diversity is automatic — every line
@@ -186,9 +149,6 @@ pub struct LineVariation {
     pub flow_jitter: f64,
     /// Optional fault schedules on a strided subset of lines.
     pub faults: Option<FaultTemplate>,
-    /// Optional reference instruments on a strided subset of lines
-    /// (overrides the fleet's DUT modality there).
-    pub references: Option<ReferenceTemplate>,
 }
 
 impl LineVariation {
@@ -221,23 +181,6 @@ impl LineVariation {
         });
         self
     }
-
-    /// Runs a reference instrument of `kind` on every `stride`-th line
-    /// (starting at line `offset`) instead of the fleet's DUT modality.
-    #[must_use]
-    pub fn with_references_every(
-        mut self,
-        stride: usize,
-        offset: usize,
-        kind: ReferenceKind,
-    ) -> Self {
-        self.references = Some(ReferenceTemplate {
-            stride,
-            offset,
-            kind,
-        });
-        self
-    }
 }
 
 /// A degenerate [`FleetSpec`] caught by [`FleetSpec::validate`] before
@@ -264,15 +207,6 @@ pub enum FleetSpecError {
     Line(SpecError),
     /// `flow_jitter` is not a finite fraction in `[0, 1)`.
     BadFlowJitter,
-    /// The reference template's `stride` is zero.
-    ZeroReferenceStride,
-    /// The reference template's `offset` does not lie below its `stride`.
-    ReferenceOffsetOutOfRange {
-        /// The out-of-range phase.
-        offset: usize,
-        /// The template's stride.
-        stride: usize,
-    },
 }
 
 impl core::fmt::Display for FleetSpecError {
@@ -291,13 +225,6 @@ impl core::fmt::Display for FleetSpecError {
             FleetSpecError::BadFlowJitter => {
                 write!(f, "flow jitter must be a finite fraction in [0, 1)")
             }
-            FleetSpecError::ZeroReferenceStride => {
-                write!(f, "reference template stride is zero")
-            }
-            FleetSpecError::ReferenceOffsetOutOfRange { offset, stride } => write!(
-                f,
-                "reference template offset {offset} must lie below its stride {stride}"
-            ),
         }
     }
 }
@@ -431,9 +358,7 @@ pub const DEFAULT_EXACT_THRESHOLD: usize = 10_000;
 pub struct FleetSpec {
     /// Fleet label, carried into per-line labels and reports.
     pub label: String,
-    /// Sensing modality every DUT line runs ([`Modality::Cta`] by
-    /// default). Reference-template lines
-    /// ([`LineVariation::with_references_every`]) override it.
+    /// Sensing modality every line runs ([`Modality::Cta`] by default).
     pub modality: Modality,
     /// Meter configuration shared by every line.
     pub config: FlowMeterConfig,
@@ -455,9 +380,7 @@ pub struct FleetSpec {
     pub batch_size: usize,
     /// Fleet-level seed; every per-line seed derives from it.
     pub seed: u64,
-    /// Maintenance policy every DUT line runs (inactive by default).
-    /// Reference-template lines carry it too, harmlessly: their inert
-    /// calibration surface never triggers.
+    /// Maintenance policy every line runs (inactive by default).
     pub maintenance: Maintenance,
     /// How lines differ from the template.
     pub variation: LineVariation,
@@ -612,17 +535,6 @@ impl FleetSpec {
                 });
             }
         }
-        if let Some(t) = &self.variation.references {
-            if t.stride == 0 {
-                return Err(FleetSpecError::ZeroReferenceStride);
-            }
-            if t.offset >= t.stride {
-                return Err(FleetSpecError::ReferenceOffsetOutOfRange {
-                    offset: t.offset,
-                    stride: t.stride,
-                });
-            }
-        }
         Ok(())
     }
 
@@ -666,10 +578,6 @@ impl FleetSpec {
         } else {
             self.scenario.with_flow_scaled(self.jitter_factor(line))
         };
-        let modality = match &self.variation.references {
-            Some(template) if template.applies_to(line) => template.modality(),
-            _ => self.modality,
-        };
         let faults = self.variation.faults.as_ref().and_then(|template| {
             template.applies_to(line).then(|| {
                 let mut schedule = template.schedule.clone();
@@ -678,7 +586,7 @@ impl FleetSpec {
             })
         });
         let mut line_config = LineConfig::new()
-            .with_modality(modality)
+            .with_modality(self.modality)
             .with_maintenance(self.maintenance)
             .without_obs();
         line_config.afe_tier = self.config.afe_tier;

@@ -142,7 +142,7 @@ pub use ingest::{
 pub use line::WaterLine;
 pub use maintain::{Maintenance, MaintenanceCounters, MaintenanceEngine, Policy};
 pub use metrics::Welford;
-pub use modality::{AnyMeter, Modality, ReferenceKind, ReferenceMeter};
+pub use modality::{AnyMeter, Modality};
 pub use obs::{EventLog, Histogram, ObsConfig, ObsSnapshot, RunObs};
 pub use promag::Promag50;
 pub use record::{

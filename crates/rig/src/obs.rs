@@ -2,10 +2,10 @@
 //!
 //! The rig-side half of the observability layer (`hotwire_core::obs` is the
 //! firmware-side half): a bounded per-run [`EventLog`] the meter emits
-//! [`ObsEvent`]s into, per-run [`Counters`] and fixed-bucket [`Histogram`]s
-//! collected by the runner's hot loop, campaign-wide merging into an
-//! [`ObsSnapshot`], and a process-wide per-experiment registry that
-//! `repro --json` drains into its `"obs"` section.
+//! [`ObsEvent`]s into, per-run [`Counters`] and a fixed-bucket PI-output
+//! [`Histogram`] collected by the runner's hot loop, campaign-wide merging
+//! into an [`ObsSnapshot`], and a process-wide per-experiment registry
+//! that `repro --json` drains into its `"obs"` section.
 //!
 //! # Determinism contract
 //!
@@ -62,7 +62,7 @@ pub fn default_enabled() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Install an [`EventLog`] bounded at [`DEFAULT_EVENT_CAPACITY`] and
-    /// collect run counters/histograms.
+    /// collect run counters and the PI-output histogram.
     pub enabled: bool,
 }
 
@@ -129,10 +129,9 @@ impl Observer for EventLog {
 ///
 /// The bucket layout (`lo`, `bucket_width`, bucket count) is fixed at
 /// construction; merging asserts layout equality, so canonically
-/// constructed histograms ([`pi_output_histogram`], [`latency_histogram`])
-/// always merge. All fields are integers — accumulation is exact and
-/// order-independent, which is what makes campaign-wide merges
-/// jobs-invariant.
+/// constructed histograms ([`pi_output_histogram`]) always merge. All
+/// fields are integers — accumulation is exact and order-independent,
+/// which is what makes campaign-wide merges jobs-invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Inclusive lower edge of the first bucket.
@@ -221,14 +220,6 @@ impl Histogram {
 /// 64 buckets over the full DAC range `[0, 4096)`.
 pub fn pi_output_histogram() -> Histogram {
     Histogram::new(0, 4096, 64)
-}
-
-/// Canonical histogram for ADC-to-measurement latency in modulator ticks:
-/// 64 buckets over `[0, 2048)`. Covers every supported decimation up to
-/// 2048; a (legal but unused) decimation above that lands in `overflow`,
-/// which is still counted and still deterministic.
-pub fn latency_histogram() -> Histogram {
-    Histogram::new(0, 2048, 64)
 }
 
 /// Flat event/progress counters for one run, campaign, or scope. Every
@@ -357,16 +348,14 @@ impl Counters {
     }
 }
 
-/// Observability output of a single run: hot-loop counters and histograms
-/// from the runner, plus the drained event log.
+/// Observability output of a single run: hot-loop counters and the
+/// PI-output histogram from the runner, plus the drained event log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunObs {
     /// Flat counters for this run.
     pub counters: Counters,
     /// Distribution of the PI output (supply-DAC code) at control ticks.
     pub pi_output: Histogram,
-    /// ADC-to-measurement latency per control tick, in modulator ticks.
-    pub latency_ticks: Histogram,
     /// The run's event log, oldest first.
     pub events: Vec<ObsEvent>,
 }
@@ -376,13 +365,12 @@ impl Default for RunObs {
         RunObs {
             counters: Counters::default(),
             pi_output: pi_output_histogram(),
-            latency_ticks: latency_histogram(),
             events: Vec::new(),
         }
     }
 }
 
-/// Campaign-wide merged observability: every run's counters and histograms
+/// Campaign-wide merged observability: every run's counters and histogram
 /// folded in spec order, plus the concatenated labelled event logs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsSnapshot {
@@ -392,8 +380,6 @@ pub struct ObsSnapshot {
     pub counters: Counters,
     /// Merged PI-output distribution.
     pub pi_output: Histogram,
-    /// Merged latency distribution.
-    pub latency_ticks: Histogram,
     /// Every run's events, labelled with the run's spec label, in spec
     /// order then event order.
     pub events: Vec<(String, ObsEvent)>,
@@ -405,20 +391,17 @@ impl Default for ObsSnapshot {
             runs: 0,
             counters: Counters::default(),
             pi_output: pi_output_histogram(),
-            latency_ticks: latency_histogram(),
             events: Vec::new(),
         }
     }
 }
 
 impl ObsSnapshot {
-    /// Folds one run's observability data in (no-op for runs that carried
-    /// none).
+    /// Folds one run's observability data in, counting it as one run.
     pub fn absorb_run(&mut self, label: &str, obs: &RunObs) {
         self.runs += 1;
         self.counters.merge(&obs.counters);
         self.pi_output.merge(&obs.pi_output);
-        self.latency_ticks.merge(&obs.latency_ticks);
         self.events
             .extend(obs.events.iter().map(|&e| (label.to_string(), e)));
     }
@@ -428,7 +411,6 @@ impl ObsSnapshot {
         self.runs += other.runs;
         self.counters.merge(&other.counters);
         self.pi_output.merge(&other.pi_output);
-        self.latency_ticks.merge(&other.latency_ticks);
         self.events.extend(other.events.iter().cloned());
     }
 }
@@ -462,8 +444,6 @@ pub struct ScopeObs {
     pub counters: Counters,
     /// Merged PI-output distribution.
     pub pi_output: Histogram,
-    /// Merged latency distribution.
-    pub latency_ticks: Histogram,
     /// Total campaign wall-clock under this scope, seconds. Profiling
     /// only — excluded from the determinism guarantee.
     pub wall_s: f64,
@@ -476,7 +456,6 @@ impl Default for ScopeObs {
             runs: 0,
             counters: Counters::default(),
             pi_output: pi_output_histogram(),
-            latency_ticks: latency_histogram(),
             wall_s: 0.0,
         }
     }
@@ -555,7 +534,6 @@ pub fn record_campaign(snapshot: &ObsSnapshot, wall_s: f64) {
     entry.runs += snapshot.runs;
     entry.counters.merge(&snapshot.counters);
     entry.pi_output.merge(&snapshot.pi_output);
-    entry.latency_ticks.merge(&snapshot.latency_ticks);
     entry.wall_s += wall_s;
 }
 
@@ -635,7 +613,7 @@ mod tests {
     #[should_panic(expected = "bucket layouts differ")]
     fn histogram_merge_rejects_layout_mismatch() {
         let mut a = pi_output_histogram();
-        a.merge(&latency_histogram());
+        a.merge(&Histogram::new(0, 2048, 64));
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl Promag50 {
         }
         self.reading
     }
-
-    /// The latest held reading.
-    #[inline]
-    pub fn reading(&self) -> MetersPerSecond {
-        self.reading
-    }
 }
 
 #[cfg(test)]

@@ -112,9 +112,9 @@ pub struct RunTail {
     pub maintenance: MaintenanceCounters,
 }
 
-/// The co-simulation runner, generic over the device under test: any
-/// [`Meter`] modality (CTA, heat-pulse, reference adapters) drives the
-/// same line, references, fault injector and recording machinery.
+/// The co-simulation runner, generic over the device under test: either
+/// [`Meter`] modality (CTA, heat-pulse) drives the same line, reference
+/// meters, fault injector and recording machinery.
 #[derive(Debug)]
 pub struct LineRunner<M: Meter> {
     line: WaterLine,
@@ -309,9 +309,6 @@ impl<M: Meter> LineRunner<M> {
                 let m = m.expect("an observed run reads every frame");
                 obs.counters.modulator_steps += frame_ticks;
                 obs.counters.control_ticks += 1;
-                // Modulator ticks from the ADC samples entering the channel
-                // to this conditioned measurement (= the CIC decimation).
-                obs.latency_ticks.record(frame_ticks as i64);
                 obs.pi_output.record(m.supply_code as i64);
             }
 

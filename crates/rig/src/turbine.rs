@@ -131,18 +131,6 @@ impl TurbineMeter {
             }
         }
     }
-
-    /// The latest held reading.
-    #[inline]
-    pub fn reading(&self) -> MetersPerSecond {
-        self.reading
-    }
-
-    /// Accumulated rotor travel (wear proxy), metres.
-    #[inline]
-    pub fn travel_m(&self) -> f64 {
-        self.travel_m
-    }
 }
 
 #[cfg(test)]
@@ -236,10 +224,10 @@ mod tests {
             for _ in 0..750 {
                 m.step(dt, v);
             }
-            m.reading().get().to_bits()
+            m.reading.get().to_bits()
         });
         assert_eq!(bits, PINNED);
-        assert_eq!(m.travel_m().to_bits(), 0x409a1c177af4333b);
+        assert_eq!(m.travel_m.to_bits(), 0x409a1c177af4333b);
     }
 
     /// The memoized rotor lag returns exactly what recomputing
@@ -295,7 +283,7 @@ mod tests {
         let mut m = TurbineMeter::dn50();
         let v0 = m.effective_starting_velocity();
         run(&mut m, 250.0, 60.0);
-        assert!(m.travel_m() > 100.0);
+        assert!(m.travel_m > 100.0);
         assert!(m.effective_starting_velocity() >= v0);
     }
 }

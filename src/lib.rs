@@ -60,10 +60,10 @@ pub mod prelude {
     pub use hotwire_rig::checkpoint::{CheckpointError, FleetCheckpoint};
     pub use hotwire_rig::fleet::{
         FleetAggregates, FleetError, FleetOutcome, FleetShard, FleetSpec, FleetSpecError,
-        LineSummary, LineVariation, PartialFleet, ReferenceTemplate, ShardAggregates,
+        LineSummary, LineVariation, PartialFleet, ShardAggregates,
     };
     pub use hotwire_rig::ingest::{ingest_fleet, IngestConfig, IngestReport, MeterSession};
-    pub use hotwire_rig::modality::{AnyMeter, Modality, ReferenceKind, ReferenceMeter};
+    pub use hotwire_rig::modality::{AnyMeter, Modality};
     pub use hotwire_rig::sketch::QuantileSketch;
     pub use hotwire_rig::{
         metrics, Campaign, FaultKind, FaultSchedule, LineConfig, LineRunner, Maintenance,

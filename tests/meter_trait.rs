@@ -4,7 +4,7 @@
 //! (re-pinned since for a schema change, a sampler change and the
 //! once-per-frame surface step; see `PRE_REFACTOR_DIGESTS`); the generic
 //! `LineRunner<M>` must reproduce them exactly at any job count. The rest
-//! of the suite drives the non-CTA modalities through the *unmodified*
+//! of the suite drives the heat-pulse modality through the *unmodified*
 //! fleet, campaign and checkpoint engines.
 
 use std::ops::ControlFlow;
@@ -195,7 +195,7 @@ fn heat_pulse_fleet_is_jobs_invariant() {
     // The meters actually decoded flow. Like a factory-calibrated hot
     // wire, the heat-pulse meter reports the velocity at the probe —
     // centerline, i.e. bulk × the turbulent profile factor.
-    let probe = 100.0 * ReferenceMeter::profile_factor();
+    let probe = 100.0 * hotwire::physics::pipe::Pipe::profile_factor(1.0e5);
     for line in &j1.lines {
         assert!(
             (line.settled_mean - probe).abs() < 0.2 * probe,
@@ -206,67 +206,13 @@ fn heat_pulse_fleet_is_jobs_invariant() {
     }
 }
 
-/// A mixed-modality fleet — CTA DUTs with every 4th line replaced by a
-/// Promag reference comparator — runs under the unmodified engine,
-/// stays jobs-invariant, and the reference lines track truth tighter
-/// than the DUT population.
+/// A 16-line heat-pulse fleet owes the CTA fleet's contract through the
+/// one generic engine: the same bits at jobs 1 and 2, and from 3 shards
+/// merged in line order.
 #[test]
-fn mixed_modality_fleet_mixes_reference_comparators() {
+fn heat_pulse_fleet_is_jobs_and_shard_invariant() {
     let spec = FleetSpec::new(
-        "mixed-fleet",
-        FlowMeterConfig::test_profile(),
-        Scenario::steady(120.0, 4.0),
-        0x3A1D,
-    )
-    .with_lines(8)
-    .with_sample_period(0.05)
-    .with_windows(Windows::settled(1.5, 2.5).with_err(1.5, f64::INFINITY))
-    .with_variation(
-        LineVariation::new()
-            .with_flow_jitter(0.03)
-            .with_references_every(4, 3, ReferenceKind::Promag),
-    );
-    let j1 = spec.run_jobs(1).unwrap();
-    let j3 = spec.run_jobs(3).unwrap();
-    assert_eq!(
-        format!("{:?}", j1.aggregates),
-        format!("{:?}", j3.aggregates),
-        "mixed-modality aggregates diverge across jobs"
-    );
-    // Lines 3 and 7 ran the Promag; the electromagnetic reference resolves
-    // bulk flow with less noise than any hot-wire DUT in the population.
-    let reference_err: Vec<f64> = j1
-        .lines
-        .iter()
-        .filter(|l| l.line % 4 == 3)
-        .map(|l| l.err_rms)
-        .collect();
-    let dut_err: Vec<f64> = j1
-        .lines
-        .iter()
-        .filter(|l| l.line % 4 != 3)
-        .map(|l| l.err_rms)
-        .collect();
-    assert_eq!(reference_err.len(), 2);
-    assert_eq!(dut_err.len(), 6);
-    let ref_worst = reference_err.iter().cloned().fold(0.0, f64::max);
-    let dut_best = dut_err.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(
-        ref_worst < dut_best,
-        "reference lines (worst {ref_worst:.2} cm/s RMS) should out-resolve \
-         every DUT line (best {dut_best:.2} cm/s RMS)"
-    );
-}
-
-/// Heat-pulse DUT lines with every 4th line a Promag reference comparator:
-/// two sensing physics plus a truth channel through one generic engine owe
-/// the CTA fleet's contract — the same bits at jobs 1 and 2, and from 3
-/// shards merged in line order (the reference stride crosses the shard
-/// boundaries).
-#[test]
-fn heat_pulse_and_promag_fleet_is_jobs_and_shard_invariant() {
-    let spec = FleetSpec::new(
-        "mixed-heat-pulse",
+        "heat-pulse-shards",
         FlowMeterConfig::test_profile(),
         Scenario::steady(100.0, 2.0),
         0x4D31_F1EE,
@@ -275,11 +221,7 @@ fn heat_pulse_and_promag_fleet_is_jobs_and_shard_invariant() {
     .with_lines(16)
     .with_sample_period(0.05)
     .with_windows(Windows::settled(1.0, 2.0))
-    .with_variation(
-        LineVariation::new()
-            .with_flow_jitter(0.03)
-            .with_references_every(4, 3, ReferenceKind::Promag),
-    );
+    .with_variation(LineVariation::new().with_flow_jitter(0.03));
     let mono = spec.run_jobs(1).unwrap();
     let parallel = spec.run_jobs(2).unwrap();
     let sharded = spec.run_sharded(3, 2).unwrap();
@@ -287,7 +229,7 @@ fn heat_pulse_and_promag_fleet_is_jobs_and_shard_invariant() {
         assert_eq!(
             format!("{mono:?}"),
             format!("{other:?}"),
-            "mixed heat-pulse/Promag fleet diverges at {what}"
+            "heat-pulse fleet diverges at {what}"
         );
     }
     assert_eq!(mono.lines.len(), 16);
@@ -363,7 +305,7 @@ fn heat_pulse_campaign_run_is_deterministic() {
         "modality carried through"
     );
     // Factory heat-pulse decode reports probe (centerline) velocity.
-    let probe = 150.0 * ReferenceMeter::profile_factor();
+    let probe = 150.0 * hotwire::physics::pipe::Pipe::profile_factor(1.0e5);
     assert!(
         (a.settled_mean() - probe).abs() < 0.15 * probe,
         "heat-pulse campaign read {:.1} cm/s for a probe setpoint of {probe:.1}",

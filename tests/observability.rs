@@ -253,11 +253,7 @@ fn merged_snapshots_are_jobs_invariant_under_faults() {
     let mut sorted = first_labels.clone();
     sorted.sort();
     assert_eq!(first_labels, sorted, "events not in spec-label order");
-    // Histograms saw every control tick.
-    assert_eq!(
-        merged_serial.latency_ticks.total,
-        merged_serial.counters.control_ticks
-    );
+    // The histogram saw every control tick.
     assert_eq!(
         merged_serial.pi_output.total,
         merged_serial.counters.control_ticks
