@@ -3,8 +3,9 @@
 //! The paper's signal chain (Fig. 4/5): the MAF heater and reference sit in a
 //! Wheatstone bridge; the bridge midpoints feed an input channel configured
 //! as an *instrumentation amplifier*, then analog low-pass filtering for
-//! anti-aliasing, then a 16-bit ΣΔ ADC. The sensor-driving stage is a set of
-//! configurable 12/10-bit *thermometer* DACs that actuate the bridge supply.
+//! anti-aliasing, then a 16-bit ΣΔ ADC. The platform's sensor-driving stage
+//! offers 12- and 10-bit *thermometer* DACs; the meter actuates its bridge
+//! supply with one 12-bit DAC, the one modelled here.
 //!
 //! Everything in this crate is an "analog" behavioural model: floating-point
 //! voltages with explicitly injected noise, offsets and saturation, advanced
@@ -15,7 +16,7 @@
 //! * [`inamp`] — instrumentation amplifier (gain, offset, bandwidth, noise)
 //! * [`filter`] — continuous-time anti-alias low-pass
 //! * [`adc`] — 2nd-order 1-bit ΣΔ modulator
-//! * [`dac`] — thermometer-coded DACs with element mismatch
+//! * [`dac`] — the ideal thermometer-coded DAC
 //! * [`noise`] — Johnson/amplifier noise helpers
 
 #![warn(missing_docs)]

@@ -69,10 +69,6 @@ impl CtaLoop {
     pub fn preset_output(&mut self, code: u32) {
         self.pi.preset_output(code as i32);
     }
-
-    /// Declared LEON cycle cost of one loop iteration (reference
-    /// subtraction + PI in integer arithmetic).
-    pub const CYCLE_COST: u32 = 120;
 }
 
 /// Observer converting the commanded supply into wire conductance.

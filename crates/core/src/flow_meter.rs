@@ -46,7 +46,7 @@ use crate::pulsed::{PulsePhase, PulsedScheduler};
 use crate::CoreError;
 use hotwire_afe::bridge::BridgeConfig;
 use hotwire_afe::ThermometerDac;
-use hotwire_isif::channel::{AnalogInput, ChannelConfig, InputChannel};
+use hotwire_isif::channel::{ChannelConfig, InputChannel};
 use hotwire_isif::IsifPlatform;
 use hotwire_physics::kings_law::KingsLaw;
 use hotwire_physics::sensor::HeaterId;
@@ -341,10 +341,8 @@ impl FlowMeter {
         let bridge = config.design_bridge(&heater_nominal, &reference_nominal)?;
         let rh_star = config.target_heater_resistance(&heater_nominal);
         let estimator = ConductanceEstimator::new(&bridge, rh_star, &config, 2);
-        let volts_per_code = {
-            // Input-referred LSB of the acquisition channel.
-            Volts::new(channel_config.vref.get() / 32768.0 / channel_config.inamp.gain)
-        };
+        // The three channels share one configuration, hence one LSB.
+        let volts_per_code = platform.channel_mut(TEMP_CHANNEL)?.input_referred_lsb();
         let wire_estimator = WireStateEstimator::new(
             &bridge,
             heater_nominal,
@@ -500,7 +498,7 @@ impl FlowMeter {
         &mut self.die
     }
 
-    /// The platform (EEPROM, registers, scheduler).
+    /// The platform (input channels, supply DAC, watchdog, EEPROM).
     #[inline]
     pub fn platform_mut(&mut self) -> &mut IsifPlatform {
         &mut self.platform
@@ -1270,7 +1268,7 @@ impl Meter for FlowMeter {
                 .platform
                 .channel_mut(DIR_CHANNEL)
                 .expect("configured in new()");
-            chan.sample(AnalogInput::Differential(dir_diff), overtemp, &mut self.rng)
+            chan.sample(dir_diff, overtemp, &mut self.rng)
         };
         if let Some(code) = dir_code {
             self.last_dir_code = code;
@@ -1283,11 +1281,7 @@ impl Meter for FlowMeter {
                 .platform
                 .channel_mut(TEMP_CHANNEL)
                 .expect("configured in new()");
-            chan.sample(
-                AnalogInput::Differential(temp_diff),
-                overtemp,
-                &mut self.rng,
-            )
+            chan.sample(temp_diff, overtemp, &mut self.rng)
         };
         if let Some(code) = temp_code {
             self.last_temp_code = code;
@@ -1297,11 +1291,7 @@ impl Meter for FlowMeter {
                 .platform
                 .channel_mut(CTRL_CHANNEL)
                 .expect("configured in new()");
-            chan.sample(
-                AnalogInput::Differential(ctrl_diff),
-                overtemp,
-                &mut self.rng,
-            )
+            chan.sample(ctrl_diff, overtemp, &mut self.rng)
         };
         let code = ctrl_code?;
         // Injected acquisition faults corrupt the code before the firmware

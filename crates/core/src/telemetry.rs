@@ -170,22 +170,6 @@ impl TelemetryRecord {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] for a wrong length, unknown version, or
-    /// invalid direction code.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        Self::parse(bytes).map_err(|e| CoreError::Config {
-            reason: match e {
-                RecordError::WrongLength => "telemetry record has wrong length",
-                RecordError::UnknownVersion => "unknown telemetry record version",
-                RecordError::BadDirection => "invalid direction code in telemetry record",
-            },
-        })
-    }
-
-    /// Deserializes from the wire layout with a typed error.
-    ///
-    /// # Errors
-    ///
     /// Returns a [`RecordError`] naming which validation failed, suitable for
     /// tallying into [`RecordDecodeStats`].
     pub fn parse(bytes: &[u8]) -> Result<Self, RecordError> {
@@ -255,7 +239,7 @@ mod tests {
     #[test]
     fn record_round_trips_bytes() {
         let rec = TelemetryRecord::from_measurement(&sample_measurement());
-        let back = TelemetryRecord::from_bytes(&rec.to_bytes()).unwrap();
+        let back = TelemetryRecord::parse(&rec.to_bytes()).unwrap();
         assert_eq!(back, rec);
         assert_eq!(back.velocity_centi_cm_s, -12345);
         assert!(back.bubble && back.saturated && !back.fouling);
@@ -277,7 +261,7 @@ mod tests {
                 health: h,
                 ..TelemetryRecord::from_measurement(&sample_measurement())
             };
-            let back = TelemetryRecord::from_bytes(&rec.to_bytes()).unwrap();
+            let back = TelemetryRecord::parse(&rec.to_bytes()).unwrap();
             assert_eq!(back.health, h);
             // The neighbouring fault bits are untouched by the 2-bit field.
             assert!(back.bubble && back.saturated && !back.fouling);
@@ -312,18 +296,6 @@ mod tests {
         });
         assert_eq!(payloads, 0);
         assert_eq!(decoder.crc_errors(), 1);
-    }
-
-    #[test]
-    fn rejects_malformed_records() {
-        assert!(TelemetryRecord::from_bytes(&[0u8; 4]).is_err());
-        let mut bytes = [0u8; RECORD_LEN];
-        bytes[0] = 99; // bad version
-        assert!(TelemetryRecord::from_bytes(&bytes).is_err());
-        let mut bytes = [0u8; RECORD_LEN];
-        bytes[0] = RECORD_VERSION;
-        bytes[1] = 9; // bad direction
-        assert!(TelemetryRecord::from_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -417,7 +389,7 @@ mod tests {
         assert_eq!(rec.velocity_centi_cm_s, 0);
         assert!(rec.saturated, "NaN velocity must raise the saturated flag");
         // The flag survives the wire round trip.
-        let back = TelemetryRecord::from_bytes(&rec.to_bytes()).unwrap();
+        let back = TelemetryRecord::parse(&rec.to_bytes()).unwrap();
         assert_eq!(back, rec);
         assert!(back.saturated);
 

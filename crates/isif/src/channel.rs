@@ -1,4 +1,4 @@
-//! One configurable analog input channel (paper Fig. 4).
+//! One analog input channel (paper Fig. 4).
 //!
 //! "The readout stage is composed by an operational amplifier that can be
 //! programmed to implement a charge amplifier, a trans-resistive stage or an
@@ -6,51 +6,23 @@
 //! anti-aliasing purpose. Eventually the signal is converted by a 16 bits
 //! Sigma Delta ADC."
 //!
-//! The channel couples those AFE blocks with the first digital stage (the
-//! CIC decimator) so callers push analog samples at the modulator rate and
-//! receive signed 16-bit words at the control rate.
+//! The flow meter reads its bridge through the instrument amplifier, so that
+//! is the one readout stage modelled here. The channel couples it and the
+//! other AFE blocks with the first digital stage (the CIC decimator) so
+//! callers push differential voltages at the modulator rate and receive
+//! signed 16-bit words at the control rate.
 
 use crate::IsifError;
 use hotwire_afe::adc::SigmaDeltaModulator;
 use hotwire_afe::filter::AntiAliasFilter;
 use hotwire_afe::inamp::{InAmpConfig, InstrumentationAmp};
 use hotwire_dsp::cic::CicDecimator;
-use hotwire_units::{Amps, Hertz, Volts};
+use hotwire_units::{Hertz, Volts};
 use rand::Rng;
-
-/// The programmable readout mode of the channel's input stage.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum ReadoutMode {
-    /// Differential instrumentation amplifier (the MAF bridge readout).
-    Instrumentation,
-    /// Trans-resistive stage: input current × feedback resistance.
-    TransResistive {
-        /// Feedback resistance (V/A).
-        feedback_ohms: f64,
-    },
-    /// Charge amplifier: integrates input charge onto a feedback capacitor.
-    ChargeAmp {
-        /// Feedback capacitance in farads.
-        feedback_farads: f64,
-    },
-}
-
-/// The analog sample a channel accepts, depending on its readout mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AnalogInput {
-    /// A differential voltage (instrumentation mode).
-    Differential(Volts),
-    /// An input current (trans-resistive mode).
-    Current(Amps),
-    /// An input charge slug in coulombs (charge-amp mode).
-    Charge(f64),
-}
 
 /// Static channel configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
-    /// Input-stage mode.
-    pub mode: ReadoutMode,
     /// Instrumentation-amplifier parameters (gain, offset, noise, …).
     pub inamp: InAmpConfig,
     /// Anti-alias corner.
@@ -64,11 +36,10 @@ pub struct ChannelConfig {
 }
 
 impl ChannelConfig {
-    /// The MAF-bridge channel: instrumentation mode, ISIF default in-amp,
-    /// 30 kHz anti-alias, ±2.5 V, CIC³, decimate by 256.
+    /// The MAF-bridge channel: ISIF default in-amp, 30 kHz anti-alias,
+    /// ±2.5 V, CIC³, decimate by 256.
     pub fn maf_bridge() -> Self {
         ChannelConfig {
-            mode: ReadoutMode::Instrumentation,
             inamp: InAmpConfig::isif_default(),
             antialias_corner: Hertz::from_kilohertz(30.0),
             vref: Volts::new(2.5),
@@ -84,7 +55,7 @@ impl Default for ChannelConfig {
     }
 }
 
-/// A complete input channel: readout stage → anti-alias → ΣΔ → CIC.
+/// A complete input channel: in-amp → anti-alias → ΣΔ → CIC.
 #[derive(Debug)]
 pub struct InputChannel {
     config: ChannelConfig,
@@ -92,8 +63,6 @@ pub struct InputChannel {
     antialias: AntiAliasFilter,
     modulator: SigmaDeltaModulator,
     cic: CicDecimator,
-    /// Charge-amp integrator state (coulombs on the feedback cap).
-    charge_state: f64,
     /// Scale factor turning the CIC's raw output into a signed 16-bit word.
     norm_shift: u32,
     /// Reusable buffer for the CIC's raw block outputs (no per-frame
@@ -122,7 +91,6 @@ impl InputChannel {
             antialias,
             modulator,
             cic,
-            charge_state: 0.0,
             norm_shift,
             cic_scratch: Vec::new(),
         })
@@ -140,37 +108,17 @@ impl InputChannel {
         self.config.decimation
     }
 
-    /// Converts an analog input to the in-amp's differential voltage
-    /// according to the readout mode.
-    fn front_end(&mut self, input: AnalogInput) -> Volts {
-        match (self.config.mode, input) {
-            (ReadoutMode::Instrumentation, AnalogInput::Differential(v)) => v,
-            (ReadoutMode::TransResistive { feedback_ohms }, AnalogInput::Current(i)) => {
-                Volts::new(i.get() * feedback_ohms)
-            }
-            (ReadoutMode::ChargeAmp { feedback_farads }, AnalogInput::Charge(q)) => {
-                // Leaky integration of charge onto the feedback cap.
-                self.charge_state = self.charge_state * 0.9999 + q;
-                Volts::new(self.charge_state / feedback_farads)
-            }
-            // Mode/input mismatch: the mux simply reads zero (the silicon
-            // would read a floating node; zero is the benign model).
-            _ => Volts::ZERO,
-        }
-    }
-
-    /// Pushes one modulator-rate analog sample; returns a signed 16-bit word
-    /// every `decimation` samples.
+    /// Pushes one modulator-rate differential input sample; returns a
+    /// signed 16-bit word every `decimation` samples.
     ///
     /// `chip_overtemp_k` models platform self-heating (drives in-amp offset
     /// drift); the RNG feeds the noise sources.
     pub fn sample<R: Rng + ?Sized>(
         &mut self,
-        input: AnalogInput,
+        v_diff: Volts,
         chip_overtemp_k: f64,
         rng: &mut R,
     ) -> Option<i32> {
-        let v_diff = self.front_end(input);
         let amplified = self.inamp.amplify(v_diff, chip_overtemp_k, rng);
         let filtered = self.antialias.push(amplified);
         let bit = self.modulator.push(filtered);
@@ -191,22 +139,19 @@ impl InputChannel {
         self.inamp.draw_noise(rng)
     }
 
-    /// Pushes a block of instrumentation-mode differential samples through
-    /// the full chain (in-amp → anti-alias → ΣΔ → CIC), appending every
+    /// Pushes a block of differential samples through the full chain (in-amp → anti-alias → ΣΔ → CIC), appending every
     /// decimated 16-bit word produced to `out`.
     ///
     /// `diffs` holds the differential inputs in volts; `noises` holds one
     /// pre-drawn [`draw_noise`](Self::draw_noise) value per tick; `bits` is
     /// scratch for the modulator bitstream. The one-channel instance of
     /// [`sample_blocks`](Self::sample_blocks), and like it bit-identical to
-    /// the equivalent sequence of scalar
-    /// `sample(AnalogInput::Differential(..))` calls whose noise was drawn
-    /// in the same RNG order.
+    /// the equivalent sequence of scalar [`sample`](Self::sample) calls
+    /// whose noise was drawn in the same RNG order.
     ///
     /// # Panics
     ///
-    /// Panics if the channel is not in instrumentation mode or the slice
-    /// lengths disagree.
+    /// Panics if the slice lengths disagree.
     pub fn sample_block(
         &mut self,
         diffs: &[f64],
@@ -230,8 +175,7 @@ impl InputChannel {
     ///
     /// # Panics
     ///
-    /// Panics if a channel is not in instrumentation mode or the slice
-    /// lengths disagree.
+    /// Panics if the slice lengths disagree.
     pub fn sample_blocks<const N: usize>(
         mut channels: [&mut InputChannel; N],
         diffs: [&[f64]; N],
@@ -240,12 +184,6 @@ impl InputChannel {
         chip_overtemp_k: f64,
         out: [&mut Vec<i32>; N],
     ) {
-        for chan in &channels {
-            assert!(
-                matches!(chan.config.mode, ReadoutMode::Instrumentation),
-                "sample_block supports instrumentation mode only"
-            );
-        }
         let mut chans = channels.iter_mut();
         let mut bit_lanes = bits.iter_mut();
         hotwire_afe::chain::amplify_filter_modulate_lanes(
@@ -325,7 +263,6 @@ impl InputChannel {
         self.antialias.reset();
         self.modulator.reset();
         self.cic.reset();
-        self.charge_state = 0.0;
     }
 }
 
@@ -357,7 +294,7 @@ mod tests {
         let mut r = rng();
         let mut out = Vec::new();
         while out.len() < outputs {
-            if let Some(y) = chan.sample(AnalogInput::Differential(Volts::new(v)), 0.0, &mut r) {
+            if let Some(y) = chan.sample(Volts::new(v), 0.0, &mut r) {
                 out.push(y);
             }
         }
@@ -390,10 +327,7 @@ mod tests {
         let mut r = rng();
         let mut count = 0;
         for _ in 0..256 * 10 {
-            if chan
-                .sample(AnalogInput::Differential(Volts::ZERO), 0.0, &mut r)
-                .is_some()
-            {
+            if chan.sample(Volts::ZERO, 0.0, &mut r).is_some() {
                 count += 1;
             }
         }
@@ -410,7 +344,7 @@ mod tests {
         let mut r = rng();
         let mut out = Vec::new();
         while out.len() < 400 {
-            if let Some(y) = chan.sample(AnalogInput::Differential(Volts::new(5e-3)), 0.0, &mut r) {
+            if let Some(y) = chan.sample(Volts::new(5e-3), 0.0, &mut r) {
                 out.push(y as f64);
             }
         }
@@ -480,7 +414,7 @@ mod tests {
                 for l in 0..3 {
                     noises[l][k] = lanes[l].draw_noise(&mut r_lanes);
                     single_noises[l][k] = singles[l].draw_noise(&mut r_singles);
-                    let input = AnalogInput::Differential(Volts::new(diffs[l][k]));
+                    let input = Volts::new(diffs[l][k]);
                     if let Some(word) = scalars[l].sample(input, 3.0, &mut r_scalar) {
                         expected[l].push(word);
                     }
@@ -518,89 +452,6 @@ mod tests {
             assert_eq!(state(&lanes[l]), state(&scalars[l]), "lane {l}");
             assert_eq!(state(&singles[l]), state(&scalars[l]), "lane {l}");
         }
-    }
-
-    #[test]
-    fn trans_resistive_mode() {
-        let config = ChannelConfig {
-            mode: ReadoutMode::TransResistive {
-                feedback_ohms: 10_000.0,
-            },
-            inamp: InAmpConfig {
-                gain: 1.0,
-                gain_error: 0.0,
-                input_offset: Volts::ZERO,
-                offset_drift_per_k: 0.0,
-                noise_density: 0.0,
-                flicker_rms: Volts::ZERO,
-                ..InAmpConfig::isif_default()
-            },
-            ..ChannelConfig::maf_bridge()
-        };
-        let mut chan = InputChannel::new(config, Hertz::from_kilohertz(256.0)).unwrap();
-        let mut r = rng();
-        let mut out = Vec::new();
-        while out.len() < 40 {
-            // 100 µA × 10 kΩ = 1 V = 0.4 FS → ≈ 13107.
-            if let Some(y) = chan.sample(AnalogInput::Current(Amps::new(100e-6)), 0.0, &mut r) {
-                out.push(y);
-            }
-        }
-        assert!((out[30] - 13107).abs() < 80, "code {}", out[30]);
-    }
-
-    #[test]
-    fn charge_amp_mode_integrates_charge() {
-        let config = ChannelConfig {
-            mode: ReadoutMode::ChargeAmp {
-                feedback_farads: 100e-12,
-            },
-            inamp: InAmpConfig {
-                gain: 1.0,
-                gain_error: 0.0,
-                input_offset: Volts::ZERO,
-                offset_drift_per_k: 0.0,
-                noise_density: 0.0,
-                flicker_rms: Volts::ZERO,
-                ..InAmpConfig::isif_default()
-            },
-            ..ChannelConfig::maf_bridge()
-        };
-        let mut chan = InputChannel::new(config, Hertz::from_kilohertz(256.0)).unwrap();
-        let mut r = rng();
-        // One 50 pC slug, then nothing: the feedback cap holds ~0.5 V and
-        // leaks slowly (0.01 %/sample leak), so codes settle near
-        // 0.5/2.5·32768 ≈ 6554 and decay.
-        let mut first = None;
-        let mut later = None;
-        for i in 0..256 * 60 {
-            let q = if i == 0 { 50e-12 } else { 0.0 };
-            if let Some(y) = chan.sample(AnalogInput::Charge(q), 0.0, &mut r) {
-                if first.is_none() && i > 256 * 10 {
-                    first = Some(y);
-                }
-                later = Some(y);
-            }
-        }
-        let (first, later) = (first.unwrap(), later.unwrap());
-        assert!((3000..8000).contains(&first), "charge code {first}");
-        assert!(
-            later < first,
-            "leak must decay the held charge: {first} → {later}"
-        );
-    }
-
-    #[test]
-    fn mode_mismatch_reads_zero() {
-        let mut chan = quiet_channel(); // instrumentation mode
-        let mut r = rng();
-        let mut out = Vec::new();
-        while out.len() < 20 {
-            if let Some(y) = chan.sample(AnalogInput::Current(Amps::new(1.0)), 0.0, &mut r) {
-                out.push(y);
-            }
-        }
-        assert!(out[15].abs() < 4, "mismatched input leaked {}", out[15]);
     }
 
     #[test]

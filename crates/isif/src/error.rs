@@ -3,11 +3,6 @@
 /// Errors produced by the ISIF platform emulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IsifError {
-    /// A register address outside the mapped space was accessed.
-    UnmappedRegister {
-        /// The offending address.
-        address: u16,
-    },
     /// A channel index outside 0..4 was requested.
     NoSuchChannel {
         /// The offending index.
@@ -45,9 +40,6 @@ pub enum IsifError {
 impl core::fmt::Display for IsifError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            IsifError::UnmappedRegister { address } => {
-                write!(f, "unmapped register address {address:#06x}")
-            }
             IsifError::NoSuchChannel { index } => {
                 write!(f, "no such input channel: {index} (platform has 4)")
             }
@@ -88,9 +80,6 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert!(IsifError::UnmappedRegister { address: 0x100 }
-            .to_string()
-            .contains("0x0100"));
         assert!(IsifError::NoSuchChannel { index: 9 }
             .to_string()
             .contains('9'));

@@ -9,22 +9,23 @@
 //! by configuring channels and interconnecting IPs, with software IPs
 //! standing in for future hardware.
 //!
-//! This crate reproduces that platform shape:
+//! This crate models only the parts the flow meter's conditioning firmware
+//! drives:
 //!
-//! * [`regs`] — the configuration register file (the "JLCC" config bus)
-//! * [`channel`] — one analog input channel: readout mode → in-amp →
-//!   anti-alias → ΣΔ modulator → decimation chain to 16-bit samples
-//! * [`sched`] — the software-IP scheduler with a per-tick LEON cycle budget
+//! * [`channel`] — one analog input channel in its instrumentation-amplifier
+//!   mode: in-amp → anti-alias → ΣΔ modulator → decimation chain to 16-bit
+//!   samples
 //! * [`timer`] — the watchdog
 //! * [`eeprom`] — CRC-protected calibration storage
 //! * [`uart`] — telemetry framing (frame encoder and resynchronizing
 //!   slice decoder)
-//! * [`platform`] — the assembled [`platform::IsifPlatform`]
+//! * [`platform`] — the assembled [`platform::IsifPlatform`]: the channels,
+//!   the 12-bit bridge-supply DAC, the watchdog and the EEPROM
 //!
 //! The substitution from the real chip is documented in `DESIGN.md`: no
-//! SPARC-V8 interpreter — software IPs are Rust closures scheduled at the
-//! decimated control rate with an explicit cycle budget, which preserves the
-//! data rates, wordlengths and HW/SW structure without emulating an ISA.
+//! SPARC-V8 interpreter — the firmware is plain Rust that runs once per
+//! decimated control tick, which preserves the data rates, wordlengths and
+//! HW/SW split without emulating an ISA.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,15 +34,11 @@ pub mod channel;
 pub mod eeprom;
 pub mod error;
 pub mod platform;
-pub mod regs;
-pub mod sched;
 pub mod timer;
 pub mod uart;
 
-pub use channel::{ChannelConfig, InputChannel, ReadoutMode};
+pub use channel::{ChannelConfig, InputChannel};
 pub use eeprom::CalibrationStore;
 pub use error::IsifError;
 pub use platform::IsifPlatform;
-pub use regs::RegisterFile;
-pub use sched::{IpTask, Scheduler};
 pub use timer::Watchdog;

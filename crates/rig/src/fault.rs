@@ -417,7 +417,7 @@ impl FaultInjector {
         // intact, so they count as received too.
         self.decoder.feed(&frame, |event| match event {
             FrameEvent::Payload(payload) => {
-                if TelemetryRecord::from_bytes(payload).is_ok() {
+                if TelemetryRecord::parse(payload).is_ok() {
                     self.stats.frames_received += 1;
                 }
             }

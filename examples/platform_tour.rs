@@ -1,63 +1,17 @@
-//! A tour of the ISIF platform facilities outside the flow-metering path:
-//! configuration registers, the software-IP scheduler and its LEON cycle
-//! budget, the calibration EEPROM, telemetry framing, and the watchdog.
+//! A tour of the ISIF platform facilities the flow meter's firmware uses
+//! beside its measurement channels: the calibration EEPROM, telemetry
+//! framing, and the watchdog.
 //!
 //! ```sh
 //! cargo run --release --example platform_tour
 //! ```
 
-use hotwire::isif::regs::addr;
-use hotwire::isif::sched::IpTask;
 use hotwire::isif::uart::{encode_frame, FrameDecoder, FrameEvent};
-use hotwire::isif::{CalibrationStore, IsifPlatform, Scheduler};
+use hotwire::isif::{CalibrationStore, IsifPlatform};
 use hotwire::prelude::*;
-
-/// A toy software IP: an integrator with a declared LEON cycle cost.
-struct SoftIntegrator {
-    name: String,
-    acc: i64,
-    input: i32,
-}
-
-impl IpTask for SoftIntegrator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn cycle_cost(&self) -> u32 {
-        180
-    }
-    fn run(&mut self) {
-        self.acc += self.input as i64;
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut platform = IsifPlatform::new(Hertz::from_kilohertz(256.0))?;
-
-    // --- configuration registers (the JLCC-style config bus) ---
-    platform.regs_mut().write(addr::DECIMATION, 256)?;
-    platform.regs_mut().write(addr::CH0_GAIN, 50)?;
-    platform.regs_mut().write(addr::PULSE_DUTY, 250)?; // per-mille
-    println!("register journal: {:?}", platform.regs().journal());
-
-    // --- software-IP scheduler with a LEON cycle budget ---
-    let mut sched = Scheduler::new(40_000)?; // 40 MHz / 1 kHz control rate
-    for i in 0..4 {
-        sched.add_task(Box::new(SoftIntegrator {
-            name: format!("iir{i}"),
-            acc: 0,
-            input: i,
-        }));
-    }
-    for _ in 0..1000 {
-        sched.tick();
-    }
-    println!(
-        "scheduler: {} tasks, {:.1} % of the LEON budget used, {} overruns",
-        sched.task_count(),
-        sched.utilization() * 100.0,
-        sched.overruns()
-    );
 
     // --- calibration EEPROM with CRC ---
     let mut eeprom = CalibrationStore::new();

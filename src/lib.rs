@@ -32,7 +32,7 @@ pub use hotwire_units as units;
 /// [`FleetSpec`](prelude::FleetSpec)) without spelling out which layer
 /// each name lives in.
 ///
-/// Layer-specific items (ISIF registers, DSP blocks, AFE internals,
+/// Layer-specific items (ISIF peripherals, DSP blocks, AFE internals,
 /// firmware submodules like `core::direction` or `core::burst`) stay
 /// behind their module paths on purpose — the prelude is for *running*
 /// the system, not for reaching into it.

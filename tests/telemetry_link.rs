@@ -39,7 +39,7 @@ fn measurements_survive_the_telemetry_link() {
     let mut received = Vec::new();
     let mut sink = |event: FrameEvent<'_>| {
         if let FrameEvent::Payload(payload) = event {
-            if let Ok(r) = TelemetryRecord::from_bytes(payload) {
+            if let Ok(r) = TelemetryRecord::parse(payload) {
                 received.push(r);
             }
         }
@@ -92,7 +92,7 @@ fn burst_probe_reports_over_the_link() {
     let mut got = None;
     decoder.feed(&frame, |event| {
         if let FrameEvent::Payload(p) = event {
-            got = Some(TelemetryRecord::from_bytes(p).expect("valid record"));
+            got = Some(TelemetryRecord::parse(p).expect("valid record"));
         }
     });
     let got = got.expect("frame decoded");
