@@ -542,6 +542,13 @@ impl FleetSpec {
     /// canonical `Debug` rendering mixed with the config's own
     /// fingerprint). Checkpoints store it so a resume under a different
     /// spec is refused instead of silently producing a franken-fleet.
+    ///
+    /// Because it hashes `Debug` text, renaming, adding, dropping or
+    /// reordering a field of any type that text reaches moves the value,
+    /// and every checkpoint written before the move then fails with
+    /// [`CheckpointError::SpecMismatch`]. `crates/bench/tests/fleet_fingerprint.rs`
+    /// pins two values so such a move shows; a change that moves them
+    /// records the move in `CHANGES.md`.
     pub fn fingerprint(&self) -> u64 {
         fnv1a64(format!("{:?}|config={:016x}", self, self.config.fingerprint()).as_bytes())
     }
