@@ -48,12 +48,6 @@ impl SigmaDeltaModulator {
         })
     }
 
-    /// Full-scale reference.
-    #[inline]
-    pub fn vref(&self) -> Volts {
-        Volts::new(self.vref)
-    }
-
     /// Converts one input sample to a ±1 bit.
     ///
     /// Inputs beyond ±vref are clipped (the modulator overloads gracefully
@@ -95,12 +89,6 @@ impl SigmaDeltaModulator {
         self.i1 = i1;
         self.i2 = i2;
     }
-
-    /// Clears the loop integrators.
-    pub fn reset(&mut self) {
-        self.i1 = 0.0;
-        self.i2 = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -114,9 +102,8 @@ mod tests {
 
     #[test]
     fn dc_transfer_is_linear() {
-        let mut adc = SigmaDeltaModulator::new(Volts::new(2.5)).unwrap();
         for &frac in &[-0.8, -0.5, -0.1, 0.0, 0.1, 0.5, 0.8] {
-            adc.reset();
+            let mut adc = SigmaDeltaModulator::new(Volts::new(2.5)).unwrap();
             let mean = bitstream_mean(&mut adc, 2.5 * frac, 200_000);
             assert!(
                 (mean - frac).abs() < 0.005,
@@ -182,15 +169,6 @@ mod tests {
             err < 1.0 / 65_536.0,
             "DC error {err} exceeds 1 LSB of 16 bits"
         );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut adc = SigmaDeltaModulator::new(Volts::new(2.5)).unwrap();
-        bitstream_mean(&mut adc, 2.0, 1000);
-        adc.reset();
-        assert_eq!(adc.i1, 0.0);
-        assert_eq!(adc.i2, 0.0);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl ThermometerDac {
         (1u32 << self.bits) - 1
     }
 
-    /// One ideal LSB step.
-    pub fn lsb(&self) -> Volts {
-        self.vref / (self.max_code() as f64)
-    }
-
     /// Converts a code to the output voltage. Codes above full scale clamp.
     pub fn convert(&self, code: u32) -> Volts {
         let c = (code.min(self.max_code())) as usize;
@@ -119,12 +114,6 @@ mod tests {
     fn codes_clamp_at_full_scale() {
         let dac = ThermometerDac::ideal(10, Volts::new(5.0)).unwrap();
         assert_eq!(dac.convert(100_000), dac.convert(dac.max_code()));
-    }
-
-    #[test]
-    fn lsb_magnitude() {
-        let dac = ThermometerDac::ideal(12, Volts::new(5.0)).unwrap();
-        assert!((dac.lsb().get() - 5.0 / 4095.0).abs() < 1e-12);
     }
 
     #[test]

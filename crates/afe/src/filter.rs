@@ -66,12 +66,6 @@ impl AntiAliasFilter {
         self.s1 = s1;
         self.s2 = s2;
     }
-
-    /// Clears both pole states.
-    pub fn reset(&mut self) {
-        self.s1 = 0.0;
-        self.s2 = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -117,15 +111,6 @@ mod tests {
         // After one sample, a single pole would already sit at α ≈ 0.22; the
         // cascade sits at α² ≈ 0.05.
         assert!(y1.get() < 0.1, "first-step output {y1}");
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut f = AntiAliasFilter::new(Hertz::from_kilohertz(30.0), Hertz::from_kilohertz(256.0))
-            .unwrap();
-        f.push(Volts::new(2.0));
-        f.reset();
-        assert_eq!(f.push(Volts::ZERO).get(), 0.0);
     }
 
     #[test]

@@ -111,18 +111,6 @@ impl InstrumentationAmp {
         })
     }
 
-    /// The active configuration.
-    #[inline]
-    pub fn config(&self) -> &InAmpConfig {
-        &self.config
-    }
-
-    /// Input-referred rms of the white-noise component at this sample rate.
-    #[inline]
-    pub fn white_noise_rms(&self) -> Volts {
-        self.white_rms
-    }
-
     /// Amplifies one differential sample. `chip_overtemp_k` is the chip
     /// temperature rise above the 25 °C characterization point (drives offset
     /// drift).
@@ -244,11 +232,6 @@ impl InstrumentationAmp {
             (v_diff.get() + offset + noise) * self.config.gain * (1.0 + self.config.gain_error);
         Volts::new(ideal.clamp(-self.config.rail.get(), self.config.rail.get()))
     }
-
-    /// Clears the internal pole state.
-    pub fn reset(&mut self) {
-        self.output_state = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +294,7 @@ mod tests {
         for _ in 0..10_000 {
             cold = amp.amplify(Volts::ZERO, 0.0, &mut r);
         }
-        amp.reset();
+        amp.output_state = 0.0;
         for _ in 0..10_000 {
             hot = amp.amplify(Volts::ZERO, 20.0, &mut r);
         }
@@ -365,7 +348,7 @@ mod tests {
         let n = 100_000;
         let sum2: f64 = (0..n).map(|_| amp.draw_noise(&mut r).powi(2)).sum();
         let measured = (sum2 / n as f64).sqrt();
-        let rms = amp.white_noise_rms().get();
+        let rms = amp.white_rms.get();
         assert!(
             (measured / rms - 1.0).abs() < 0.02,
             "rms {measured} vs {rms}"
@@ -383,7 +366,7 @@ mod tests {
         let fs = Hertz::from_kilohertz(256.0);
         let amp = InstrumentationAmp::new(cfg, fs).unwrap();
         // 10 nV/√Hz over 128 kHz → 3.58 µV rms input-referred.
-        assert!((amp.white_noise_rms().get() - 3.58e-6).abs() < 0.05e-6);
+        assert!((amp.white_rms.get() - 3.58e-6).abs() < 0.05e-6);
     }
 
     /// Lanes formed from pre-drawn normals equal the per-tick

@@ -17,7 +17,7 @@
 //! * [`filter`] — continuous-time anti-alias low-pass
 //! * [`adc`] — 2nd-order 1-bit ΣΔ modulator
 //! * [`dac`] — the ideal thermometer-coded DAC
-//! * [`noise`] — Johnson/amplifier noise helpers
+//! * [`noise`] — the amplifier's 1/f (flicker) noise source
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

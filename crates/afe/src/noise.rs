@@ -1,29 +1,9 @@
-//! Electronic noise helpers: Johnson–Nyquist and amplifier noise.
+//! Electronic noise: the amplifier's 1/f (flicker) source.
 //!
 //! The amplifier's Gaussian draws come from the vendored `rand`'s ziggurat
 //! [`StandardNormal`](rand::distributions::StandardNormal), one 64-bit
 //! word per draw on the common path; the flicker filter here takes its
 //! draws from the caller.
-
-use hotwire_units::{Kelvin, Ohms, Volts};
-
-/// Boltzmann constant, J/K.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
-
-/// RMS Johnson–Nyquist noise voltage of a resistor over a bandwidth:
-/// `√(4·k_B·T·R·B)`.
-///
-/// ```
-/// use hotwire_afe::noise::johnson_rms;
-/// use hotwire_units::{Kelvin, Ohms};
-///
-/// // 50 Ω over 100 kHz at 300 K ≈ 0.29 µV rms.
-/// let v = johnson_rms(Ohms::new(50.0), Kelvin::new(300.0), 100e3);
-/// assert!((v.get() - 2.88e-7).abs() < 2e-8);
-/// ```
-pub fn johnson_rms(r: Ohms, temperature: Kelvin, bandwidth_hz: f64) -> Volts {
-    Volts::new((4.0 * BOLTZMANN * temperature.get() * r.get() * bandwidth_hz).sqrt())
-}
 
 /// A stateful 1/f ("flicker") noise generator: the sum of three
 /// decade-spaced first-order low-passed white sources (poles at fs/20,
@@ -78,17 +58,6 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xA0)
-    }
-
-    #[test]
-    fn johnson_scaling() {
-        let t = Kelvin::new(300.0);
-        let v1 = johnson_rms(Ohms::new(50.0), t, 1e5);
-        let v4 = johnson_rms(Ohms::new(200.0), t, 1e5);
-        // 4× resistance → 2× voltage.
-        assert!((v4.get() / v1.get() - 2.0).abs() < 1e-12);
-        let vb = johnson_rms(Ohms::new(50.0), t, 4e5);
-        assert!((vb.get() / v1.get() - 2.0).abs() < 1e-12);
     }
 
     #[test]

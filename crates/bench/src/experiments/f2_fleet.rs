@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(a.lines, lines);
 
         // MetricsOnly is forced: the whole fleet holds zero trace bytes.
-        assert_eq!(r.outcome.trace_heap_bytes(), 0);
+        assert_eq!(r.outcome.aggregates.trace_heap_bytes, 0);
 
         // Every 10th line carries the schedule, and the stuck ADC actually
         // bites on each of them.

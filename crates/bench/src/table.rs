@@ -22,16 +22,6 @@ impl Table {
     pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
         self.rows.push(cells.into_iter().map(Into::into).collect());
     }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl core::fmt::Display for Table {
@@ -79,8 +69,7 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("a  speed"));
         assert!(s.contains("22"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

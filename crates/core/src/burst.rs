@@ -24,13 +24,11 @@ pub struct BurstConfig {
     pub measure: Seconds,
     /// Electronics draw while awake, on top of the bridge power.
     pub electronics_active: Watts,
-    /// Draw while deep-sleeping.
-    pub sleep_draw: Watts,
 }
 
 impl BurstConfig {
-    /// The §7 profile: 0.3 s settle + 0.7 s averaging (a 1 s burst), 12 mW
-    /// awake electronics, 25 µW sleep. The CTA loop settles in tens of
+    /// The §7 profile: 0.3 s settle + 0.7 s averaging (a 1 s burst) and
+    /// 12 mW awake electronics. The CTA loop settles in tens of
     /// milliseconds, so a 1 s burst is generous; keeping it short matters
     /// because the two driven bridges burn ~150 mW while awake.
     pub fn asic_default() -> Self {
@@ -38,7 +36,6 @@ impl BurstConfig {
             settle: Seconds::new(0.3),
             measure: Seconds::new(0.7),
             electronics_active: Watts::new(0.012),
-            sleep_draw: Watts::new(25e-6),
         }
     }
 
@@ -77,13 +74,6 @@ pub struct BurstReading {
     pub duration: Seconds,
 }
 
-impl BurstReading {
-    /// Mean power over the burst.
-    pub fn average_power(&self) -> Watts {
-        Watts::new(self.energy_j / self.duration.get())
-    }
-}
-
 /// Burst-mode wrapper around a [`FlowMeter`].
 #[derive(Debug)]
 pub struct BurstController {
@@ -106,17 +96,6 @@ impl BurstController {
     #[inline]
     pub fn meter(&self) -> &FlowMeter {
         &self.meter
-    }
-
-    /// Unwraps the meter.
-    pub fn into_meter(self) -> FlowMeter {
-        self.meter
-    }
-
-    /// The schedule.
-    #[inline]
-    pub fn config(&self) -> &BurstConfig {
-        &self.config
     }
 
     /// Executes one wake→settle→measure→sleep burst at the given
@@ -150,13 +129,6 @@ impl BurstController {
             energy_j: energy,
             duration,
         }
-    }
-
-    /// Average power of a burst-every-`interval` duty cycle, given one
-    /// representative reading.
-    pub fn duty_cycle_power(&self, reading: &BurstReading, interval: Seconds) -> Watts {
-        let sleep_time = (interval.get() - reading.duration.get()).max(0.0);
-        Watts::new((reading.energy_j + self.config.sleep_draw.get() * sleep_time) / interval.get())
     }
 }
 
@@ -201,23 +173,8 @@ mod tests {
             "burst energy {} J",
             reading.energy_j
         );
-        let avg = reading.average_power().get();
+        let avg = reading.energy_j / reading.duration.get();
         assert!((0.05..0.3).contains(&avg), "burst avg power {avg} W");
-    }
-
-    #[test]
-    fn duty_cycle_power_supports_year_autonomy() {
-        let mut c = controller();
-        let reading = c.measure_once(env(100.0));
-        let avg = c.duty_cycle_power(&reading, Seconds::new(180.0));
-        // 15 Wh × 0.85 at this draw must exceed a year.
-        let hours = 15.0 * 0.85 / avg.get() / 3600.0 * 3600.0; // Wh / W = h
-        assert!(
-            hours > 365.0 * 24.0,
-            "autonomy {:.0} h at {:.3} mW",
-            hours,
-            avg.to_milliwatts()
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::health::HealthMonitor;
 use crate::obs::{CalSlot, EventKind};
 use crate::CoreError;
 use hotwire_isif::eeprom::CalibrationStore;
-use hotwire_units::{KelvinDelta, MetersPerSecond, ThermalConductance, Watts};
+use hotwire_units::{KelvinDelta, MetersPerSecond, ThermalConductance};
 
 /// A fitted King's-law calibration.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -107,12 +107,6 @@ impl KingCalibration {
             })
             .sum();
         (sum / points.len() as f64).sqrt()
-    }
-
-    /// Converts a measured heater power (at the calibrated overheat) into a
-    /// velocity magnitude.
-    pub fn velocity_from_power(&self, power: Watts) -> MetersPerSecond {
-        self.velocity_from_conductance(ThermalConductance::new(power.get() / self.overheat.get()))
     }
 
     /// Converts a measured conductance into a velocity magnitude.
@@ -405,6 +399,21 @@ mod tests {
     use super::*;
     use hotwire_physics::KingsLaw;
 
+    fn water_law() -> KingsLaw {
+        KingsLaw::from_kramers(
+            &hotwire_physics::Water::potable(),
+            hotwire_units::Celsius::new(15.0),
+            hotwire_physics::kings_law::WireGeometry::maf_heater(),
+        )
+    }
+
+    /// Every write cycle the store has taken, over all slots.
+    fn total_writes(eeprom: &CalibrationStore) -> u64 {
+        (0..hotwire_isif::eeprom::SLOT_COUNT)
+            .map(|slot| eeprom.slot_write_cycles(slot))
+            .sum()
+    }
+
     fn synth_points(king: &KingsLaw, velocities: &[f64]) -> Vec<CalPoint> {
         velocities
             .iter()
@@ -417,7 +426,7 @@ mod tests {
 
     #[test]
     fn fit_recovers_known_law() {
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5]);
         let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
         assert!(
@@ -438,7 +447,7 @@ mod tests {
 
     #[test]
     fn fit_tolerates_noise() {
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let mut points = synth_points(&king, &[0.05, 0.1, 0.3, 0.6, 1.0, 1.5, 2.0, 2.5]);
         // ±1 % deterministic "noise".
         for (i, p) in points.iter_mut().enumerate() {
@@ -460,19 +469,19 @@ mod tests {
 
     #[test]
     fn inversion_round_trip() {
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.2, 0.5, 1.0, 1.5, 2.0, 2.5]);
         let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
         for &v in &[0.1, 0.7, 1.8, 2.4] {
-            let p = king.power(MetersPerSecond::new(v), KelvinDelta::new(15.0));
-            let back = cal.velocity_from_power(p);
+            let g = king.conductance(MetersPerSecond::new(v));
+            let back = cal.velocity_from_conductance(g);
             assert!((back.get() - v).abs() < 0.02 * v.max(0.2), "v={v}");
         }
     }
 
     #[test]
     fn below_zero_flow_clamps() {
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
         let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
         let v = cal.velocity_from_conductance(ThermalConductance::new(cal.a * 0.9));
@@ -482,7 +491,7 @@ mod tests {
     #[test]
     fn sensitivity_degrades_with_speed() {
         // dv/dG ∝ v^(1−n): the paper's resolution worsens toward full scale.
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0, 2.5]);
         let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
         let s_low = cal.velocity_sensitivity(MetersPerSecond::new(0.2));
@@ -547,7 +556,7 @@ mod tests {
         // season moves the water to 5 °C or 30 °C the overheat changes by
         // ±50 %, and the *apparent* conductance (power over the assumed
         // calibration overheat) misreads badly unless corrected.
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.3, 0.8, 1.5, 2.2]);
         let wire = Celsius::new(45.0);
         let t_ref = Celsius::new(15.0);
@@ -595,7 +604,7 @@ mod tests {
     }
 
     fn stored_calibration() -> (KingCalibration, CalibrationStore) {
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
         let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
         let mut eeprom = CalibrationStore::new();
@@ -611,7 +620,7 @@ mod tests {
             KingCalibration::recover(&mut eeprom).unwrap(),
             (cal, CalSlot::Primary)
         );
-        assert_eq!(eeprom.write_cycles(), 2);
+        assert_eq!(total_writes(&eeprom), 2);
     }
 
     #[test]
@@ -655,7 +664,7 @@ mod tests {
             ))
         ));
         // Nothing was repaired from a dead mirror.
-        assert_eq!(eeprom.write_cycles(), 2);
+        assert_eq!(total_writes(&eeprom), 2);
         assert!(matches!(
             KingCalibration::recover(&mut CalibrationStore::new()),
             Err(CoreError::Platform(hotwire_isif::IsifError::EmptySlot {
@@ -670,7 +679,7 @@ mod tests {
         // the accounting must be balanced: every `store` costs exactly
         // one write cycle on the primary AND one on the mirror — never
         // double-charging one slot or skipping the other.
-        let king = KingsLaw::water_default();
+        let king = water_law();
         let points = synth_points(&king, &[0.05, 0.5, 1.0, 2.0]);
         let cal = KingCalibration::fit(&points, KelvinDelta::new(15.0)).unwrap();
         let mut eeprom = CalibrationStore::new();
@@ -684,13 +693,12 @@ mod tests {
         );
         assert_eq!(eeprom.max_slot_wear(), 25);
         // No other slot picked up phantom wear.
-        let worn: u64 = eeprom.wear_table().iter().sum();
-        assert_eq!(worn, 50);
+        assert_eq!(total_writes(&eeprom), 50);
     }
 
     #[test]
     fn fit_rejects_degenerate_input() {
-        let king = KingsLaw::water_default();
+        let king = water_law();
         assert!(
             KingCalibration::fit(&synth_points(&king, &[0.5, 1.0]), KelvinDelta::new(15.0))
                 .is_err()

@@ -150,37 +150,6 @@ impl ConductanceEstimator {
         let branch_ref = Watts::from_voltage_across(supply, r_series_ref + rt);
         (branch_heater + branch_ref) * self.bridges
     }
-
-    /// Static small-signal loop gain (code out per code of error in) at an
-    /// operating supply, for PI-gain sanity checks.
-    ///
-    /// Chain: DAC code→volts (`dac_lsb`) → supply→power (`2U·∂P/∂U²`) →
-    /// power→overheat (`1/G`) → overheat→resistance (`α·R₀`) →
-    /// resistance→bridge differential (`U·R₁/(R₁+Rh)²`) → volts→ADC code
-    /// (`gain/vref·2¹⁵`). The PI proportional gain multiplies this figure;
-    /// the product should sit well below ~1 for comfortable phase margin
-    /// given the loop's one-sample transport delay.
-    #[allow(clippy::too_many_arguments)] // each factor is one physical stage
-    pub fn static_loop_gain(
-        &self,
-        supply: Volts,
-        wire_conductance: ThermalConductance,
-        heater_alpha_r0: f64,
-        dac_lsb: Volts,
-        inamp_gain: f64,
-        adc_vref: Volts,
-    ) -> f64 {
-        let u = supply.get();
-        let rtot = self.r_series.get() + self.rh_star.get();
-        let k_power = self.rh_star.get() / (rtot * rtot); // P = U²·k
-        let du_dcode = dac_lsb.get();
-        let dp_du = 2.0 * u * k_power;
-        let dt_dp = 1.0 / wire_conductance.get();
-        let dr_dt = heater_alpha_r0;
-        let dv_dr = u * self.r_series.get() / (rtot * rtot);
-        let dcode_dv = inamp_gain / adc_vref.get() * 32768.0;
-        du_dcode * dp_du * dt_dp * dr_dt * dv_dr * dcode_dv
-    }
 }
 
 #[cfg(test)]
@@ -313,30 +282,6 @@ mod tests {
                 g.get()
             );
         }
-    }
-
-    #[test]
-    fn static_loop_gain_supports_the_production_pi_gains() {
-        // At the mid-range operating point the static plant gain is O(10);
-        // with kp = 0.02 the proportional loop gain lands near 0.2–0.5 —
-        // comfortably stable against the one-sample delay, which is exactly
-        // why those defaults were chosen.
-        let (cfg, bridge, rh_star) = setup();
-        let est = ConductanceEstimator::new(&bridge, rh_star, &cfg, 2);
-        let g = est.static_loop_gain(
-            Volts::new(2.7),
-            hotwire_units::ThermalConductance::new(2.3e-3),
-            hotwire_physics::resistor::Rtd::heater().sensitivity(),
-            Volts::new(5.0 / 4095.0),
-            50.0,
-            Volts::new(2.5),
-        );
-        assert!((5.0..60.0).contains(&g), "static plant gain {g}");
-        let loop_gain = g * cfg.kp;
-        assert!(
-            (0.05..1.0).contains(&loop_gain),
-            "proportional loop gain {loop_gain}"
-        );
     }
 
     #[test]

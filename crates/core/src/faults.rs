@@ -86,9 +86,10 @@ impl SpikeMonitor {
         }
     }
 
-    /// Feeds the raw and despiked codes for one tick; returns the spike rate
-    /// (spikes per tick) for the last completed window.
-    pub fn update(&mut self, raw: i32, despiked: i32) -> f64 {
+    /// Feeds the raw and despiked codes for one tick; each completed window
+    /// updates the spike rate (spikes per tick) that
+    /// [`sustained`](Self::sustained) judges.
+    pub fn update(&mut self, raw: i32, despiked: i32) {
         if (raw - despiked).abs() > self.threshold {
             self.count_in_window += 1;
         }
@@ -103,13 +104,6 @@ impl SpikeMonitor {
             self.tick = 0;
             self.count_in_window = 0;
         }
-        self.last_rate
-    }
-
-    /// The most recent windowed spike rate.
-    #[inline]
-    pub fn rate(&self) -> f64 {
-        self.last_rate
     }
 
     /// `true` once at least `windows` consecutive windows were spike-active.
@@ -259,7 +253,7 @@ mod tests {
             let raw = if i % 10 == 0 { 2300 } else { 2000 };
             m.update(raw, 2000);
         }
-        assert!((m.rate() - 0.1).abs() < 1e-9, "rate {}", m.rate());
+        assert!((m.last_rate - 0.1).abs() < 1e-9, "rate {}", m.last_rate);
     }
 
     #[test]
@@ -268,7 +262,7 @@ mod tests {
         for _ in 0..200 {
             m.update(2010, 2000);
         }
-        assert_eq!(m.rate(), 0.0);
+        assert_eq!(m.last_rate, 0.0);
         assert!(!m.sustained(1));
     }
 

@@ -318,7 +318,7 @@ impl FlowMeter {
         config.validate()?;
         maf_params.validate()?;
         let die = MafDie::in_potable_water(maf_params);
-        let mut platform = IsifPlatform::new(config.modulator_rate)?;
+        let mut platform = IsifPlatform::new(config.modulator_rate);
         let default_channel = ChannelConfig::maf_bridge();
         let channel_config = ChannelConfig {
             decimation: config.decimation,
@@ -826,11 +826,9 @@ impl FlowMeter {
         } else {
             self.settled_streak = 0;
         }
-        let spike_rate = if measure_now && self.settled_streak > 4 {
-            self.spikes.update(raw_signal, self.output.despiked())
-        } else {
-            self.spikes.rate()
-        };
+        if measure_now && self.settled_streak > 4 {
+            self.spikes.update(raw_signal, self.output.despiked());
+        }
         let saturated = self.saturation.update(supply_code.max(1));
         if saturated != self.was_saturated {
             self.was_saturated = saturated;
@@ -892,7 +890,6 @@ impl FlowMeter {
         } else {
             0.0
         };
-        let _ = spike_rate;
         let faults = FaultFlags {
             bubble_activity: self.spikes.sustained(2),
             fouling_suspected: self.drift.is_drifting(drift_dev) && drift_dev < 0.0,
@@ -1139,13 +1136,6 @@ impl FlowMeter {
         self.direction.reset();
     }
 
-    /// The learned direction-channel offset in codes per volt of bridge
-    /// supply (0 until auto-zeroed).
-    #[inline]
-    pub fn direction_offset(&self) -> f64 {
-        self.dir_offset_per_volt
-    }
-
     /// Latched fault flags since start (or the last clear).
     pub fn fault_latch(&self) -> FaultFlags {
         self.fault_latch
@@ -1171,14 +1161,22 @@ impl FlowMeter {
         self.control_tick
     }
 
-    /// A stable 64-bit digest (FNV-1a) of the meter's observable mutable
-    /// state: control phase, RNG lane state, firmware estimates and
-    /// latches, the health supervisor's verdict, and the die's slow
-    /// physical state. Two meters that walked bit-identical trajectories
-    /// digest equal; any divergence in the simulated state shows up here.
-    /// The fleet layer records this per line, which is how its
-    /// checkpoint/resume and jobs-invariance tests cover full end-state
-    /// equality without serializing whole meters.
+    /// A stable 64-bit digest (FNV-1a) of part of the meter's mutable
+    /// state: control phase, RNG lane state, the last direction,
+    /// temperature and control codes with their streak counters, the fault
+    /// latch and health verdict, the fluid and conductance estimates, the
+    /// last measurement, the die's slow physical state, and the installed
+    /// calibration with its drift monitor. Two meters that walked
+    /// bit-identical trajectories digest equal.
+    ///
+    /// It leaves out the PI integrator, the output pipeline (median ring
+    /// and 0.1 Hz filter), the direction detector, the spike and
+    /// saturation monitors, the pulsed scheduler's phase, the watchdog
+    /// counter and the three channel chains: a divergence confined to
+    /// those shows only through the measurements it later moves. The fleet
+    /// layer records this per line, which is how its checkpoint/resume and
+    /// jobs-invariance tests compare end states without serializing whole
+    /// meters.
     // Stays inherent beside its `Meter` forwarder: the benchmark calls it
     // on a concrete `FlowMeter` without importing the trait.
     #[allow(clippy::same_name_method)]
@@ -2153,9 +2151,9 @@ mod tests {
         m.auto_zero_direction(0.5, SensorEnvironment::still_water());
         // The in-amp offset (~130 codes) must have been learned.
         assert!(
-            m.direction_offset().abs() > 40.0,
+            m.dir_offset_per_volt.abs() > 40.0,
             "offset {} suspiciously small",
-            m.direction_offset()
+            m.dir_offset_per_volt
         );
         // With the offset removed, still water stays indeterminate even at
         // the tight deadband.

@@ -140,12 +140,6 @@ impl HealthMonitor {
         self.state
     }
 
-    /// Total state transitions since construction.
-    #[inline]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
     fn set_state(&mut self, next: HealthState) {
         if self.state != next {
             self.state = next;
@@ -273,7 +267,7 @@ mod tests {
             assert_eq!(h.update(FaultFlags::default(), false), RecoveryAction::None);
         }
         assert_eq!(h.state(), HealthState::Healthy);
-        assert_eq!(h.transitions(), 0);
+        assert_eq!(h.transitions, 0);
     }
 
     #[test]

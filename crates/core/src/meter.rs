@@ -32,11 +32,14 @@
 //!   the tick count and the meter's own state (never of wall-clock,
 //!   thread identity, or observer presence). Fault hooks must not draw.
 //! * **Digest semantics** — [`state_digest`](Meter::state_digest) folds
-//!   every piece of observable mutable state (tick counters, RNG state,
-//!   estimator/latch state, health verdict, slow physical state) into one
-//!   stable 64-bit word. Two meters that walked bit-identical
-//!   trajectories digest equal; any divergence shows up. The fleet layer
-//!   checkpoints this per line.
+//!   a subset of the meter's mutable state (tick counters, RNG state, the
+//!   main estimator and latch state, health verdict, slow physical state)
+//!   into one stable 64-bit word. Two meters that walked bit-identical
+//!   trajectories digest equal. A divergence shows up at once only if it
+//!   reaches that subset; state left out of it
+//!   ([`FlowMeter::state_digest`](crate::FlowMeter::state_digest) lists
+//!   the CTA meter's) shows only through the later measurements it moves.
+//!   The fleet layer checkpoints this per line.
 //! * **Observation is read-only** — a meter with an observer installed
 //!   and one without compute bit-identical measurements; observers only
 //!   receive events.

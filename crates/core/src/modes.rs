@@ -160,24 +160,12 @@ impl ConstantPowerDrive {
         }
     }
 
-    /// The power setpoint.
-    #[inline]
-    pub fn target(&self) -> Watts {
-        self.target
-    }
-
     /// Updates the drive from the latest wire-power estimate; returns the
     /// next supply code.
     pub fn update(&mut self, measured: Watts) -> u32 {
         let error = self.target.get() - measured.get();
         let next = self.code as f64 + self.gain * error;
         self.code = next.clamp(100.0, self.max_code as f64) as u32;
-        self.code
-    }
-
-    /// The current supply code.
-    #[inline]
-    pub fn code(&self) -> u32 {
         self.code
     }
 }
@@ -245,7 +233,11 @@ mod tests {
     #[test]
     fn cc_design_reaches_plausible_code() {
         let (cfg, bridge, rh_star, _) = setup();
-        let king = KingsLaw::water_default();
+        let king = KingsLaw::from_kramers(
+            &hotwire_physics::Water::potable(),
+            hotwire_units::Celsius::new(15.0),
+            hotwire_physics::kings_law::WireGeometry::maf_heater(),
+        );
         let g = king.conductance(MetersPerSecond::new(1.0));
         let cc = ConstantCurrentDrive::design(&cfg, rh_star, &bridge, g, Volts::new(5.0), 4095);
         // Expected supply ≈ √(G·15·(2Rh*)²/Rh*) ≈ 2.7 V → code ≈ 2230.
@@ -256,7 +248,7 @@ mod tests {
     fn cp_drive_converges_on_static_plant() {
         // Plant: P = (U·k)² with k chosen so code 2000 → 30 mW.
         let mut cp = ConstantPowerDrive::new(Watts::new(0.030), 1000, 4095);
-        let mut code = cp.code();
+        let mut code = cp.code;
         for _ in 0..500 {
             let u = code as f64 * 5.0 / 4095.0;
             let p = u * u * 0.030 / (2000.0f64 * 5.0 / 4095.0).powi(2);
@@ -274,11 +266,11 @@ mod tests {
         for _ in 0..100 {
             cp.update(Watts::ZERO);
         }
-        assert_eq!(cp.code(), 4095);
+        assert_eq!(cp.code, 4095);
         let mut cp = ConstantPowerDrive::new(Watts::ZERO, 4000, 4095);
         for _ in 0..100 {
             cp.update(Watts::new(1.0));
         }
-        assert_eq!(cp.code(), 100);
+        assert_eq!(cp.code, 100);
     }
 }

@@ -88,27 +88,6 @@ pub enum EventKind {
     CalibrationPersisted,
 }
 
-impl EventKind {
-    /// Stable snake_case name of the variant — the aggregation key used by
-    /// counters and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::PiSaturationEnter => "pi_saturation_enter",
-            EventKind::PiSaturationExit => "pi_saturation_exit",
-            EventKind::HealthTransition { .. } => "health_transition",
-            EventKind::WatchdogExpired => "watchdog_expired",
-            EventKind::FaultActivated { .. } => "fault_activated",
-            EventKind::FaultCleared { .. } => "fault_cleared",
-            EventKind::CalibrationReloaded { .. } => "calibration_reloaded",
-            EventKind::CalibrationReloadFailed => "calibration_reload_failed",
-            EventKind::UartFrameError => "uart_frame_error",
-            EventKind::CalibrationReZeroed => "calibration_re_zeroed",
-            EventKind::CalibrationRefit => "calibration_refit",
-            EventKind::CalibrationPersisted => "calibration_persisted",
-        }
-    }
-}
-
 /// One observability event, stamped with the control tick it occurred on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct ObsEvent {
@@ -174,34 +153,6 @@ mod tests {
         });
         assert!(blind.drain().is_empty());
         assert_eq!(blind.dropped(), 0);
-    }
-
-    #[test]
-    fn event_names_are_stable_and_distinct() {
-        let kinds = [
-            EventKind::PiSaturationEnter,
-            EventKind::PiSaturationExit,
-            EventKind::HealthTransition {
-                from: HealthState::Healthy,
-                to: HealthState::Degraded,
-            },
-            EventKind::WatchdogExpired,
-            EventKind::FaultActivated { fault: "adc_stuck" },
-            EventKind::FaultCleared { fault: "adc_stuck" },
-            EventKind::CalibrationReloaded {
-                slot: CalSlot::Redundant,
-            },
-            EventKind::CalibrationReloadFailed,
-            EventKind::UartFrameError,
-            EventKind::CalibrationReZeroed,
-            EventKind::CalibrationRefit,
-            EventKind::CalibrationPersisted,
-        ];
-        let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
-        let mut unique = names.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len(), "duplicate event names");
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl OutputPipeline {
     pub fn despiked(&self) -> i32 {
         self.despiked
     }
-
-    /// Clears all state (next sample re-precharges).
-    pub fn reset(&mut self) {
-        self.median.reset();
-        self.smoother.reset();
-        self.smoothed = 0;
-        self.despiked = 0;
-        self.warmed_up = false;
-    }
 }
 
 #[cfg(test)]
@@ -152,14 +143,5 @@ mod tests {
             var_narrow < 0.05 * var_wide,
             "0.1 Hz filter did not improve sensitivity: {var_narrow} vs {var_wide}"
         );
-    }
-
-    #[test]
-    fn reset_reprimes() {
-        let mut p = pipeline(0.1);
-        p.push(5000);
-        p.reset();
-        assert_eq!(p.value(), 0);
-        assert_eq!(p.push(100), 100);
     }
 }

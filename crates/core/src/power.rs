@@ -89,11 +89,6 @@ impl DutyCycle {
         .expect("single state is valid")
     }
 
-    /// The states of the cycle.
-    pub fn states(&self) -> &[PowerState] {
-        &self.states
-    }
-
     /// Cycle period.
     pub fn period(&self) -> Seconds {
         self.states.iter().map(|s| s.duration).sum()

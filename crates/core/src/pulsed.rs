@@ -49,12 +49,6 @@ impl PulsedScheduler {
         }
     }
 
-    /// The schedule configuration.
-    #[inline]
-    pub fn config(&self) -> &PulsedConfig {
-        &self.config
-    }
-
     /// Advances one control tick and returns the phase for that tick.
     pub fn advance(&mut self) -> PulsePhase {
         let phase = if self.tick < self.on_ticks {
@@ -66,16 +60,6 @@ impl PulsedScheduler {
         };
         self.tick = (self.tick + 1) % self.config.period_ticks;
         phase
-    }
-
-    /// Fraction of time the heater is driven.
-    pub fn duty(&self) -> f64 {
-        self.on_ticks as f64 / self.config.period_ticks as f64
-    }
-
-    /// Restarts the schedule at the beginning of an ON phase.
-    pub fn reset(&mut self) {
-        self.tick = 0;
     }
 }
 
@@ -112,7 +96,7 @@ mod tests {
     #[test]
     fn duty_accounting() {
         let s = sched(100, 0.25);
-        assert!((s.duty() - 0.25).abs() < 1e-9);
+        assert_eq!(s.on_ticks, 25);
         // Settled measurement time exists.
         let mut s = sched(100, 0.25);
         let settled = (0..100)
@@ -136,15 +120,5 @@ mod tests {
             .filter(|_| matches!(s.advance(), PulsePhase::On { .. }))
             .count();
         assert_eq!(on, 1);
-    }
-
-    #[test]
-    fn reset_restarts_period() {
-        let mut s = sched(10, 0.4);
-        for _ in 0..7 {
-            s.advance();
-        }
-        s.reset();
-        assert!(matches!(s.advance(), PulsePhase::On { settled: false }));
     }
 }

@@ -10,7 +10,6 @@ use crate::flow_meter::Measurement;
 use crate::health::HealthState;
 use crate::CoreError;
 use hotwire_isif::uart::encode_frame;
-use hotwire_units::MetersPerSecond;
 
 /// Wire version tag of the record layout.
 pub const RECORD_VERSION: u8 = 1;
@@ -59,11 +58,6 @@ impl RecordDecodeStats {
             Err(RecordError::UnknownVersion) => self.unknown_version += 1,
             Err(RecordError::BadDirection) => self.bad_direction += 1,
         }
-    }
-
-    /// Total CRC-valid frames that were not valid records.
-    pub fn malformed(&self) -> u64 {
-        self.wrong_length + self.unknown_version + self.bad_direction
     }
 
     /// Adds another tally into this one.
@@ -141,11 +135,6 @@ impl TelemetryRecord {
         }
     }
 
-    /// The decoded velocity.
-    pub fn velocity(&self) -> MetersPerSecond {
-        MetersPerSecond::from_cm_per_s(self.velocity_centi_cm_s as f64 / 100.0)
-    }
-
     /// Serializes to the 16-byte wire layout.
     pub fn to_bytes(&self) -> [u8; RECORD_LEN] {
         let mut out = [0u8; RECORD_LEN];
@@ -215,7 +204,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultFlags;
     use hotwire_isif::uart::{FrameDecoder, FrameEvent};
-    use hotwire_units::{ThermalConductance, Watts};
+    use hotwire_units::{MetersPerSecond, ThermalConductance, Watts};
 
     fn sample_measurement() -> Measurement {
         Measurement {
@@ -246,7 +235,6 @@ mod tests {
         assert_eq!(back.health, HealthState::Recovering);
         assert_eq!(back.direction, FlowDirection::Reverse);
         assert_eq!(back.conductance_nw_per_k, 2_345_000);
-        assert!((back.velocity().to_cm_per_s() + 123.45).abs() < 1e-9);
     }
 
     #[test]
@@ -334,15 +322,22 @@ mod tests {
                 bad_direction: 1,
             }
         );
-        assert_eq!(stats.malformed(), 3);
         // Every CRC-valid frame is accounted for: none eaten invisibly.
-        assert_eq!(decoder.good_frames(), stats.records + stats.malformed());
+        let malformed = stats.wrong_length + stats.unknown_version + stats.bad_direction;
+        assert_eq!(decoder.stats().good_frames, stats.records + malformed);
 
         let mut merged = RecordDecodeStats::default();
         merged.merge(&stats);
         merged.merge(&stats);
-        assert_eq!(merged.records, 2);
-        assert_eq!(merged.malformed(), 6);
+        assert_eq!(
+            merged,
+            RecordDecodeStats {
+                records: 2,
+                wrong_length: 2,
+                unknown_version: 2,
+                bad_direction: 2,
+            }
+        );
     }
 
     #[test]

@@ -68,26 +68,9 @@ impl CicDecimator {
         })
     }
 
-    /// Filter order `N`.
-    #[inline]
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// Decimation ratio `R`.
-    #[inline]
-    pub fn ratio(&self) -> u32 {
-        self.ratio
-    }
-
     /// DC gain `R^N`: a constant input `x` produces output `x · gain()`.
     pub fn gain(&self) -> i64 {
         (self.ratio as i64).pow(self.order as u32)
-    }
-
-    /// Number of output bits needed: `input_bits + N·log2(R)`.
-    pub fn output_bits(&self, input_bits: u32) -> u32 {
-        input_bits + self.order as u32 * (32 - (self.ratio - 1).leading_zeros())
     }
 
     /// Pushes one high-rate sample; returns a decimated output every `R`
@@ -109,8 +92,8 @@ impl CicDecimator {
     /// integrator/comb states and the phase counter stay in registers
     /// instead of bouncing through `&mut self` per tick.
     ///
-    /// Feeding exactly `ratio()` samples from a frame-aligned phase (phase
-    /// 0) yields exactly one output.
+    /// Feeding exactly `R` samples from a frame-aligned phase (no samples
+    /// accepted since the last output) yields exactly one output.
     pub fn push_block(&mut self, xs: &[i32], out: &mut Vec<i64>) {
         match self.order {
             1 => self.push_block_of::<1>(xs, out),
@@ -141,21 +124,6 @@ impl CicDecimator {
         self.integrators[..N].copy_from_slice(&integrators);
         self.combs[..N].copy_from_slice(&combs);
         self.phase = phase;
-    }
-
-    /// The current intra-frame phase: number of samples accepted since the
-    /// last decimated output, in `0..ratio()`. Phase 0 means the next
-    /// `ratio()` pushes produce exactly one output on the last push.
-    #[inline]
-    pub fn phase(&self) -> u32 {
-        self.phase
-    }
-
-    /// Clears all integrator and comb state.
-    pub fn reset(&mut self) {
-        self.integrators = [0; MAX_ORDER];
-        self.combs = [0; MAX_ORDER];
-        self.phase = 0;
     }
 }
 
@@ -255,21 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn output_bits_estimate() {
-        let cic = CicDecimator::new(3, 256).unwrap();
-        assert_eq!(cic.output_bits(1), 1 + 3 * 8);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut cic = CicDecimator::new(2, 8).unwrap();
-        collect(&mut cic, std::iter::repeat(1).take(80));
-        cic.reset();
-        let out = collect(&mut cic, std::iter::repeat(0).take(80));
-        assert!(out.iter().all(|&y| y == 0));
-    }
-
-    #[test]
     fn rejects_bad_config() {
         assert!(CicDecimator::new(0, 8).is_err());
         assert!(CicDecimator::new(7, 8).is_err());
@@ -304,7 +257,7 @@ mod tests {
                 prop_assert_eq!(&out, &expected);
                 prop_assert_eq!(block.integrators, scalar.integrators);
                 prop_assert_eq!(block.combs, scalar.combs);
-                prop_assert_eq!(block.phase(), scalar.phase());
+                prop_assert_eq!(block.phase, scalar.phase);
             }
         }
     }

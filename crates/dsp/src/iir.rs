@@ -1,147 +1,13 @@
-//! IIR filters: Butterworth biquad design and fixed-point runtime engines.
+//! The single-pole IIR output filter.
 //!
-//! Two engines are provided, matching the two places the paper uses IIR
-//! filtering:
-//!
-//! * [`Biquad`] — second-order section with Q30 coefficients, direct-form II
-//!   transposed, for the channel low-pass after decimation;
-//! * [`SinglePoleLp`] — the very-low-frequency output smoother ("further
-//!   filtering with an IIR filter down to the bandwidth of 0.1 Hz in order to
-//!   improve the sensitivity"), kept in extended precision because a 0.1 Hz
-//!   corner at a 1 kHz sample rate has a coefficient of ~6·10⁻⁴ that would
-//!   dead-band a plain 32-bit state.
+//! [`SinglePoleLp`] is the very-low-frequency output smoother ("further
+//! filtering with an IIR filter down to the bandwidth of 0.1 Hz in order to
+//! improve the sensitivity"), kept in extended precision because a 0.1 Hz
+//! corner at a 1 kHz sample rate has a coefficient of ~6·10⁻⁴ that would
+//! dead-band a plain 32-bit state.
 
 use crate::error::DspError;
 use crate::fix::{saturate_i32, Q30};
-
-/// Floating-point biquad coefficients (`b0 + b1·z⁻¹ + b2·z⁻²` over
-/// `1 + a1·z⁻¹ + a2·z⁻²`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BiquadCoeffs {
-    /// Numerator taps.
-    pub b: [f64; 3],
-    /// Denominator taps `a1`, `a2` (with `a0` normalized to 1).
-    pub a: [f64; 2],
-}
-
-impl BiquadCoeffs {
-    /// Designs a second-order Butterworth low-pass with corner `fc` at sample
-    /// rate `fs`, via the bilinear transform with pre-warping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::UnrealizableDesign`] unless `0 < fc < fs/2`.
-    pub fn butterworth_lowpass(fc: f64, fs: f64) -> Result<Self, DspError> {
-        if !(fc > 0.0 && fc < fs / 2.0 && fs > 0.0) {
-            return Err(DspError::UnrealizableDesign {
-                reason: "corner must lie strictly between 0 and nyquist",
-            });
-        }
-        let k = (core::f64::consts::PI * fc / fs).tan();
-        let sqrt2 = core::f64::consts::SQRT_2;
-        let norm = 1.0 / (1.0 + sqrt2 * k + k * k);
-        let b0 = k * k * norm;
-        Ok(BiquadCoeffs {
-            b: [b0, 2.0 * b0, b0],
-            a: [2.0 * (k * k - 1.0) * norm, (1.0 - sqrt2 * k + k * k) * norm],
-        })
-    }
-
-    /// Magnitude response at frequency `f` for sample rate `fs`.
-    pub fn magnitude(&self, f: f64, fs: f64) -> f64 {
-        let w = core::f64::consts::TAU * f / fs;
-        let num = complex_poly(&[self.b[0], self.b[1], self.b[2]], w);
-        let den = complex_poly(&[1.0, self.a[0], self.a[1]], w);
-        (num.0 * num.0 + num.1 * num.1).sqrt() / (den.0 * den.0 + den.1 * den.1).sqrt()
-    }
-
-    /// `true` if both poles lie inside the unit circle.
-    pub fn is_stable(&self) -> bool {
-        // Jury criterion for 2nd order: |a2| < 1 and |a1| < 1 + a2.
-        self.a[1].abs() < 1.0 && self.a[0].abs() < 1.0 + self.a[1]
-    }
-}
-
-fn complex_poly(c: &[f64; 3], w: f64) -> (f64, f64) {
-    let (mut re, mut im) = (0.0, 0.0);
-    for (i, &ci) in c.iter().enumerate() {
-        re += ci * (w * i as f64).cos();
-        im -= ci * (w * i as f64).sin();
-    }
-    (re, im)
-}
-
-/// A fixed-point biquad (direct-form II transposed, Q30 coefficients,
-/// 64-bit state).
-///
-/// ```
-/// use hotwire_dsp::iir::{Biquad, BiquadCoeffs};
-///
-/// let coeffs = BiquadCoeffs::butterworth_lowpass(100.0, 1000.0)?;
-/// let mut biquad = Biquad::from_coeffs(&coeffs)?;
-/// let mut y = 0;
-/// for _ in 0..200 { y = biquad.push(10_000); }
-/// assert!((y - 10_000).abs() <= 2); // unit DC gain
-/// # Ok::<(), hotwire_dsp::DspError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Biquad {
-    b: [Q30; 3],
-    a: [Q30; 2],
-    // DF2T state registers in Q30-extended precision.
-    s1: i64,
-    s2: i64,
-}
-
-impl Biquad {
-    /// Quantizes floating coefficients to Q30. Coefficients must fit ±2
-    /// (true for any stable low-pass/band-pass normalized section).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::UnrealizableDesign`] if the design is unstable or
-    /// any coefficient saturates the Q2.30 range.
-    pub fn from_coeffs(c: &BiquadCoeffs) -> Result<Self, DspError> {
-        if !c.is_stable() {
-            return Err(DspError::UnrealizableDesign {
-                reason: "biquad poles outside unit circle",
-            });
-        }
-        let q = |x: f64| -> Result<Q30, DspError> {
-            let v = Q30::from_f64(x);
-            if v.is_saturated() {
-                Err(DspError::UnrealizableDesign {
-                    reason: "coefficient exceeds Q2.30 range",
-                })
-            } else {
-                Ok(v)
-            }
-        };
-        Ok(Biquad {
-            b: [q(c.b[0])?, q(c.b[1])?, q(c.b[2])?],
-            a: [q(c.a[0])?, q(c.a[1])?],
-            s1: 0,
-            s2: 0,
-        })
-    }
-
-    /// Pushes one sample through the section.
-    pub fn push(&mut self, x: i32) -> i32 {
-        let x = x as i64;
-        // y = b0·x + s1 (state holds Q30-scaled partial sums).
-        let y_wide = self.b[0].raw() as i64 * x + self.s1;
-        let y = (y_wide + (1 << 29)) >> 30;
-        self.s1 = self.b[1].raw() as i64 * x - self.a[0].raw() as i64 * y + self.s2;
-        self.s2 = self.b[2].raw() as i64 * x - self.a[1].raw() as i64 * y;
-        saturate_i32(y)
-    }
-
-    /// Clears the state registers.
-    pub fn reset(&mut self) {
-        self.s1 = 0;
-        self.s2 = 0;
-    }
-}
 
 /// A single-pole low-pass `y += α·(x − y)` with extended-precision state,
 /// for sub-hertz corners at kilohertz sample rates.
@@ -183,12 +49,6 @@ impl SinglePoleLp {
         })
     }
 
-    /// The quantized α coefficient.
-    #[inline]
-    pub fn alpha(&self) -> Q30 {
-        self.alpha
-    }
-
     /// Pushes one sample; returns the smoothed output.
     pub fn push(&mut self, x: i32) -> i32 {
         let x_ext = (x as i64) << 30;
@@ -204,90 +64,11 @@ impl SinglePoleLp {
     pub fn preset(&mut self, y: i32) {
         self.state = (y as i64) << 30;
     }
-
-    /// Clears the state.
-    pub fn reset(&mut self) {
-        self.state = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn butterworth_design_matches_textbook() {
-        let c = BiquadCoeffs::butterworth_lowpass(100.0, 1000.0).unwrap();
-        assert!(c.is_stable());
-        // DC gain exactly 1.
-        let dc = (c.b[0] + c.b[1] + c.b[2]) / (1.0 + c.a[0] + c.a[1]);
-        assert!((dc - 1.0).abs() < 1e-12);
-        // −3 dB at the corner.
-        let g = c.magnitude(100.0, 1000.0);
-        assert!(
-            (g - core::f64::consts::FRAC_1_SQRT_2).abs() < 1e-3,
-            "corner gain {g}"
-        );
-        // −12 dB/octave beyond: one octave above the corner ≈ −12.3 dB.
-        let g2 = c.magnitude(200.0, 1000.0);
-        assert!(g2 < 0.3, "octave-up gain {g2}");
-    }
-
-    #[test]
-    fn biquad_fixed_point_tracks_float() {
-        let c = BiquadCoeffs::butterworth_lowpass(50.0, 1000.0).unwrap();
-        let mut fx = Biquad::from_coeffs(&c).unwrap();
-        // Float reference (DF2T).
-        let (mut s1, mut s2) = (0.0f64, 0.0f64);
-        let mut max_err = 0.0f64;
-        for i in 0..2000 {
-            let x = (10_000.0 * (core::f64::consts::TAU * 20.0 * i as f64 / 1000.0).sin()) as i32;
-            let yf = c.b[0] * x as f64 + s1;
-            s1 = c.b[1] * x as f64 - c.a[0] * yf + s2;
-            s2 = c.b[2] * x as f64 - c.a[1] * yf;
-            let yq = fx.push(x) as f64;
-            max_err = max_err.max((yq - yf).abs());
-        }
-        assert!(max_err < 4.0, "fixed-vs-float max error {max_err} counts");
-    }
-
-    #[test]
-    fn biquad_dc_convergence() {
-        let c = BiquadCoeffs::butterworth_lowpass(100.0, 1000.0).unwrap();
-        let mut b = Biquad::from_coeffs(&c).unwrap();
-        let mut y = 0;
-        for _ in 0..500 {
-            y = b.push(-24_000);
-        }
-        assert!((y + 24_000).abs() <= 2, "dc out {y}");
-    }
-
-    #[test]
-    fn biquad_attenuates_stopband_tone() {
-        let c = BiquadCoeffs::butterworth_lowpass(10.0, 1000.0).unwrap();
-        let mut b = Biquad::from_coeffs(&c).unwrap();
-        let mut peak = 0i32;
-        for i in 0..5000 {
-            let x = (20_000.0 * (core::f64::consts::TAU * 200.0 * i as f64 / 1000.0).sin()) as i32;
-            let y = b.push(x);
-            if i > 1000 {
-                peak = peak.max(y.abs());
-            }
-        }
-        // 200 Hz through a 10 Hz 2nd-order LP: ~ (10/200)² = −52 dB ideal;
-        // allow a few counts of fixed-point rounding noise on top.
-        assert!(peak < 160, "stopband peak {peak}");
-    }
-
-    #[test]
-    fn unstable_coeffs_rejected() {
-        let unstable = BiquadCoeffs {
-            b: [1.0, 0.0, 0.0],
-            a: [-2.1, 1.2],
-        };
-        assert!(!unstable.is_stable());
-        assert!(Biquad::from_coeffs(&unstable).is_err());
-    }
 
     #[test]
     fn single_pole_time_constant() {
@@ -316,12 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn single_pole_preset_and_reset() {
+    fn single_pole_preset() {
         let mut lp = SinglePoleLp::design(1.0, 1000.0).unwrap();
         lp.preset(5000);
         assert_eq!(lp.push(5000), 5000);
-        lp.reset();
-        assert_eq!(lp.push(0), 0);
     }
 
     #[test]
@@ -350,8 +129,6 @@ mod tests {
 
     #[test]
     fn rejects_bad_corners() {
-        assert!(BiquadCoeffs::butterworth_lowpass(0.0, 1000.0).is_err());
-        assert!(BiquadCoeffs::butterworth_lowpass(600.0, 1000.0).is_err());
         assert!(SinglePoleLp::design(0.0, 1000.0).is_err());
         assert!(SinglePoleLp::design(500.0, 1000.0).is_err());
     }

@@ -12,12 +12,12 @@
 //!
 //! Blocks:
 //!
-//! * [`fix`] — saturating Q-format arithmetic ([`fix::Fx`], [`fix::Q15`], …)
+//! * [`fix`] — saturating Q-format quantization ([`fix::Fx`], [`fix::Q16`],
+//!   [`fix::Q30`])
 //! * [`cic`] — CIC decimator for the ΣΔ bitstream
-//! * [`iir`] — Butterworth biquad design + Q30 fixed-point biquads and the
-//!   single-pole 0.1 Hz output filter
+//! * [`iir`] — the single-pole 0.1 Hz output filter
 //! * [`pi`] — the PI controller closing the constant-temperature loop
-//! * [`despike`] — median despiker and moving-average smoother
+//! * [`despike`] — the 5-sample median despiker
 //!
 //! # Example: decimating a ΣΔ bitstream
 //!
@@ -48,8 +48,8 @@ pub mod iir;
 pub mod pi;
 
 pub use cic::CicDecimator;
-pub use despike::{Median5, MovingAverage};
+pub use despike::Median5;
 pub use error::DspError;
-pub use fix::{Fx, Q15, Q16, Q30};
-pub use iir::{Biquad, SinglePoleLp};
+pub use fix::{Fx, Q16, Q30};
+pub use iir::SinglePoleLp;
 pub use pi::PiController;

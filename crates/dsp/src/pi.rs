@@ -69,18 +69,6 @@ impl PiController {
         })
     }
 
-    /// Proportional gain.
-    #[inline]
-    pub fn kp(&self) -> Q16 {
-        self.kp
-    }
-
-    /// Integral gain (per sample).
-    #[inline]
-    pub fn ki(&self) -> Q16 {
-        self.ki
-    }
-
     /// Runs one control step on error `e` (setpoint − measurement) and
     /// returns the clamped actuator command.
     pub fn update(&mut self, e: i32) -> i32 {
@@ -102,11 +90,6 @@ impl PiController {
     /// (bumpless start at a known operating point).
     pub fn preset_output(&mut self, u: i32) {
         self.integrator = (u.clamp(self.out_min, self.out_max) as i64) << 16;
-    }
-
-    /// Clears the integrator.
-    pub fn reset(&mut self) {
-        self.integrator = 0;
     }
 }
 
@@ -189,14 +172,6 @@ mod tests {
         let mut c = pi(1.0, 0.1);
         c.preset_output(5000);
         assert_eq!(c.update(0), 5000);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut c = pi(0.0, 1.0);
-        c.update(100);
-        c.reset();
-        assert_eq!(c.update(0), 0);
     }
 
     #[test]

@@ -2,43 +2,17 @@
 //! bounds, saturation correctness, filter stability under arbitrary input.
 
 use hotwire_dsp::cic::CicDecimator;
-use hotwire_dsp::despike::{Median5, MovingAverage};
-use hotwire_dsp::fix::{saturate_bits, saturate_i32, Q15, Q16, Q30};
-use hotwire_dsp::iir::{Biquad, BiquadCoeffs, SinglePoleLp};
+use hotwire_dsp::despike::Median5;
+use hotwire_dsp::fix::Fx;
+use hotwire_dsp::iir::SinglePoleLp;
 use hotwire_dsp::pi::PiController;
 use proptest::prelude::*;
 
 proptest! {
     #[test]
     fn q15_round_trip_error_bounded(x in -65_000.0f64..65_000.0) {
-        let q = Q15::from_f64(x);
+        let q = Fx::<15>::from_f64(x);
         prop_assert!((q.to_f64() - x).abs() <= 0.5 / 32_768.0 + 1e-12);
-    }
-
-    #[test]
-    fn q30_multiplication_tracks_f64(a in -1.9f64..1.9, b in -1.0f64..1.0) {
-        let qa = Q30::from_f64(a);
-        let qb = Q30::from_f64(b);
-        let exact = a * b;
-        if exact.abs() < 1.9 {
-            prop_assert!((qa.mul(qb).to_f64() - exact).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn fixed_add_matches_saturating_i64(a in any::<i32>(), b in any::<i32>()) {
-        let qa = Q16::from_raw(a);
-        let qb = Q16::from_raw(b);
-        let expected = saturate_i32(a as i64 + b as i64);
-        prop_assert_eq!(qa.add(qb).raw(), expected);
-    }
-
-    #[test]
-    fn saturate_bits_is_idempotent_and_bounded(x in any::<i64>(), bits in 2u32..=62) {
-        let s = saturate_bits(x, bits);
-        prop_assert_eq!(saturate_bits(s, bits), s);
-        prop_assert!(s < (1i64 << (bits - 1)));
-        prop_assert!(s >= -(1i64 << (bits - 1)));
     }
 
     #[test]
@@ -51,21 +25,6 @@ proptest! {
                 prop_assert_eq!(ya, -yb);
                 prop_assert!(ya.abs() <= a.gain());
             }
-        }
-    }
-
-    #[test]
-    fn biquad_never_diverges_on_bounded_input(
-        xs in prop::collection::vec(-30_000i32..=30_000, 64..512),
-        fc in 1.0f64..400.0,
-    ) {
-        let coeffs = BiquadCoeffs::butterworth_lowpass(fc, 1000.0).unwrap();
-        let mut biquad = Biquad::from_coeffs(&coeffs).unwrap();
-        for &x in &xs {
-            let y = biquad.push(x);
-            // A Butterworth LP has peak gain 1: output bounded by ~2× input
-            // extreme including transient overshoot.
-            prop_assert!(y.abs() <= 70_000, "y={y}");
         }
     }
 
@@ -109,7 +68,7 @@ proptest! {
         let mut window: Vec<i32> = Vec::new();
         for &(narrow, wide, pick) in &pushes {
             if pick == 0 {
-                m.reset();
+                m = Median5::new();
                 window.clear();
             }
             let x = if pick < 4 { wide } else { narrow };
@@ -120,24 +79,6 @@ proptest! {
             let mut sorted = window.clone();
             sorted.sort_unstable();
             prop_assert_eq!(m.push(x), sorted[sorted.len() / 2], "window {:?}", window);
-        }
-    }
-
-    #[test]
-    fn moving_average_within_window_extremes(
-        xs in prop::collection::vec(-1_000_000i32..=1_000_000, 1..128),
-        len in 1usize..16,
-    ) {
-        let mut avg = MovingAverage::new(len).unwrap();
-        let mut history: Vec<i32> = Vec::new();
-        for &x in &xs {
-            history.push(x);
-            let y = avg.push(x);
-            let start = history.len().saturating_sub(len);
-            let w = &history[start..];
-            let lo = *w.iter().min().unwrap();
-            let hi = *w.iter().max().unwrap();
-            prop_assert!(y >= lo - 1 && y <= hi + 1, "avg {y} outside [{lo},{hi}]");
         }
     }
 

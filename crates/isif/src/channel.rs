@@ -49,12 +49,6 @@ impl ChannelConfig {
     }
 }
 
-impl Default for ChannelConfig {
-    fn default() -> Self {
-        ChannelConfig::maf_bridge()
-    }
-}
-
 /// A complete input channel: in-amp → anti-alias → ΣΔ → CIC.
 #[derive(Debug)]
 pub struct InputChannel {
@@ -94,18 +88,6 @@ impl InputChannel {
             norm_shift,
             cic_scratch: Vec::new(),
         })
-    }
-
-    /// The active configuration.
-    #[inline]
-    pub fn config(&self) -> &ChannelConfig {
-        &self.config
-    }
-
-    /// Control-rate sample period in modulator ticks.
-    #[inline]
-    pub fn decimation(&self) -> u32 {
-        self.config.decimation
     }
 
     /// Pushes one modulator-rate differential input sample; returns a
@@ -245,24 +227,11 @@ impl InputChannel {
         raw.clamp(-32768, 32767) as i32
     }
 
-    /// Full-scale positive output code (≈ +2¹⁵).
-    pub fn full_scale(&self) -> i32 {
-        32767
-    }
-
     /// Volts-per-LSB at the channel output, referred to the in-amp *input*.
     pub fn input_referred_lsb(&self) -> Volts {
         // Full scale at the modulator is ±vref; one LSB is vref/2^15, divided
         // by the in-amp gain to refer it to the bridge.
         Volts::new(self.config.vref.get() / 32768.0 / self.config.inamp.gain)
-    }
-
-    /// Resets all analog and digital state.
-    pub fn reset(&mut self) {
-        self.inamp.reset();
-        self.antialias.reset();
-        self.modulator.reset();
-        self.cic.reset();
     }
 }
 
@@ -460,14 +429,5 @@ mod tests {
         // 2.5 V / 32768 / 50 ≈ 1.53 µV per LSB at the bridge.
         let lsb = chan.input_referred_lsb();
         assert!((lsb.get() - 1.526e-6).abs() < 0.01e-6, "lsb {lsb}");
-    }
-
-    #[test]
-    fn reset_clears_pipeline() {
-        let mut chan = quiet_channel();
-        run_dc(&mut chan, 20e-3, 10);
-        chan.reset();
-        let out = run_dc(&mut chan, 0.0, 20);
-        assert!(out[15].abs() < 4, "stale state after reset: {}", out[15]);
     }
 }

@@ -100,7 +100,6 @@ impl Default for Slot {
 #[derive(Debug, Clone, Default)]
 pub struct CalibrationStore {
     slots: [Slot; SLOT_COUNT],
-    write_cycles: u64,
     slot_write_cycles: [u64; SLOT_COUNT],
 }
 
@@ -132,7 +131,6 @@ impl CalibrationStore {
         s.len = payload.len();
         s.crc = crc16_ccitt(payload);
         s.written = true;
-        self.write_cycles += 1;
         self.slot_write_cycles[slot] += 1;
         Ok(())
     }
@@ -155,19 +153,6 @@ impl CalibrationStore {
         Ok(payload)
     }
 
-    /// Erases one slot.
-    pub fn erase(&mut self, slot: usize) {
-        if let Some(s) = self.slots.get_mut(slot) {
-            *s = Slot::default();
-        }
-    }
-
-    /// Total write cycles (endurance bookkeeping).
-    #[inline]
-    pub fn write_cycles(&self) -> u64 {
-        self.write_cycles
-    }
-
     /// Write cycles accumulated by one slot (per-slot wear accounting).
     ///
     /// EEPROM endurance is a per-cell limit, not a device-global one: a
@@ -177,12 +162,6 @@ impl CalibrationStore {
     #[inline]
     pub fn slot_write_cycles(&self, slot: usize) -> u64 {
         self.slot_write_cycles.get(slot).copied().unwrap_or(0)
-    }
-
-    /// The per-slot wear table, indexed by slot.
-    #[inline]
-    pub fn wear_table(&self) -> &[u64; SLOT_COUNT] {
-        &self.slot_write_cycles
     }
 
     /// The highest per-slot write-cycle count — the wear-levelling figure
@@ -245,7 +224,7 @@ mod tests {
         let mut e = CalibrationStore::new();
         e.write_record(3, b"hello").unwrap();
         assert_eq!(e.read_record(3).unwrap(), b"hello");
-        assert_eq!(e.write_cycles(), 1);
+        assert_eq!(e.slot_write_cycles(3), 1);
     }
 
     #[test]
@@ -264,17 +243,11 @@ mod tests {
         e.write_record(0, b"a").unwrap();
         e.write_record(0, b"b").unwrap();
         e.write_record(7, b"m").unwrap();
-        assert_eq!(e.write_cycles(), 3);
         assert_eq!(e.slot_write_cycles(0), 2);
         assert_eq!(e.slot_write_cycles(7), 1);
         assert_eq!(e.slot_write_cycles(3), 0);
         assert_eq!(e.slot_write_cycles(99), 0);
         assert_eq!(e.max_slot_wear(), 2);
-        assert_eq!(e.wear_table()[0], 2);
-        // Erase clears the record but not the wear history — cells do not
-        // heal.
-        e.erase(0);
-        assert_eq!(e.slot_write_cycles(0), 2);
     }
 
     #[test]
@@ -296,14 +269,6 @@ mod tests {
             e.write_record(0, &big),
             Err(IsifError::RecordTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn erase_empties_slot() {
-        let mut e = CalibrationStore::new();
-        e.write_record(0, b"x").unwrap();
-        e.erase(0);
-        assert!(matches!(e.read_record(0), Err(IsifError::EmptySlot { .. })));
     }
 
     #[test]

@@ -30,25 +30,16 @@ impl IsifPlatform {
     /// Builds a platform clocked at `modulator_rate`, with an ideal 12-bit
     /// supply DAC spanning 0–5 V (use
     /// [`set_supply_dac`](Self::set_supply_dac) to install another one).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsifError::Config`] if any block rejects its defaults.
-    pub fn new(modulator_rate: Hertz) -> Result<Self, IsifError> {
-        Ok(IsifPlatform {
+    pub fn new(modulator_rate: Hertz) -> Self {
+        IsifPlatform {
             modulator_rate,
             channels: [None, None, None, None],
-            supply_dac: ThermometerDac::ideal(12, Volts::new(5.0))?,
+            supply_dac: ThermometerDac::ideal(12, Volts::new(5.0))
+                .expect("a 12-bit DAC spanning 5 V is a valid DAC"),
             supply_code: 0,
             watchdog: Watchdog::new(16),
             eeprom: CalibrationStore::new(),
-        })
-    }
-
-    /// The ΣΔ modulator clock.
-    #[inline]
-    pub fn modulator_rate(&self) -> Hertz {
-        self.modulator_rate
+        }
     }
 
     /// Installs a channel configuration into slot `index`.
@@ -140,12 +131,6 @@ impl IsifPlatform {
         &mut self.watchdog
     }
 
-    /// Read-only watchdog access (reset-count queries).
-    #[inline]
-    pub fn watchdog(&self) -> &Watchdog {
-        &self.watchdog
-    }
-
     /// The calibration EEPROM.
     pub fn eeprom_mut(&mut self) -> &mut CalibrationStore {
         &mut self.eeprom
@@ -163,7 +148,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn platform() -> IsifPlatform {
-        IsifPlatform::new(Hertz::from_kilohertz(256.0)).unwrap()
+        IsifPlatform::new(Hertz::from_kilohertz(256.0))
     }
 
     #[test]
@@ -188,7 +173,12 @@ mod tests {
             p.configure_channel(index, config).unwrap();
         }
         let [a, b] = p.channels_mut([2, 0]).unwrap();
-        assert_eq!((a.config().inamp.gain, b.config().inamp.gain), (30.0, 10.0));
+        // The input-referred LSB is vref / 2¹⁵ / gain.
+        let lsb = |gain: f64| 2.5 / 32768.0 / gain;
+        assert_eq!(
+            (a.input_referred_lsb().get(), b.input_referred_lsb().get()),
+            (lsb(30.0), lsb(10.0))
+        );
         for (indices, bad) in [([1, 3], 3), ([1, 9], 9), ([1, 1], 1)] {
             assert!(matches!(
                 p.channels_mut(indices),
@@ -225,7 +215,8 @@ mod tests {
     #[test]
     fn supply_resolution_is_millivolt_scale() {
         let p = platform();
-        let lsb = p.supply_dac().lsb();
+        let dac = p.supply_dac();
+        let lsb = dac.convert(1) - dac.convert(0);
         assert!((lsb.get() - 5.0 / 4095.0).abs() < 1e-9);
     }
 
@@ -235,6 +226,6 @@ mod tests {
         p.eeprom_mut().write_record(0, b"cal").unwrap();
         assert_eq!(p.eeprom().read_record(0).unwrap(), b"cal");
         p.watchdog_mut().kick();
-        assert_eq!(p.watchdog().reset_count(), 0);
+        assert_eq!(p.watchdog_mut().reset_count(), 0);
     }
 }

@@ -275,40 +275,10 @@ impl FrameDecoder {
         None
     }
 
-    /// Frames decoded successfully.
-    #[inline]
-    pub fn good_frames(&self) -> u64 {
-        self.stats.good_frames
-    }
-
     /// Frames dropped for CRC mismatch.
     #[inline]
     pub fn crc_errors(&self) -> u64 {
         self.stats.crc_errors
-    }
-
-    /// Bytes skipped while hunting for a start-of-header.
-    #[inline]
-    pub fn resyncs(&self) -> u64 {
-        self.stats.resyncs
-    }
-
-    /// Frames recovered by re-scanning dropped or aborted frame bytes.
-    #[inline]
-    pub fn recovered_frames(&self) -> u64 {
-        self.stats.recovered_frames
-    }
-
-    /// In-flight frames abandoned by an idle-line flush.
-    #[inline]
-    pub fn aborted_frames(&self) -> u64 {
-        self.stats.aborted_frames
-    }
-
-    /// Bytes discarded without decoding into any frame.
-    #[inline]
-    pub fn discarded_bytes(&self) -> u64 {
-        self.stats.discarded_bytes
     }
 
     /// Bytes currently held inside the decoder (the committed SOH plus
@@ -391,7 +361,7 @@ mod tests {
         let wire = encode_frame(b"flow=42.5cm/s").unwrap();
         let frames = decode_all(&mut dec, &wire);
         assert_eq!(frames, vec![b"flow=42.5cm/s".to_vec()]);
-        assert_eq!(dec.good_frames(), 1);
+        assert_eq!(dec.stats().good_frames, 1);
     }
 
     #[test]
@@ -414,7 +384,7 @@ mod tests {
         wire.extend(encode_frame(b"y").unwrap());
         let frames = decode_all(&mut dec, &wire);
         assert_eq!(frames.len(), 2);
-        assert!(dec.resyncs() >= 5);
+        assert!(dec.stats().resyncs >= 5);
     }
 
     #[test]

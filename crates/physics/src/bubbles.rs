@@ -115,7 +115,7 @@ impl BubbleLayer {
 
     /// Advances the layer by `dt` given the wall temperature and the
     /// outgassing onset temperature (from
-    /// [`Fluid::bubble_onset_temperature`](crate::fluid::Fluid::bubble_onset_temperature)).
+    /// [`Water::bubble_onset_temperature`](crate::fluid::Water::bubble_onset_temperature)).
     ///
     /// Returns `true` if a detachment event fired during this step.
     pub fn step<R: Rng + ?Sized>(
@@ -153,11 +153,6 @@ impl BubbleLayer {
     /// Coverage clamps to the unit interval.
     pub fn deposit(&mut self, coverage: f64) {
         self.coverage = (self.coverage + coverage.max(0.0)).clamp(0.0, 1.0);
-    }
-
-    /// Clears the layer (e.g. after a maintenance flush).
-    pub fn clear(&mut self) {
-        self.coverage = 0.0;
     }
 }
 
@@ -288,15 +283,6 @@ mod tests {
         assert_eq!(layer.coverage(), 1.0);
         layer.deposit(-5.0); // negative deposits are ignored
         assert_eq!(layer.coverage(), 1.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut r = rng();
-        let mut layer = BubbleLayer::new(BubbleParams::accelerated());
-        run(&mut layer, 55.0, 40.0, 10.0, &mut r);
-        layer.clear();
-        assert_eq!(layer.coverage(), 0.0);
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Temperature-dependent fluid property models for water and air.
+//! Temperature-dependent property model of the working fluid, water.
 //!
 //! King's-law coefficients and the bubble/fouling models all depend on the
 //! working fluid. The paper's sensor was designed for air (MAF = mass *air*
-//! flow) and redeployed in potable water, so both fluids are modelled; the
-//! contrast between them (water conducts ~25× better) is what motivates the
-//! paper's reduced overheat in water.
+//! flow) and redeployed in potable water; water conducts ~25× better than
+//! air, which is what motivates the paper's reduced overheat.
 
 use hotwire_units::{Celsius, Pascals};
 
@@ -35,24 +34,6 @@ impl FluidProperties {
     }
 }
 
-/// A working fluid with temperature-dependent properties.
-///
-/// Implementors provide a property snapshot at a bulk temperature; the
-/// correlations in [`crate::kings_law`] consume that snapshot.
-pub trait Fluid: core::fmt::Debug {
-    /// Thermophysical properties at the given bulk temperature.
-    fn properties(&self, temperature: Celsius) -> FluidProperties;
-
-    /// Saturation temperature of the dissolved-gas/vapour system at the given
-    /// absolute pressure: above this wall temperature the fluid releases
-    /// bubbles onto the heater (outgassing well below boiling for
-    /// air-saturated water).
-    fn bubble_onset_temperature(&self, pressure: Pascals) -> Celsius;
-
-    /// Human-readable fluid name.
-    fn name(&self) -> &'static str;
-}
-
 /// Liquid water (potable, air-saturated by default).
 ///
 /// Property fits are low-order polynomials valid over 0–90 °C, accurate to a
@@ -78,23 +59,9 @@ impl Water {
         }
     }
 
-    /// Degassed, demineralised laboratory water.
-    pub fn demineralized() -> Self {
-        Water {
-            dissolved_air: 0.05,
-            hardness_f: 0.5,
-        }
-    }
-}
-
-impl Default for Water {
-    fn default() -> Self {
-        Water::potable()
-    }
-}
-
-impl Fluid for Water {
-    fn properties(&self, temperature: Celsius) -> FluidProperties {
+    /// Thermophysical properties at the given bulk temperature; the
+    /// correlations in [`crate::kings_law`] consume the snapshot.
+    pub fn properties(&self, temperature: Celsius) -> FluidProperties {
         let t = temperature.get().clamp(0.0, 95.0);
         // Density: quadratic fit around the 4 °C maximum (kg/m³).
         let density = 999.97 - 4.87e-3 * (t - 4.0).powi(2) + 1.5e-5 * (t - 4.0).powi(3);
@@ -113,7 +80,11 @@ impl Fluid for Water {
         }
     }
 
-    fn bubble_onset_temperature(&self, pressure: Pascals) -> Celsius {
+    /// Saturation temperature of the dissolved-gas/vapour system at the
+    /// given absolute pressure: above this wall temperature the water
+    /// releases bubbles onto the heater (outgassing well below boiling for
+    /// air-saturated water).
+    pub fn bubble_onset_temperature(&self, pressure: Pascals) -> Celsius {
         // Outgassing onset: air-saturated water sheds dissolved gas onto a
         // heated wall well below boiling. Henry's law: solubility scales with
         // pressure, so the onset wall temperature rises with line pressure
@@ -126,42 +97,11 @@ impl Fluid for Water {
         let f = self.dissolved_air.clamp(0.0, 1.0);
         Celsius::new(f * saturated_onset + (1.0 - f) * degassed_onset)
     }
-
-    fn name(&self) -> &'static str {
-        "water"
-    }
 }
 
-/// Dry air at atmospheric pressure — the MAF sensor's original medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub struct Air;
-
-impl Fluid for Air {
-    fn properties(&self, temperature: Celsius) -> FluidProperties {
-        let t = temperature.get().clamp(-40.0, 200.0);
-        let tk = t + 273.15;
-        // Ideal-gas density at 1 atm.
-        let density = 101_325.0 / (287.05 * tk);
-        // Sutherland viscosity.
-        let dynamic_viscosity = 1.458e-6 * tk.powf(1.5) / (tk + 110.4);
-        // Conductivity: linear fit (W/m·K).
-        let thermal_conductivity = 0.0241 + 7.3e-5 * t;
-        let specific_heat = 1006.0 + 0.03 * t;
-        FluidProperties {
-            density,
-            dynamic_viscosity,
-            thermal_conductivity,
-            specific_heat,
-        }
-    }
-
-    fn bubble_onset_temperature(&self, _pressure: Pascals) -> Celsius {
-        // No bubbles in a gas: effectively unreachable.
-        Celsius::new(f64::INFINITY)
-    }
-
-    fn name(&self) -> &'static str {
-        "air"
+impl Default for Water {
+    fn default() -> Self {
+        Water::potable()
     }
 }
 
@@ -201,33 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn air_at_20c_matches_handbook() {
-        let p = Air.properties(Celsius::new(20.0));
-        assert!((p.density - 1.204).abs() < 0.01, "density {}", p.density);
-        assert!(
-            (p.dynamic_viscosity - 1.82e-5).abs() < 5e-7,
-            "viscosity {}",
-            p.dynamic_viscosity
-        );
-        assert!(
-            (p.thermal_conductivity - 0.0257).abs() < 0.001,
-            "conductivity {}",
-            p.thermal_conductivity
-        );
-        let pr = p.prandtl();
-        assert!((0.68..0.74).contains(&pr), "Prandtl {}", pr);
-    }
-
-    #[test]
-    fn water_conducts_much_better_than_air() {
-        let kw = Water::potable()
-            .properties(Celsius::new(20.0))
-            .thermal_conductivity;
-        let ka = Air.properties(Celsius::new(20.0)).thermal_conductivity;
-        assert!(kw / ka > 20.0, "water/air conductivity ratio {}", kw / ka);
-    }
-
-    #[test]
     fn bubble_onset_rises_with_pressure() {
         let w = Water::potable();
         let t1 = w.bubble_onset_temperature(Pascals::from_bar(1.0));
@@ -239,15 +152,12 @@ mod tests {
     #[test]
     fn degassed_water_bubbles_much_later() {
         let sat = Water::potable().bubble_onset_temperature(Pascals::from_bar(1.0));
-        let deg = Water::demineralized().bubble_onset_temperature(Pascals::from_bar(1.0));
+        let degassed = Water {
+            dissolved_air: 0.05,
+            ..Water::potable()
+        };
+        let deg = degassed.bubble_onset_temperature(Pascals::from_bar(1.0));
         assert!(deg.get() > sat.get() + 40.0);
-    }
-
-    #[test]
-    fn air_never_bubbles() {
-        assert!(!Air
-            .bubble_onset_temperature(Pascals::from_bar(1.0))
-            .is_finite());
     }
 
     #[test]

@@ -129,12 +129,6 @@ impl FoulingLayer {
         self.thickness_um
     }
 
-    /// The surface finish this layer grows on.
-    #[inline]
-    pub fn passivation(&self) -> Passivation {
-        self.passivation
-    }
-
     /// Series thermal resistance added by the deposit (K/W):
     /// `R = δ / (k_CaCO₃ · A_face)`.
     pub fn thermal_resistance(&self) -> ThermalResistance {
@@ -173,11 +167,6 @@ impl FoulingLayer {
     /// debris lodging on the face reads the same as a sudden deposit).
     pub fn deposit(&mut self, microns: f64) {
         self.thickness_um += microns.max(0.0);
-    }
-
-    /// Removes the deposit (acid flush / replacement).
-    pub fn clean(&mut self) {
-        self.thickness_um = 0.0;
     }
 }
 
@@ -261,15 +250,6 @@ mod tests {
         l.deposit(-1.0); // negative deposits are ignored
         assert!((l.thickness_um() - 3.5).abs() < 1e-12);
         assert!(l.thermal_resistance().get() > 0.0);
-    }
-
-    #[test]
-    fn clean_resets_thickness() {
-        let mut l = layer(Passivation::Bare);
-        l.advance_hours(100.0, Celsius::new(50.0), 30.0, 0.0);
-        l.clean();
-        assert_eq!(l.thickness_um(), 0.0);
-        assert_eq!(l.thermal_resistance().get(), 0.0);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //!
 //! The building blocks, bottom-up:
 //!
-//! * [`fluid`] — temperature-dependent water and air property models
-//!   (density, viscosity, conductivity, heat capacity, Prandtl number).
+//! * [`fluid`] — the temperature-dependent water property model (density,
+//!   viscosity, conductivity, heat capacity, Prandtl number, bubble onset).
 //! * [`resistor`] — the Ti/TiN resistance-temperature law of Eq. (1),
 //!   `R(T) = R₀·(1 + α·(T − T_ref))`, with manufacturing tolerance.
 //! * [`kings_law`] — the empirical heat-loss law of Eq. (2),
-//!   `P = (T_w − T_ref)·(A + B·vⁿ)`, plus a first-principles constructor from
-//!   a cylinder-in-crossflow Nusselt correlation.
+//!   `P = (T_w − T_ref)·(A + B·vⁿ)`, its constants derived from a
+//!   cylinder-in-crossflow Nusselt correlation.
 //! * [`membrane`] — the lumped thermal model of the heated membrane
 //!   (heat capacity, conduction to the rim, convection to the fluid).
 //! * [`sensor`] — the complete two-half-bridge MAF die: two heaters with
@@ -28,13 +28,15 @@
 //! # Example
 //!
 //! ```
-//! use hotwire_physics::kings_law::KingsLaw;
-//! use hotwire_units::{KelvinDelta, MetersPerSecond, Watts};
+//! use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
+//! use hotwire_physics::Water;
+//! use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, Watts};
 //!
-//! let king = KingsLaw::water_default();
-//! let p: Watts = king.power(MetersPerSecond::new(1.0), KelvinDelta::new(15.0));
+//! let king = KingsLaw::from_kramers(&Water::potable(), Celsius::new(15.0), WireGeometry::maf_heater());
+//! let overheat = KelvinDelta::new(15.0);
+//! let p: Watts = king.conductance(MetersPerSecond::new(1.0)) * overheat;
 //! // Heat loss grows with velocity:
-//! let p2 = king.power(MetersPerSecond::new(2.0), KelvinDelta::new(15.0));
+//! let p2 = king.conductance(MetersPerSecond::new(2.0)) * overheat;
 //! assert!(p2 > p);
 //! ```
 
@@ -53,7 +55,7 @@ pub mod sensor;
 pub mod stochastic;
 
 pub use error::PhysicsError;
-pub use fluid::{Air, Fluid, FluidProperties, Water};
+pub use fluid::{FluidProperties, Water};
 pub use kings_law::KingsLaw;
 pub use membrane::{MembraneParams, MembraneState};
 pub use resistor::Rtd;

@@ -77,11 +77,6 @@ pub struct SurfaceCondition {
 }
 
 impl SurfaceCondition {
-    /// A clean, bubble-free surface.
-    pub fn clean() -> Self {
-        SurfaceCondition::default()
-    }
-
     /// Effective convective conductance given the ideal King's-law value.
     ///
     /// Bubble blanketing scales the wetted-area conductance; the scale layer
@@ -314,7 +309,12 @@ mod tests {
     use super::*;
 
     fn setup() -> (MembraneParams, KingsLaw) {
-        (MembraneParams::maf(), KingsLaw::water_default())
+        let king = KingsLaw::from_kramers(
+            &crate::fluid::Water::potable(),
+            Celsius::new(15.0),
+            crate::kings_law::WireGeometry::maf_heater(),
+        );
+        (MembraneParams::maf(), king)
     }
 
     #[test]
@@ -329,7 +329,7 @@ mod tests {
                 &params,
                 &king,
                 MetersPerSecond::new(0.5),
-                SurfaceCondition::clean(),
+                SurfaceCondition::default(),
                 fluid,
                 fluid,
             );
@@ -352,7 +352,7 @@ mod tests {
                 &params,
                 &king,
                 v,
-                SurfaceCondition::clean(),
+                SurfaceCondition::default(),
                 fluid,
                 fluid,
             );
@@ -362,7 +362,7 @@ mod tests {
             &params,
             &king,
             v,
-            SurfaceCondition::clean(),
+            SurfaceCondition::default(),
             fluid,
             fluid,
         );
@@ -397,7 +397,7 @@ mod tests {
             &params,
             &king,
             MetersPerSecond::new(0.2),
-            SurfaceCondition::clean(),
+            SurfaceCondition::default(),
             fluid,
             fluid,
         );
@@ -406,7 +406,7 @@ mod tests {
             &params,
             &king,
             MetersPerSecond::new(2.0),
-            SurfaceCondition::clean(),
+            SurfaceCondition::default(),
             fluid,
             fluid,
         );
@@ -415,7 +415,7 @@ mod tests {
 
     #[test]
     fn bubbles_insulate() {
-        let clean = SurfaceCondition::clean();
+        let clean = SurfaceCondition::default();
         let blanketed = SurfaceCondition {
             bubble_coverage: 0.5,
             ..SurfaceCondition::default()
@@ -467,7 +467,7 @@ mod tests {
             &params,
             &king,
             MetersPerSecond::new(1.0),
-            SurfaceCondition::clean(),
+            SurfaceCondition::default(),
             fluid,
             fluid,
         );
@@ -476,7 +476,7 @@ mod tests {
             &params,
             &king,
             MetersPerSecond::new(1.0),
-            SurfaceCondition::clean(),
+            SurfaceCondition::default(),
             fluid,
             fluid,
         );

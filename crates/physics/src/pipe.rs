@@ -8,10 +8,8 @@
 //! modelled as an Ornstein–Uhlenbeck process with an eddy-turnover
 //! correlation time.
 
-use crate::error::ensure_positive;
-use crate::fluid::{Fluid, Water};
+use crate::fluid::Water;
 use crate::stochastic::OrnsteinUhlenbeck;
-use crate::PhysicsError;
 use hotwire_units::{Celsius, Meters, MetersPerSecond, Seconds};
 use rand::Rng;
 
@@ -27,16 +25,6 @@ pub struct Pipe {
 }
 
 impl Pipe {
-    /// Creates a pipe with the given inner diameter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhysicsError`] if the diameter is not positive.
-    pub fn new(inner_diameter: Meters) -> Result<Self, PhysicsError> {
-        ensure_positive("inner_diameter", inner_diameter.get())?;
-        Ok(Pipe { inner_diameter })
-    }
-
     /// The DN50 line used in the paper's dedicated measurement section.
     pub fn dn50() -> Self {
         Pipe {
@@ -44,19 +32,8 @@ impl Pipe {
         }
     }
 
-    /// Inner diameter.
-    #[inline]
-    pub fn inner_diameter(&self) -> Meters {
-        self.inner_diameter
-    }
-
     /// Reynolds number of the bulk flow at the given fluid temperature.
-    pub fn reynolds<F: Fluid + ?Sized>(
-        &self,
-        fluid: &F,
-        temperature: Celsius,
-        bulk: MetersPerSecond,
-    ) -> f64 {
+    pub fn reynolds(&self, fluid: &Water, temperature: Celsius, bulk: MetersPerSecond) -> f64 {
         let props = fluid.properties(temperature);
         bulk.get().abs() * self.inner_diameter.get() / props.kinematic_viscosity()
     }
@@ -95,17 +72,6 @@ impl Pipe {
         }
     }
 
-    /// Local velocity at the probe for a given bulk velocity (no turbulence).
-    pub fn local_mean_velocity<F: Fluid + ?Sized>(
-        &self,
-        fluid: &F,
-        temperature: Celsius,
-        bulk: MetersPerSecond,
-    ) -> MetersPerSecond {
-        let re = self.reynolds(fluid, temperature, bulk);
-        bulk * Self::profile_factor(re)
-    }
-
     /// Velocity-profile ratio `v(r)/v_bulk` at radial position
     /// `r_over_radius ∈ [0, 1)` (0 = centreline, 1 = wall):
     /// parabolic in laminar flow, 1/7-power in turbulent flow, blended
@@ -129,9 +95,9 @@ impl Pipe {
     }
 
     /// Local mean velocity at an off-centre probe position.
-    pub fn local_mean_velocity_at<F: Fluid + ?Sized>(
+    pub fn local_mean_velocity_at(
         &self,
-        fluid: &F,
+        fluid: &Water,
         temperature: Celsius,
         bulk: MetersPerSecond,
         r_over_radius: f64,
@@ -169,12 +135,6 @@ impl ProbeFlow {
         }
     }
 
-    /// The underlying pipe geometry.
-    #[inline]
-    pub fn pipe(&self) -> &Pipe {
-        &self.pipe
-    }
-
     /// Advances by `dt` and returns the instantaneous local velocity at the
     /// probe for bulk velocity `bulk` (sign preserved — the probe senses
     /// direction through the dual heaters).
@@ -204,7 +164,6 @@ impl ProbeFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fluid::Water;
     use rand::SeedableRng;
 
     #[test]
@@ -240,10 +199,11 @@ mod tests {
     #[test]
     fn local_velocity_above_bulk() {
         let pipe = Pipe::dn50();
-        let local = pipe.local_mean_velocity(
+        let local = pipe.local_mean_velocity_at(
             &Water::potable(),
             Celsius::new(15.0),
             MetersPerSecond::new(1.0),
+            0.0,
         );
         assert!(local.get() > 1.0 && local.get() < 2.1);
     }
@@ -266,9 +226,8 @@ mod tests {
             max = max.max(v);
         }
         let mean = sum / n as f64;
-        let expected = Pipe::dn50()
-            .local_mean_velocity(&water, Celsius::new(15.0), bulk)
-            .get();
+        let re = Pipe::dn50().reynolds(&water, Celsius::new(15.0), bulk);
+        let expected = bulk.get() * Pipe::profile_factor(re);
         assert!((mean - expected).abs() / expected < 0.02, "mean {mean}");
         assert!(max > mean && min < mean, "fluctuation missing");
     }
@@ -320,16 +279,12 @@ mod tests {
     #[test]
     fn negative_bulk_keeps_sign() {
         let pipe = Pipe::dn50();
-        let local = pipe.local_mean_velocity(
+        let local = pipe.local_mean_velocity_at(
             &Water::potable(),
             Celsius::new(15.0),
             MetersPerSecond::new(-1.0),
+            0.0,
         );
         assert!(local.get() < 0.0);
-    }
-
-    #[test]
-    fn zero_diameter_rejected() {
-        assert!(Pipe::new(Meters::ZERO).is_err());
     }
 }

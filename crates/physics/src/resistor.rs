@@ -12,8 +12,6 @@
 //! temperature stress"), so no aging term is modelled on the resistor itself —
 //! drift enters only through the fouling layer on top of it.
 
-use crate::error::{ensure_in_range, ensure_positive};
-use crate::PhysicsError;
 use hotwire_units::{Celsius, Ohms};
 
 /// A thin-film resistance-temperature device (Eq. 1 of the paper).
@@ -38,26 +36,6 @@ pub struct Rtd {
 impl Rtd {
     /// Temperature coefficient of the Ti/TiN film, per kelvin.
     pub const TITANIUM_ALPHA: f64 = 3.5e-3;
-
-    /// Creates an RTD with resistance `r0` at the `reference` temperature and
-    /// temperature coefficient `alpha_per_k`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhysicsError`] if `r0` is not positive or `alpha_per_k` is
-    /// outside `(0, 0.02]` (metal-film TCRs are a few 10⁻³/K).
-    pub fn new(r0: Ohms, alpha_per_k: f64, reference: Celsius) -> Result<Self, PhysicsError> {
-        ensure_positive("r0", r0.get())?;
-        ensure_in_range("alpha_per_k", alpha_per_k, 1e-5, 0.02)?;
-        if !reference.is_finite() {
-            return Err(PhysicsError::NotFinite { name: "reference" });
-        }
-        Ok(Rtd {
-            r0,
-            alpha_per_k,
-            reference,
-        })
-    }
 
     /// The paper's heater: 50.0 Ω at 20 °C, titanium TCR.
     pub fn heater() -> Self {
@@ -86,24 +64,6 @@ impl Rtd {
         self
     }
 
-    /// Nominal resistance at the reference temperature.
-    #[inline]
-    pub fn r0(&self) -> Ohms {
-        self.r0
-    }
-
-    /// Temperature coefficient α in 1/K.
-    #[inline]
-    pub fn alpha_per_k(&self) -> f64 {
-        self.alpha_per_k
-    }
-
-    /// Reference temperature for `r0`.
-    #[inline]
-    pub fn reference(&self) -> Celsius {
-        self.reference
-    }
-
     /// Resistance at film temperature `t` (Eq. 1).
     #[inline]
     pub fn resistance(&self, t: Celsius) -> Ohms {
@@ -115,12 +75,6 @@ impl Rtd {
     pub fn temperature(&self, r: Ohms) -> Celsius {
         Celsius::new(self.reference.get() + (r / self.r0 - 1.0) / self.alpha_per_k)
     }
-
-    /// Sensitivity dR/dT in Ω/K (constant for the linear law).
-    #[inline]
-    pub fn sensitivity(&self) -> f64 {
-        self.r0.get() * self.alpha_per_k
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +84,7 @@ mod tests {
     #[test]
     fn heater_nominals() {
         let h = Rtd::heater();
-        assert_eq!(h.r0().get(), 50.0);
+        assert_eq!(h.r0.get(), 50.0);
         assert!((h.resistance(Celsius::new(20.0)).get() - 50.0).abs() < 1e-12);
     }
 
@@ -147,28 +101,15 @@ mod tests {
     #[test]
     fn tolerance_shifts_r0() {
         let h = Rtd::heater().with_tolerance(0.01);
-        assert!((h.r0().get() - 50.5).abs() < 1e-12);
+        assert!((h.r0.get() - 50.5).abs() < 1e-12);
         // ±0.5 Ω on 50 Ω is the paper's quoted spread.
     }
 
     #[test]
     fn reference_resistor_nominals() {
         let rt = Rtd::ambient_reference();
-        assert_eq!(rt.r0().get(), 2000.0);
+        assert_eq!(rt.r0.get(), 2000.0);
         let r25 = rt.resistance(Celsius::new(25.0));
         assert!((r25.get() - 2000.0 * (1.0 + 3.5e-3 * 5.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rejects_bad_parameters() {
-        assert!(Rtd::new(Ohms::new(0.0), 3.5e-3, Celsius::new(20.0)).is_err());
-        assert!(Rtd::new(Ohms::new(50.0), 0.5, Celsius::new(20.0)).is_err());
-        assert!(Rtd::new(Ohms::new(50.0), 3.5e-3, Celsius::new(f64::NAN)).is_err());
-    }
-
-    #[test]
-    fn sensitivity_is_r0_alpha() {
-        let h = Rtd::heater();
-        assert!((h.sensitivity() - 0.175).abs() < 1e-12);
     }
 }

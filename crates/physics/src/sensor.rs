@@ -13,7 +13,7 @@
 //! in here.
 
 use crate::bubbles::{BubbleLayer, BubbleParams};
-use crate::fluid::{Air, Fluid, FluidProperties, Water};
+use crate::fluid::Water;
 use crate::fouling::{FoulingLayer, FoulingParams, Passivation};
 use crate::kings_law::{KingsLaw, WireGeometry};
 use crate::membrane::{DecayCache, HeatBalance, MembraneParams, MembraneState, SurfaceCondition};
@@ -21,51 +21,6 @@ use crate::resistor::Rtd;
 use crate::PhysicsError;
 use hotwire_units::{Celsius, MetersPerSecond, Ohms, Pascals, Seconds, ThermalConductance, Watts};
 use rand::Rng;
-
-/// The working medium surrounding the die.
-///
-/// A closed enum rather than a generic keeps [`MafDie`] object-simple for the
-/// platform code while still dispatching to the right property model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum FluidMedium {
-    /// Liquid water (the paper's deployment medium).
-    Water(Water),
-    /// Air (the sensor's original automotive medium).
-    Air(Air),
-}
-
-impl FluidMedium {
-    /// Water hardness in °f, zero for gases.
-    pub fn hardness_f(&self) -> f64 {
-        match self {
-            FluidMedium::Water(w) => w.hardness_f,
-            FluidMedium::Air(_) => 0.0,
-        }
-    }
-}
-
-impl Fluid for FluidMedium {
-    fn properties(&self, temperature: Celsius) -> FluidProperties {
-        match self {
-            FluidMedium::Water(w) => w.properties(temperature),
-            FluidMedium::Air(a) => a.properties(temperature),
-        }
-    }
-
-    fn bubble_onset_temperature(&self, pressure: Pascals) -> Celsius {
-        match self {
-            FluidMedium::Water(w) => w.bubble_onset_temperature(pressure),
-            FluidMedium::Air(a) => a.bubble_onset_temperature(pressure),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            FluidMedium::Water(w) => w.name(),
-            FluidMedium::Air(a) => a.name(),
-        }
-    }
-}
 
 /// Identifies one of the two heaters on the die.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -254,7 +209,7 @@ impl HeaterChannel {
 #[derive(Debug, Clone)]
 pub struct MafDie {
     params: MafParams,
-    fluid: FluidMedium,
+    fluid: Water,
     heater_a: HeaterChannel,
     heater_b: HeaterChannel,
     reference_rtd: Rtd,
@@ -272,9 +227,9 @@ pub struct MafDie {
 }
 
 impl MafDie {
-    /// Builds a die immersed in the given fluid, equilibrated at
+    /// Builds a die immersed in the given water, equilibrated at
     /// `initial_temperature`.
-    pub fn new(params: MafParams, fluid: FluidMedium, initial_temperature: Celsius) -> Self {
+    pub fn new(params: MafParams, fluid: Water, initial_temperature: Celsius) -> Self {
         let heater_a_rtd = params.heater.with_tolerance(params.heater_a_tolerance);
         let heater_b_rtd = params.heater.with_tolerance(params.heater_b_tolerance);
         let reference_rtd = params.reference.with_tolerance(params.reference_tolerance);
@@ -295,21 +250,12 @@ impl MafDie {
 
     /// A die in potable (hard, air-saturated) water at 15 °C.
     pub fn in_potable_water(params: MafParams) -> Self {
-        MafDie::new(
-            params,
-            FluidMedium::Water(Water::potable()),
-            Celsius::new(15.0),
-        )
-    }
-
-    /// A die in 20 °C air — the original MAF application.
-    pub fn in_air(params: MafParams) -> Self {
-        MafDie::new(params, FluidMedium::Air(Air), Celsius::new(20.0))
+        MafDie::new(params, Water::potable(), Celsius::new(15.0))
     }
 
     /// The immersion medium.
     #[inline]
-    pub fn fluid(&self) -> &FluidMedium {
+    pub fn fluid(&self) -> &Water {
         &self.fluid
     }
 
@@ -328,18 +274,6 @@ impl MafDie {
     /// Instantaneous resistance of the ambient reference resistor.
     pub fn reference_resistance(&self) -> Ohms {
         self.reference_rtd.resistance(self.reference_temperature)
-    }
-
-    /// The reference RTD law (needed by the conditioning firmware to convert
-    /// a measured `Rt` back to an ambient temperature).
-    #[inline]
-    pub fn reference_rtd(&self) -> &Rtd {
-        &self.reference_rtd
-    }
-
-    /// The heater RTD law for the selected heater.
-    pub fn heater_rtd(&self, id: HeaterId) -> &Rtd {
-        &self.channel(id).rtd
     }
 
     /// Current temperature of the ambient-reference node — together with
@@ -570,7 +504,7 @@ impl MafDie {
     /// are made while both faces are bubble-free.
     pub fn step_surfaces<R: Rng + ?Sized>(&mut self, dt: Seconds, pressure: Pascals, rng: &mut R) {
         let onset = self.fluid.bubble_onset_temperature(pressure);
-        let hardness = self.fluid.hardness_f();
+        let hardness = self.fluid.hardness_f;
         let wall_a = self.heater_a.membrane.temperature();
         let wall_b = self.heater_b.membrane.temperature();
         self.heater_a.bubbles.step(dt, wall_a, onset, rng);
@@ -587,21 +521,13 @@ impl MafDie {
     /// electrical drive — used for months-scale endurance studies where
     /// simulating every ΣΔ sample would be pointless.
     pub fn age_surfaces(&mut self, hours: f64, wall: Celsius, coverage: f64) {
-        let hardness = self.fluid.hardness_f();
+        let hardness = self.fluid.hardness_f;
         self.heater_a
             .fouling
             .advance_hours(hours, wall, hardness, coverage);
         self.heater_b
             .fouling
             .advance_hours(hours, wall, hardness, coverage);
-    }
-
-    /// Flushes bubbles and scale from both faces (bench maintenance).
-    pub fn clean_surfaces(&mut self) {
-        self.heater_a.bubbles.clear();
-        self.heater_a.fouling.clean();
-        self.heater_b.bubbles.clear();
-        self.heater_b.fouling.clean();
     }
 
     /// Slams extra bubble coverage onto both heater faces at once — a slug
@@ -723,7 +649,8 @@ mod tests {
             );
         }
         let rt = die.reference_resistance();
-        let expected = die.reference_rtd().resistance(Celsius::new(25.0));
+        // The nominal die's reference carries no tolerance.
+        let expected = die.params().reference.resistance(Celsius::new(25.0));
         assert!(
             (rt - expected).abs().get() < 0.1,
             "Rt {rt} vs expected {expected}"
@@ -761,8 +688,10 @@ mod tests {
         let rb = die.heater_resistance(HeaterId::B);
         assert!(ra > rb, "worst case skews A up, B down");
         // The die equilibrates at 15 °C, 5 K below the 20 °C reference point.
-        let expect_a = die.heater_rtd(HeaterId::A).resistance(Celsius::new(15.0));
-        let expect_b = die.heater_rtd(HeaterId::B).resistance(Celsius::new(15.0));
+        let params = die.params();
+        let rtd = |tolerance| params.heater.with_tolerance(tolerance);
+        let expect_a = rtd(params.heater_a_tolerance).resistance(Celsius::new(15.0));
+        let expect_b = rtd(params.heater_b_tolerance).resistance(Celsius::new(15.0));
         assert!((ra - expect_a).abs().get() < 1e-9);
         assert!((rb - expect_b).abs().get() < 1e-9);
         assert!((ra / rb - 50.5 / 49.5).abs() < 1e-3);
@@ -793,28 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn air_die_never_bubbles() {
-        let mut die = MafDie::in_air(MafParams::nominal());
-        let mut r = rng();
-        let env = SensorEnvironment {
-            fluid_temperature: Celsius::new(20.0),
-            velocity: MetersPerSecond::new(1.0),
-            pressure: Pascals::from_bar(1.0),
-        };
-        for _ in 0..1000 {
-            die.step(
-                Seconds::from_millis(10.0),
-                Watts::new(0.01),
-                Watts::new(0.01),
-                env,
-                &mut r,
-            );
-        }
-        assert_eq!(die.bubble_coverage(HeaterId::A), 0.0);
-        assert_eq!(die.fouling_thickness_um(HeaterId::A), 0.0);
-    }
-
-    #[test]
     fn aging_accumulates_fouling_on_bare_die() {
         let params = MafParams {
             passivation: Passivation::Bare,
@@ -823,8 +730,6 @@ mod tests {
         let mut die = MafDie::in_potable_water(params);
         die.age_surfaces(24.0 * 90.0, Celsius::new(45.0), 0.0);
         assert!(die.fouling_thickness_um(HeaterId::A) > 1.0);
-        die.clean_surfaces();
-        assert_eq!(die.fouling_thickness_um(HeaterId::A), 0.0);
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl OrnsteinUhlenbeck {
         }
     }
 
-    /// Current process value.
-    #[inline]
-    pub fn value(&self) -> f64 {
-        self.state
-    }
-
     /// Advances the process by `dt` using the exact discrete-time update
     /// `x' = ρ·x + σ·√(1−ρ²)·ξ` with `ρ = exp(−dt/τ)`, and returns the new
     /// value.
@@ -77,11 +71,6 @@ impl OrnsteinUhlenbeck {
         };
         self.state = rho * self.state + innovation * rng.sample::<f64, _>(StandardNormal);
         self.state
-    }
-
-    /// Resets the state to zero.
-    pub fn reset(&mut self) {
-        self.state = 0.0;
     }
 }
 
@@ -159,15 +148,6 @@ mod tests {
             fresh = rho * fresh + sigma * (1.0 - rho * rho).sqrt() * z;
             assert_eq!(ou.step(Seconds::new(dt), &mut a).to_bits(), fresh.to_bits());
         }
-    }
-
-    #[test]
-    fn ou_reset() {
-        let mut r = rng();
-        let mut ou = OrnsteinUhlenbeck::new(Seconds::new(0.1), 1.0);
-        ou.step(Seconds::new(0.1), &mut r);
-        ou.reset();
-        assert_eq!(ou.value(), 0.0);
     }
 
     #[test]

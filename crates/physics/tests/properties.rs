@@ -2,15 +2,15 @@
 //! operating point in (and somewhat beyond) the design envelope.
 
 use hotwire_physics::bubbles::{BubbleLayer, BubbleParams};
-use hotwire_physics::fluid::{Air, Fluid, Water};
+use hotwire_physics::fluid::Water;
 use hotwire_physics::fouling::{FoulingLayer, FoulingParams, Passivation};
-use hotwire_physics::kings_law::KingsLaw;
+use hotwire_physics::kings_law::{KingsLaw, WireGeometry};
 use hotwire_physics::membrane::{MembraneParams, MembraneState, SurfaceCondition};
 use hotwire_physics::pipe::Pipe;
 use hotwire_physics::resistor::Rtd;
 use hotwire_physics::sensor::HeaterId;
 use hotwire_physics::{MafDie, MafParams, SensorEnvironment};
-use hotwire_units::{Celsius, KelvinDelta, MetersPerSecond, Ohms, Pascals, Seconds, Watts};
+use hotwire_units::{Celsius, MetersPerSecond, Ohms, Pascals, Seconds, Watts};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -26,25 +26,15 @@ proptest! {
     }
 
     #[test]
-    fn air_properties_physical_everywhere(t in -40.0f64..200.0) {
-        let p = Air.properties(Celsius::new(t));
-        prop_assert!(p.density > 0.7 && p.density < 1.6);
-        prop_assert!(p.prandtl() > 0.6 && p.prandtl() < 0.8);
-    }
-
-    #[test]
-    fn rtd_inversion_exact(r0 in 10.0f64..5000.0, alpha in 1e-3f64..8e-3, t in -20.0f64..120.0) {
-        let rtd = Rtd::new(
-            hotwire_units::Ohms::new(r0),
-            alpha,
-            Celsius::new(20.0),
-        ).unwrap();
+    fn rtd_inversion_exact(heater in any::<bool>(), tolerance in -0.2f64..0.2, t in -20.0f64..120.0) {
+        let nominal = if heater { Rtd::heater() } else { Rtd::ambient_reference() };
+        let rtd = nominal.with_tolerance(tolerance);
         let r = rtd.resistance(Celsius::new(t));
         prop_assert!((rtd.temperature(r).get() - t).abs() < 1e-6);
     }
 
     #[test]
-    fn kings_law_monotone_and_invertible(
+    fn kings_law_monotone(
         v1 in 0.001f64..3.0,
         v2 in 0.001f64..3.0,
         film in 2.0f64..60.0,
@@ -52,13 +42,11 @@ proptest! {
         let king = KingsLaw::from_kramers(
             &Water::potable(),
             Celsius::new(film),
-            hotwire_physics::kings_law::WireGeometry::maf_heater(),
+            WireGeometry::maf_heater(),
         );
         let g1 = king.conductance(MetersPerSecond::new(v1));
         let g2 = king.conductance(MetersPerSecond::new(v2));
         prop_assert_eq!(v1 < v2, g1 < g2, "monotonicity");
-        let back = king.velocity_from_conductance(g1);
-        prop_assert!((back.get() - v1).abs() < 1e-6 * v1.max(1.0));
     }
 
     #[test]
@@ -68,10 +56,10 @@ proptest! {
         fluid in 2.0f64..40.0,
     ) {
         let params = MembraneParams::maf();
-        let king = KingsLaw::water_default();
+        let king = KingsLaw::from_kramers(&Water::potable(), Celsius::new(15.0), WireGeometry::maf_heater());
         let p = Watts::new(p_mw * 1e-3);
         let f = Celsius::new(fluid);
-        let surface = SurfaceCondition::clean();
+        let surface = SurfaceCondition::default();
         let vv = MetersPerSecond::new(v);
         let t_ss = MembraneState::steady_state(p, &params, &king, vv, surface, f, f);
         let mut state = MembraneState::at_equilibrium(t_ss);
@@ -305,17 +293,5 @@ proptest! {
         let t1 = w.bubble_onset_temperature(Pascals::from_bar(b1));
         let t2 = w.bubble_onset_temperature(Pascals::from_bar(b2));
         prop_assert_eq!(b1 < b2, t1 < t2);
-    }
-
-    #[test]
-    fn kings_power_scales_linearly_with_overheat(
-        v in 0.0f64..2.5,
-        dt1 in 1.0f64..30.0,
-        k in 1.1f64..3.0,
-    ) {
-        let king = KingsLaw::water_default();
-        let p1 = king.power(MetersPerSecond::new(v), KelvinDelta::new(dt1));
-        let p2 = king.power(MetersPerSecond::new(v), KelvinDelta::new(dt1 * k));
-        prop_assert!((p2.get() / p1.get() - k).abs() < 1e-9);
     }
 }

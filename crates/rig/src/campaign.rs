@@ -653,12 +653,6 @@ impl RunSpec {
         self
     }
 
-    /// The settled window as a half-open `[t0, t1)` interval
-    /// (`measure_s == 0.0` ⇒ unbounded).
-    pub fn settled_window(&self) -> (f64, f64) {
-        self.windows.settled_window()
-    }
-
     /// The streaming-reduction plan this spec's windows describe.
     pub fn reduction_plan(&self) -> ReductionPlan {
         self.windows.reduction_plan()
@@ -1014,11 +1008,6 @@ impl Campaign {
         Campaign { jobs: jobs.max(1) }
     }
 
-    /// The number of worker threads this campaign uses.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Executes every spec, returning one `Result` per spec in spec order.
     ///
     /// Use this when a calibration failure is itself a data point (e.g.
@@ -1034,13 +1023,7 @@ impl Campaign {
         let started = std::time::Instant::now();
         let results = self.map(specs, |_, spec| spec.execute());
         let wall_s = started.elapsed().as_secs_f64();
-        let outcomes: Vec<&RunOutcome> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-        let mut snapshot = obs::ObsSnapshot::default();
-        for outcome in outcomes {
-            if let Some(run_obs) = &outcome.trace.obs {
-                snapshot.absorb_run(&outcome.label, run_obs);
-            }
-        }
+        let snapshot = obs::merge_outcomes(results.iter().filter_map(|r| r.as_ref().ok()));
         obs::record_campaign(&snapshot, wall_s);
         results
     }

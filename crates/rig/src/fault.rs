@@ -319,11 +319,6 @@ impl FaultInjector {
         }
     }
 
-    /// The schedule this injector executes.
-    pub fn schedule(&self) -> &FaultSchedule {
-        &self.schedule
-    }
-
     /// Enables wire capture: every post-corruption byte that reaches the
     /// simulated receiver is also appended to an internal tap, retrievable
     /// with [`take_wire`](Self::take_wire). Forces the wire simulation on

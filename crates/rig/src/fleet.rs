@@ -25,7 +25,7 @@
 //! Every line is forced to [`RecordPolicy::MetricsOnly`]: the streaming
 //! reductions (`rig::record`) carry everything the aggregates need, and
 //! the per-line trace heap is **zero bytes** by construction —
-//! [`FleetOutcome::trace_heap_bytes`] reports the measured total so tests
+//! [`FleetAggregates::trace_heap_bytes`] reports the measured total so tests
 //! can pin it.
 //!
 //! # Bounded memory: sketches and shards
@@ -83,7 +83,7 @@
 //! .with_variation(LineVariation::new().with_flow_jitter(0.05));
 //! let outcome = fleet.run()?;
 //! println!("{}", outcome.aggregates);
-//! assert_eq!(outcome.trace_heap_bytes(), 0);
+//! assert_eq!(outcome.aggregates.trace_heap_bytes, 0);
 //! # Ok::<(), hotwire_rig::fleet::FleetError>(())
 //! ```
 
@@ -451,20 +451,6 @@ impl FleetSpec {
     #[must_use]
     pub fn with_windows(mut self, windows: impl Into<Windows>) -> Self {
         self.windows = windows.into();
-        self
-    }
-
-    /// Sets the per-line calibration step.
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Calibration) -> Self {
-        self.calibration = calibration;
-        self
-    }
-
-    /// Sets the die parameters shared by every line.
-    #[must_use]
-    pub fn with_params(mut self, params: MafParams) -> Self {
-        self.params = params;
         self
     }
 
@@ -958,10 +944,10 @@ pub struct LineSummary {
     /// [`RecordPolicy::MetricsOnly`]; summed and pinned by tests.
     pub trace_heap_bytes: usize,
     /// [`FlowMeter::state_digest`](hotwire_core::FlowMeter::state_digest)
-    /// of the line's meter at the end of the run — a 64-bit witness of
-    /// the full simulated end state, which lets the jobs-invariance and
-    /// checkpoint round-trip tests cover meter-state equality without
-    /// serializing meters.
+    /// of the line's meter at the end of the run — a 64-bit witness of the
+    /// part of the end state that digest folds (its doc lists what it
+    /// leaves out), which lets the jobs-invariance and checkpoint
+    /// round-trip tests compare meter state without serializing meters.
     pub meter_digest: u64,
 }
 
@@ -1382,13 +1368,7 @@ pub struct FleetOutcome {
     pub lines: Vec<LineSummary>,
 }
 
-impl FleetOutcome {
-    /// Summed trace sample storage across the fleet, bytes — must be 0
-    /// under the forced `MetricsOnly` policy.
-    pub fn trace_heap_bytes(&self) -> usize {
-        self.aggregates.trace_heap_bytes
-    }
-}
+impl FleetOutcome {}
 
 #[cfg(test)]
 mod tests {
@@ -1536,11 +1516,12 @@ mod tests {
             );
         }
         for (settle_s, average_s) in [(f64::NAN, 0.2), (0.3, f64::INFINITY), (f64::MAX, f64::MAX)] {
-            let endless = small_fleet().with_calibration(Calibration::Field(FieldCalibration {
+            let mut endless = small_fleet();
+            endless.calibration = Calibration::Field(FieldCalibration {
                 settle_s,
                 average_s,
                 ..FieldCalibration::paper(0.3, 0.2, 1)
-            }));
+            });
             assert_eq!(
                 endless.validate(),
                 Err(FleetSpecError::Line(SpecError::BadDuration)),
@@ -1750,7 +1731,8 @@ mod tests {
         // completed prefix instead of a bare CoreError.
         let mut params = MafParams::nominal();
         params.heater_a_tolerance = f64::NAN;
-        let fleet = small_fleet().with_params(params);
+        let mut fleet = small_fleet();
+        fleet.params = params;
         match fleet.run_jobs(2) {
             Err(FleetError::Line { line, partial, .. }) => {
                 assert_eq!(line, 0, "first failing line in line order");
@@ -1870,7 +1852,7 @@ mod tests {
     #[test]
     fn fleet_memory_is_metrics_only() {
         let outcome = small_fleet().run_jobs(2).unwrap();
-        assert_eq!(outcome.trace_heap_bytes(), 0);
+        assert_eq!(outcome.aggregates.trace_heap_bytes, 0);
         assert_eq!(outcome.lines.len(), 12);
         assert!(outcome.aggregates.total_samples > 0);
         // Healthy fleet: the census saw every sample, all healthy.

@@ -341,11 +341,6 @@ impl MeterSession {
         });
     }
 
-    /// The line index this session monitors.
-    pub fn line(&self) -> usize {
-        self.fold.line
-    }
-
     /// The health census of every record seen so far.
     pub fn census(&self) -> &HealthCensus {
         &self.fold.census
@@ -492,15 +487,6 @@ impl Fidelity {
             return 1.0;
         }
         (self.true_positives + self.true_negatives) as f64 / self.lines as f64
-    }
-
-    /// Adds another score block into this one.
-    pub fn merge(&mut self, other: &Fidelity) {
-        self.lines += other.lines;
-        self.true_positives += other.true_positives;
-        self.false_negatives += other.false_negatives;
-        self.false_positives += other.false_positives;
-        self.true_negatives += other.true_negatives;
     }
 }
 
@@ -1019,10 +1005,6 @@ mod tests {
             (1, 1, 1, 1)
         );
         assert!((f.detection_accuracy() - 0.5).abs() < 1e-12);
-        let mut g = Fidelity::default();
-        g.merge(&f);
-        g.merge(&f);
-        assert_eq!(g.lines, 8);
     }
 
     /// A wire from `parts`: good records, future-version records, records
@@ -1077,10 +1059,10 @@ mod tests {
             };
             let bytewise = ingest(1);
             proptest::prop_assert_eq!(&ingest(read), &bytewise);
-            let stats = bytewise.0;
+            let (link, records) = (bytewise.0.link, bytewise.0.records);
             proptest::prop_assert_eq!(
-                stats.link.good_frames,
-                stats.records.records + stats.records.malformed()
+                link.good_frames,
+                records.records + records.wrong_length + records.unknown_version + records.bad_direction
             );
         }
     }

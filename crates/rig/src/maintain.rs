@@ -81,18 +81,6 @@ pub enum Policy {
     },
 }
 
-impl Policy {
-    /// Stable snake_case label (metric keys, f4 frontier rows).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::None => "none",
-            Policy::Scheduled { .. } => "scheduled",
-            Policy::EventTriggered { .. } => "event_triggered",
-            Policy::Hybrid { .. } => "hybrid",
-        }
-    }
-}
-
 /// A policy plus its service-rate and wear limits — what a
 /// [`RunSpec`](crate::RunSpec) / [`FleetSpec`](crate::FleetSpec) carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,13 +111,6 @@ impl Maintenance {
     #[must_use]
     pub fn with_min_service_interval(mut self, seconds: f64) -> Self {
         self.min_service_interval_s = seconds;
-        self
-    }
-
-    /// Sets the per-slot EEPROM wear budget.
-    #[must_use]
-    pub fn with_persist_budget(mut self, write_cycles: u64) -> Self {
-        self.persist_budget = write_cycles;
         self
     }
 
@@ -262,11 +243,6 @@ impl MaintenanceEngine {
             temp_anchor_c: None,
             counters: MaintenanceCounters::default(),
         }
-    }
-
-    /// The config this engine was built from.
-    pub fn config(&self) -> &Maintenance {
-        &self.cfg
     }
 
     /// Actions taken so far.
@@ -615,8 +591,11 @@ mod tests {
             temp_delta_c: 1e9,
         })
         .with_min_service_interval(0.002)
-        .with_persist_min_interval(0.002)
-        .with_persist_budget(2);
+        .with_persist_min_interval(0.002);
+        let cfg = Maintenance {
+            persist_budget: 2,
+            ..cfg
+        };
         let mut eng = MaintenanceEngine::new(cfg, Seconds::new(0.002));
         let mut m = drifted();
         for _ in 0..5 {
@@ -673,30 +652,5 @@ mod tests {
             }
         );
         assert_eq!(a.actions(), 33);
-    }
-
-    #[test]
-    fn policy_names_are_stable() {
-        assert_eq!(Policy::None.name(), "none");
-        assert_eq!(Policy::Scheduled { period_s: 1.0 }.name(), "scheduled");
-        assert_eq!(
-            Policy::EventTriggered {
-                on_degraded: true,
-                drift_threshold: 0.05,
-                temp_delta_c: 2.0
-            }
-            .name(),
-            "event_triggered"
-        );
-        assert_eq!(
-            Policy::Hybrid {
-                period_s: 1.0,
-                on_degraded: true,
-                drift_threshold: 0.05,
-                temp_delta_c: 2.0
-            }
-            .name(),
-            "hybrid"
-        );
     }
 }

@@ -56,26 +56,10 @@ pub enum AnyMeter {
 }
 
 impl AnyMeter {
-    /// The modality tag of this instrument.
-    pub fn modality(&self) -> Modality {
-        match self {
-            AnyMeter::Cta(_) => Modality::Cta,
-            AnyMeter::HeatPulse(_) => Modality::HeatPulse,
-        }
-    }
-
     /// The CTA meter inside, if this is the CTA modality.
     pub fn as_cta(&self) -> Option<&FlowMeter> {
         match self {
             AnyMeter::Cta(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The heat-pulse meter inside, if this is the heat-pulse modality.
-    pub fn as_heat_pulse(&self) -> Option<&HeatPulseMeter> {
-        match self {
-            AnyMeter::HeatPulse(m) => Some(m),
             _ => None,
         }
     }
@@ -255,9 +239,8 @@ mod tests {
         let config = FlowMeterConfig::test_profile();
         let mut any = AnyMeter::HeatPulse(HeatPulseMeter::new(config, 10).unwrap());
         let mut bare = HeatPulseMeter::new(config, 10).unwrap();
-        assert_eq!(any.modality(), Modality::HeatPulse);
+        assert!(matches!(any, AnyMeter::HeatPulse(_)));
         assert!(any.as_cta().is_none());
-        assert!(any.as_heat_pulse().is_some());
         let d0 = any.state_digest();
         step_both(&mut any, &mut bare, 400, 80.0);
         assert_ne!(d0, any.state_digest());

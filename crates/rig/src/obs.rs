@@ -94,11 +94,6 @@ impl EventLog {
             dropped: 0,
         }
     }
-
-    /// Events recorded so far (oldest first).
-    pub fn events(&self) -> &[ObsEvent] {
-        &self.events
-    }
 }
 
 impl Default for EventLog {
@@ -405,14 +400,6 @@ impl ObsSnapshot {
         self.events
             .extend(obs.events.iter().map(|&e| (label.to_string(), e)));
     }
-
-    /// Folds another snapshot in (its runs after this one's).
-    pub fn merge(&mut self, other: &ObsSnapshot) {
-        self.runs += other.runs;
-        self.counters.merge(&other.counters);
-        self.pi_output.merge(&other.pi_output);
-        self.events.extend(other.events.iter().cloned());
-    }
 }
 
 /// Merges the observability data of a batch of outcomes, in the order
@@ -422,7 +409,7 @@ impl ObsSnapshot {
 ///
 /// [`Campaign::run`]: crate::Campaign::run
 /// [`Campaign::try_run`]: crate::Campaign::try_run
-pub fn merge_outcomes(outcomes: &[RunOutcome]) -> ObsSnapshot {
+pub fn merge_outcomes<'a>(outcomes: impl IntoIterator<Item = &'a RunOutcome>) -> ObsSnapshot {
     let mut snapshot = ObsSnapshot::default();
     for outcome in outcomes {
         if let Some(obs) = &outcome.trace.obs {
@@ -563,12 +550,12 @@ mod tests {
         for t in 0..5 {
             log.record(event(t, EventKind::WatchdogExpired));
         }
-        assert_eq!(log.events().len(), 2);
+        assert_eq!(log.events.len(), 2);
         assert_eq!(log.dropped(), 3);
         let drained = log.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].tick, 0);
-        assert!(log.events().is_empty());
+        assert!(log.events.is_empty());
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl Promag50 {
         }
     }
 
-    /// Full-scale setting.
-    #[inline]
-    pub fn full_scale(&self) -> MetersPerSecond {
-        self.full_scale
-    }
-
     /// Advances the meter by `dt` with the true *bulk* velocity and returns
     /// the current (held) reading.
     pub fn step<R: Rng + ?Sized>(
@@ -113,7 +107,7 @@ mod tests {
         let readings: Vec<f64> = (0..n).map(|_| m.step(dt, truth, &mut r).get()).collect();
         let mean = readings.iter().sum::<f64>() / n as f64;
         let sd = (readings.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64).sqrt();
-        let pct_fs = sd / m.full_scale().get() * 100.0;
+        let pct_fs = sd / m.full_scale.get() * 100.0;
         assert!(pct_fs < 0.5, "noise {pct_fs} % FS exceeds datasheet");
         assert!(pct_fs > 0.05, "noise {pct_fs} % FS implausibly clean");
     }

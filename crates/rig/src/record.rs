@@ -208,16 +208,6 @@ impl TraceStore {
         &self.true_cm_s
     }
 
-    /// The Promag 50 column (cm/s).
-    pub fn promag(&self) -> &[f64] {
-        &self.promag_cm_s
-    }
-
-    /// The turbine column (cm/s).
-    pub fn turbine(&self) -> &[f64] {
-        &self.turbine_cm_s
-    }
-
     /// The supply-DAC code column.
     pub fn supply_codes(&self) -> &[u32] {
         &self.supply_code
@@ -465,12 +455,6 @@ impl HealthCensus {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Fraction of observed samples spent in `state` (`NaN` when the
-    /// census is empty).
-    pub fn fraction(&self, state: HealthState) -> f64 {
-        self.count(state) as f64 / self.total() as f64
-    }
 }
 
 /// A bounded `(t, y)` series retained over one window — the streaming
@@ -484,17 +468,7 @@ pub struct SeriesReducer {
     pub ys: Vec<f64>,
 }
 
-impl SeriesReducer {
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    /// Whether the window retained nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
-    }
-}
+impl SeriesReducer {}
 
 /// Streaming reductions over one run — every statistic the experiments
 /// consume, folded sample-by-sample in recording order so each is
@@ -554,11 +528,6 @@ impl RunReductions {
             err_count: 0,
             last: None,
         }
-    }
-
-    /// The plan these reductions were folded under.
-    pub fn plan(&self) -> &ReductionPlan {
-        &self.plan
     }
 
     /// RMS of dut − truth over the error window (`NaN` when the window
@@ -812,7 +781,6 @@ mod tests {
         assert_eq!(census.count(HealthState::Degraded), 1);
         assert_eq!(census.count(HealthState::Faulted), 1);
         assert_eq!(census.count(HealthState::Recovering), 1);
-        assert!((census.fraction(HealthState::Healthy) - 0.5).abs() < 1e-12);
         // Merging is plain addition.
         let mut merged = census;
         merged.merge(&census);

@@ -66,24 +66,10 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// An empty trace with room for `samples` recorded samples.
-    pub fn with_capacity(samples: usize) -> Self {
-        Trace {
-            samples: TraceStore::with_capacity(samples),
-            uart: UartStats::default(),
-            obs: None,
-        }
-    }
-
     /// Streaming statistics of the DUT series over `[t0, t1)` — window
     /// bounds found by `partition_point` binary search on the time column.
     pub fn window_stats(&self, t0: f64, t1: f64) -> Welford {
         self.samples.window_stats(t0, t1)
-    }
-
-    /// The last sample, if any (reassembled from the columns).
-    pub fn last(&self) -> Option<TraceSample> {
-        self.samples.last()
     }
 
     /// Renders the trace as CSV (header + one row per sample) for external
@@ -465,7 +451,7 @@ mod tests {
         let meter = test_meter(14);
         let mut runner = LineRunner::new(Scenario::steady(150.0, 3.0), meter, 14);
         let trace = runner.run(0.05);
-        let last = trace.last().unwrap();
+        let last = trace.samples.last().unwrap();
         // The truth comes back through the schedule's piecewise-linear
         // interpolation — compare with a tolerance, not float `==`.
         assert!(

@@ -134,45 +134,6 @@ impl Schedule {
             .then_hold(min, 0.10 * day_s)
     }
 
-    /// A pressure-transient profile: hold `floor_bar`, ramp to
-    /// `working_bar`, then `peaks` water-hammer spikes to `peak_bar`
-    /// (each a `0.2 × dwell_s` step) separated by `dwell_s` holds at the
-    /// working pressure, and a ramp back down to the floor. The
-    /// parameterized generalization of [`Scenario::pressure_torture`]'s
-    /// hard-coded 0–3 bar / 7 bar-peak profile.
-    pub fn pressure_transients(
-        floor_bar: f64,
-        working_bar: f64,
-        peak_bar: f64,
-        peaks: usize,
-        dwell_s: f64,
-    ) -> Self {
-        let mut s = Schedule::new()
-            .then_hold(floor_bar, dwell_s)
-            .then_ramp(working_bar, 2.0 * dwell_s);
-        for _ in 0..peaks {
-            s = s
-                .then_hold(working_bar, dwell_s)
-                .then_step(peak_bar, 0.2 * dwell_s);
-        }
-        s.then_step(working_bar, dwell_s)
-            .then_ramp(floor_bar, dwell_s)
-            .then_hold(floor_bar, dwell_s)
-    }
-
-    /// A seasonal water-temperature sweep over one `year_s`-second
-    /// "year": hold the winter minimum, ramp to the summer maximum, hold,
-    /// and ramp back — the slow thermal cycle a deployed meter's
-    /// temperature compensation must ride out (see
-    /// [`TempCorrect`](hotwire_core::TempCorrect)).
-    pub fn seasonal(winter_c: f64, summer_c: f64, year_s: f64) -> Self {
-        Schedule::new()
-            .then_hold(winter_c, 0.10 * year_s)
-            .then_ramp(summer_c, 0.40 * year_s)
-            .then_hold(summer_c, 0.10 * year_s)
-            .then_ramp(winter_c, 0.40 * year_s)
-    }
-
     /// The same schedule with every value multiplied by `factor` (segment
     /// timing untouched). This is how the fleet layer jitters a scenario
     /// template per line without reaching into the segment list.
@@ -323,43 +284,6 @@ impl Scenario {
         }
     }
 
-    /// Constant flow under a parameterized pressure-transient profile
-    /// ([`Schedule::pressure_transients`]): `floor_bar` → `working_bar`
-    /// with `peaks` spikes to `peak_bar`. The §5 robustness sweep
-    /// ([`Scenario::pressure_torture`]) is the 0.5–3 bar / 7 bar-peak
-    /// member of this family.
-    pub fn pressure_transients(
-        flow_cm_s: f64,
-        floor_bar: f64,
-        working_bar: f64,
-        peak_bar: f64,
-        peaks: usize,
-        dwell_s: f64,
-    ) -> Self {
-        let pressure =
-            Schedule::pressure_transients(floor_bar, working_bar, peak_bar, peaks, dwell_s);
-        let duration = pressure.duration().get();
-        Scenario {
-            flow_cm_s: Schedule::constant(flow_cm_s),
-            pressure_bar: pressure,
-            temperature_c: Schedule::constant(15.0),
-            duration_s: duration,
-        }
-    }
-
-    /// A seasonal water-temperature sweep ([`Schedule::seasonal`]) at
-    /// constant flow and 2 bar (the outgassing onset stays above the wire
-    /// temperature across the whole sweep, as in
-    /// [`Scenario::temperature_ramp`]).
-    pub fn seasonal_sweep(flow_cm_s: f64, winter_c: f64, summer_c: f64, year_s: f64) -> Self {
-        Scenario {
-            flow_cm_s: Schedule::constant(flow_cm_s),
-            pressure_bar: Schedule::constant(2.0),
-            temperature_c: Schedule::seasonal(winter_c, summer_c, year_s),
-            duration_s: year_s,
-        }
-    }
-
     /// The same scenario with the flow schedule scaled by `factor`
     /// (pressure, temperature and duration untouched). See
     /// [`Schedule::scaled`].
@@ -496,33 +420,5 @@ mod tests {
             assert!((20.0..=220.0).contains(&v), "v={v} at t={t}");
             t += 0.25;
         }
-    }
-
-    #[test]
-    fn pressure_transients_count_their_peaks() {
-        let sc = Scenario::pressure_transients(100.0, 0.0, 3.0, 7.0, 3, 4.0);
-        // Count rising crossings of 6 bar: one per commanded spike.
-        let (mut peaks, mut above) = (0usize, false);
-        let mut t = 0.0;
-        while t < sc.duration_s {
-            let p = sc.pressure_bar.value_at(t);
-            assert!((0.0..=7.0).contains(&p), "p={p} at t={t}");
-            if p > 6.0 && !above {
-                peaks += 1;
-            }
-            above = p > 6.0;
-            t += 0.05;
-        }
-        assert_eq!(peaks, 3);
-        assert_eq!(sc.pressure_bar.value_at(sc.duration_s), 0.0);
-    }
-
-    #[test]
-    fn seasonal_sweep_spans_winter_to_summer() {
-        let sc = Scenario::seasonal_sweep(100.0, 4.0, 28.0, 200.0);
-        assert_eq!(sc.temperature_c.value_at(10.0), 4.0); // winter hold
-        assert_eq!(sc.temperature_c.value_at(110.0), 28.0); // summer hold
-        assert!((sc.temperature_c.value_at(199.9) - 4.0).abs() < 0.05); // ~winter again
-        assert!((sc.temperature_c.value_at(60.0) - 16.0).abs() < 0.5); // mid-ramp
     }
 }

@@ -180,16 +180,6 @@ impl QuantileSketch {
         self.nan
     }
 
-    /// Exact smallest non-NaN value (`NaN` while empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Exact largest non-NaN value (`NaN` while empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// The nearest-rank `q`-quantile estimate (`q` in `[0, 1]`), within
     /// [`Self::RELATIVE_ERROR`] of the exact nearest-rank value. The
     /// extreme ranks return the tracked min/max exactly. `NaN` while
@@ -382,8 +372,8 @@ mod tests {
     fn min_max_are_exact_and_mids_are_bounded() {
         let values: Vec<f64> = (1..=500).map(|i| i as f64 * 0.37).collect();
         let s = sketch_of(&values);
-        assert_eq!(s.min().to_bits(), (0.37f64).to_bits());
-        assert_eq!(s.max().to_bits(), (500.0 * 0.37f64).to_bits());
+        assert_eq!(s.min.to_bits(), (0.37f64).to_bits());
+        assert_eq!(s.max.to_bits(), (500.0 * 0.37f64).to_bits());
         let mut sorted = values.clone();
         sorted.sort_by(f64::total_cmp);
         for q in [0.5, 0.9, 0.99] {
@@ -401,8 +391,8 @@ mod tests {
         let s = sketch_of(&[1.0, f64::NAN, 2.0, f64::NAN, 3.0]);
         assert_eq!(s.count(), 3);
         assert_eq!(s.nan_count(), 2);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.max, 3.0);
         assert!(s.quantile(0.99).is_finite());
         let all_nan = sketch_of(&[f64::NAN, f64::NAN]);
         assert_eq!(all_nan.nan_count(), 2);
@@ -412,8 +402,8 @@ mod tests {
     #[test]
     fn negative_zero_positive_ordering() {
         let s = sketch_of(&[-5.0, -0.5, 0.0, 0.5, 5.0]);
-        assert_eq!(s.min(), -5.0);
-        assert_eq!(s.max(), 5.0);
+        assert_eq!(s.min, -5.0);
+        assert_eq!(s.max, 5.0);
         // Rank 3 of 5 is the zero bucket.
         assert_eq!(s.quantile(0.5), 0.0);
         // Rank 2 lands in the small-negative bucket.
@@ -443,13 +433,13 @@ mod tests {
         let s = sketch_of(&[1.5, -2.25, 0.0, f64::NAN, 3.0e6, 1e-7]);
         let decoded = QuantileSketch::decode(&s.encode()).unwrap();
         assert_eq!(s, decoded);
-        assert_eq!(s.min().to_bits(), decoded.min().to_bits());
-        assert_eq!(s.max().to_bits(), decoded.max().to_bits());
+        assert_eq!(s.min.to_bits(), decoded.min.to_bits());
+        assert_eq!(s.max.to_bits(), decoded.max.to_bits());
         // Empty round-trips too (NaN min/max bits preserved).
         let empty = QuantileSketch::new();
         let decoded = QuantileSketch::decode(&empty.encode()).unwrap();
         assert_eq!(empty, decoded);
-        assert_eq!(empty.min().to_bits(), decoded.min().to_bits());
+        assert_eq!(empty.min.to_bits(), decoded.min.to_bits());
     }
 
     #[test]

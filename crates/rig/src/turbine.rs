@@ -68,11 +68,6 @@ impl TurbineMeter {
         self.starting_velocity + MetersPerSecond::from_cm_per_s(self.travel_m / 100_000.0)
     }
 
-    /// Velocity quantum of one pulse per gate.
-    pub fn resolution(&self) -> MetersPerSecond {
-        MetersPerSecond::new(1.0 / (self.pulses_per_meter * self.gate.get()))
-    }
-
     /// Advances the meter by `dt` at true bulk velocity `bulk`; returns the
     /// held gate reading (unsigned — turbines do not resolve direction).
     pub fn step(&mut self, dt: Seconds, bulk: MetersPerSecond) -> MetersPerSecond {
@@ -180,7 +175,7 @@ mod tests {
     fn quantized_resolution() {
         let m = TurbineMeter::dn50();
         // 400 pulses/m over a 1 s gate → 2.5 mm/s quantum = 0.1 % of 250 cm/s FS.
-        assert!((m.resolution().get() - 0.0025).abs() < 1e-12);
+        assert!((1.0 / (m.pulses_per_meter * m.gate.get()) - 0.0025).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use hotwire::isif::{CalibrationStore, IsifPlatform};
 use hotwire::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut platform = IsifPlatform::new(Hertz::from_kilohertz(256.0))?;
+    let mut platform = IsifPlatform::new(Hertz::from_kilohertz(256.0));
 
     // --- calibration EEPROM with CRC ---
     let mut eeprom = CalibrationStore::new();

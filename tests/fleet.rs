@@ -140,7 +140,10 @@ fn thousand_line_fleet_is_metrics_only_and_jobs_invariant() {
 
     let a = &j1.aggregates;
     assert_eq!(a.lines, 1000);
-    assert_eq!(j1.trace_heap_bytes(), 0, "fleet must hold zero trace bytes");
+    assert_eq!(
+        j1.aggregates.trace_heap_bytes, 0,
+        "fleet must hold zero trace bytes"
+    );
     assert!(
         j1.lines.iter().all(|l| l.trace_heap_bytes == 0),
         "every line must stream MetricsOnly"
@@ -451,7 +454,19 @@ fn diurnal_demand_fleet_under_pressure_transients_is_jobs_invariant() {
     // Diurnal flow compressed into a 4 s "day", with the pressure-transient
     // profile (0.5 → 3 bar working range, two 7 bar spikes) overlaid.
     let mut scenario = Scenario::diurnal_demand(20.0, 200.0, 4.0);
-    scenario.pressure_bar = Schedule::pressure_transients(0.5, 3.0, 7.0, 2, 0.5);
+    let (floor, working, peak, dwell) = (0.5, 3.0, 7.0, 0.5);
+    let mut pressure = Schedule::new()
+        .then_hold(floor, dwell)
+        .then_ramp(working, 2.0 * dwell);
+    for _ in 0..2 {
+        pressure = pressure
+            .then_hold(working, dwell)
+            .then_step(peak, 0.2 * dwell);
+    }
+    scenario.pressure_bar = pressure
+        .then_step(working, dwell)
+        .then_ramp(floor, dwell)
+        .then_hold(floor, dwell);
     // The full-rate test profile: the demand swing must show up in the
     // DUT output, not just in the schedule (cheap_config's 1 kHz loop
     // never settles on these short runs).

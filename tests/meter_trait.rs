@@ -293,7 +293,7 @@ fn heat_pulse_campaign_run_is_deterministic() {
     );
     assert_eq!(a.meter.state_digest(), b.meter.state_digest());
     assert!(
-        a.meter.as_heat_pulse().is_some(),
+        matches!(a.meter, AnyMeter::HeatPulse(_)),
         "modality carried through"
     );
     // Factory heat-pulse decode reports probe (centerline) velocity.

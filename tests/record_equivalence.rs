@@ -84,7 +84,7 @@ fn assert_reductions_match_post_hoc(full: &RunOutcome, metrics_only: &RunOutcome
 
     // Settled window: streaming Welford == post-hoc Welford over the
     // stored DUT column (same fold order ⇒ same bits).
-    let (s0, s1) = spec.settled_window();
+    let (s0, s1) = spec.windows.settled_window();
     assert_eq!(red.settled, store.window_stats(s0, s1), "settled window");
     assert_bits(
         red.settled.std_dev(),

@@ -63,7 +63,7 @@ fn measurements_survive_the_telemetry_link() {
     }
     // And the payloads are physically sensible.
     for r in &received {
-        let v = r.velocity().to_cm_per_s();
+        let v = r.velocity_centi_cm_s as f64 / 100.0;
         assert!((0.0..=260.0).contains(&v), "velocity {v} cm/s");
     }
 }
@@ -99,9 +99,9 @@ fn burst_probe_reports_over_the_link() {
     assert_eq!(got, record);
     // Burst reading and telemetry record tell a consistent story.
     assert!(
-        (got.velocity().to_cm_per_s() - reading.speed.to_cm_per_s()).abs() < 30.0,
+        (got.velocity_centi_cm_s as f64 / 100.0 - reading.speed.to_cm_per_s()).abs() < 30.0,
         "telemetry {} vs burst {}",
-        got.velocity().to_cm_per_s(),
+        got.velocity_centi_cm_s as f64 / 100.0,
         reading.speed.to_cm_per_s()
     );
 }

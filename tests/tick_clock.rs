@@ -372,11 +372,11 @@ proptest! {
             .with_config(LineConfig::new().with_afe_tier(AfeTier::Fast).with_faults(schedule.clone()))
             .with_record(RecordPolicy::MetricsOnly);
         let verdict = spec.validate();
-        let fleet = FleetSpec::new("prop", fast_profile(), Scenario::steady(80.0, duration), 3)
+        let mut fleet = FleetSpec::new("prop", fast_profile(), Scenario::steady(80.0, duration), 3)
             .with_lines(2)
             .with_sample_period(period)
-            .with_calibration(calibration)
             .with_variation(LineVariation::new().with_faults_every(1, 0, schedule.clone()));
+        fleet.calibration = calibration;
         prop_assert_eq!(fleet.validate(), verdict.map_err(FleetSpecError::Line));
 
         let q = |s: f64| s / DT;
