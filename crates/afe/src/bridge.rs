@@ -72,12 +72,8 @@ impl BridgeConfig {
         let v_reference_mid: Volts = i_reference * rt;
         BridgeOutputs {
             differential: v_heater_mid - v_reference_mid,
-            heater_mid: v_heater_mid,
             reference_mid: v_reference_mid,
-            heater_current: i_heater,
             heater_power: Watts::from_joule_heating(i_heater, rh),
-            reference_power: Watts::from_joule_heating(i_reference, rt),
-            supply_current: i_heater + i_reference,
         }
     }
 }
@@ -89,20 +85,12 @@ pub struct BridgeOutputs {
     /// the instrumentation amplifier. Positive when the heater is *colder*
     /// (higher `Rh` fraction needed to balance… see module docs).
     pub differential: Volts,
-    /// Heater-branch midpoint voltage.
-    pub heater_mid: Volts,
     /// Reference-branch midpoint voltage (carries the fluid temperature via
     /// `Rt` — the paper's "temperature sensor for tracking thermal flow
     /// variation").
     pub reference_mid: Volts,
-    /// Current through the heater branch.
-    pub heater_current: Amps,
     /// Joule power dissipated in the heater element.
     pub heater_power: Watts,
-    /// Joule power dissipated in the reference element (self-heating check).
-    pub reference_power: Watts,
-    /// Total current drawn from the supply.
-    pub supply_current: Amps,
 }
 
 #[cfg(test)]
@@ -173,35 +161,24 @@ mod tests {
         // criterion enforced here: the reference branch burns a few per cent
         // of the heater power at most.
         let b = bridge();
-        let out = b.solve(Volts::new(5.0), Ohms::new(52.8), Ohms::new(1996.5));
-        assert!(out.reference_power.get() > 0.0);
+        let rt = Ohms::new(1996.5);
+        let out = b.solve(Volts::new(5.0), Ohms::new(52.8), rt);
+        let reference_power = Watts::from_joule_heating(out.reference_mid / rt, rt);
+        assert!(reference_power.get() > 0.0);
         assert!(
-            out.reference_power.get() < 0.05 * out.heater_power.get(),
+            reference_power.get() < 0.05 * out.heater_power.get(),
             "reference {} vs heater {}",
-            out.reference_power,
+            reference_power,
             out.heater_power
         );
-    }
-
-    #[test]
-    fn supply_current_is_sum_of_branches() {
-        let b = bridge();
-        let out = b.solve(Volts::new(3.0), Ohms::new(52.8), Ohms::new(1996.5));
-        let i1 = 3.0 / (b.r_series_heater.get() + 52.8);
-        let i2 = 3.0 / (b.r_series_reference.get() + 1996.5);
-        assert!((out.supply_current.get() - (i1 + i2)).abs() < 1e-12);
     }
 
     #[test]
     fn midpoints_reconstruct_differential() {
         let b = bridge();
         let out = b.solve(Volts::new(3.0), Ohms::new(53.0), Ohms::new(1990.0));
-        assert!(
-            ((out.heater_mid - out.reference_mid) - out.differential)
-                .abs()
-                .get()
-                < 1e-12
-        );
+        let heater_mid = 3.0 * 53.0 / (b.r_series_heater.get() + 53.0);
+        assert!(((out.differential + out.reference_mid).get() - heater_mid).abs() < 1e-12);
         // The reference midpoint carries Rt: warmer fluid (higher Rt) raises it.
         let warm = b.solve(Volts::new(3.0), Ohms::new(53.0), Ohms::new(2040.0));
         assert!(warm.reference_mid > out.reference_mid);
@@ -213,7 +190,6 @@ mod tests {
         let out = b.solve(Volts::ZERO, Ohms::new(52.8), Ohms::new(1996.5));
         assert_eq!(out.differential.get(), 0.0);
         assert_eq!(out.heater_power.get(), 0.0);
-        assert_eq!(out.supply_current.get(), 0.0);
     }
 
     #[test]

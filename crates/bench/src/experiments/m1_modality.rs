@@ -56,8 +56,6 @@ pub struct ModalityCase {
     pub power_mw: f64,
     /// Median settled reading of the clean fleet, cm/s.
     pub clean_median_cm_s: f64,
-    /// Median settled reading of the fouled fleet, cm/s.
-    pub fouled_median_cm_s: f64,
     /// `100 · |fouled − clean| / clean` — the fouling-induced decode
     /// shift, % of the clean reading.
     pub fouling_shift_pct: f64,
@@ -175,7 +173,6 @@ fn run_modality(modality: Modality, lines: usize, duration_s: f64) -> Result<Mod
         resolution_p99_pct_fs: clean.aggregates.resolution_pct_fs.p99,
         power_mw: power.meter.power_draw().get() * 1e3,
         clean_median_cm_s: clean_median,
-        fouled_median_cm_s: fouled_median,
         fouling_shift_pct: 100.0 * (fouled_median - clean_median).abs() / clean_median.abs(),
         fouled_lines_degraded: fouled
             .lines

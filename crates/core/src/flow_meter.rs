@@ -392,8 +392,8 @@ impl FlowMeter {
             }
         };
 
-        let control_rate = config.control_rate();
-        let output = OutputPipeline::new(config.output_filter, control_rate)?;
+        let output = OutputPipeline::new(config.output_filter, config.control_rate())?;
+        let clock = TickClock::new(config.control_period());
         let mut meter = FlowMeter {
             direction: DirectionDetector::new(config.direction_deadband, 8),
             pulsed: config.pulsed.map(PulsedScheduler::new),
@@ -402,12 +402,12 @@ impl FlowMeter {
             // Threshold sized ~5σ above the turbulence-driven supply swing
             // so the flag reacts to detachment events, not ordinary flow
             // noise.
-            spikes: SpikeMonitor::new(150, control_rate.get() as u32, 0.002),
+            spikes: SpikeMonitor::new(150, clock.ticks_in(1.0) as u32, 0.002),
             drift: DriftMonitor::new(DRIFT_TAU_UPDATES, DRIFT_THRESHOLD),
             saturation: SaturationMonitor::new(
                 config.supply_code_min,
                 SUPPLY_CODE_MAX as u32,
-                control_rate.get() as u32 / 2,
+                clock.ticks_in(0.5) as u32,
             ),
             rng: StdRng::seed_from_u64(seed),
             dt: config.modulator_rate.period(),
@@ -424,14 +424,9 @@ impl FlowMeter {
             last_measurement: None,
             instant_conductance: ThermalConductance::ZERO,
             fault_latch: FaultFlags::default(),
-            fault_warmup_ticks: (3.0 * control_rate.get()) as u64,
+            fault_warmup_ticks: clock.ticks_in(3.0),
             settled_streak: 0,
-            // Escalate Degraded → Faulted after 5 s of continuous fault;
-            // each recovery stage needs 0.5 s of quiet monitors.
-            health: HealthMonitor::new(
-                (5.0 * control_rate.get()) as u64,
-                (0.5 * control_rate.get()) as u64,
-            ),
+            health: HealthMonitor::firmware(clock),
             adc_fault: None,
             frozen_code_streak: 0,
             last_raw_ctrl_code: i32::MIN,
@@ -2239,6 +2234,28 @@ mod tests {
         m.run(0.3, env(50.0));
         // Codes still carry noise, so the freeze discriminator stays quiet.
         assert_eq!(m.platform_mut().watchdog_mut().reset_count(), 0);
+    }
+
+    #[test]
+    fn second_valued_windows_round_through_the_tick_clock() {
+        // 32 kHz / 512 = 62.5 Hz: the 3-s warm-up and the 5-s escalation
+        // are 187.5 and 312.5 ticks, which `TickClock::ticks_in` rounds up.
+        let config = FlowMeterConfig {
+            decimation: 512,
+            ..FlowMeterConfig::test_profile()
+        };
+        let mut m = FlowMeter::new(config, MafParams::nominal(), 1).unwrap();
+        assert_eq!(m.fault_warmup_ticks, 188);
+        let fault = FaultFlags {
+            bubble_activity: true,
+            ..FaultFlags::default()
+        };
+        for _ in 0..312 {
+            m.health.update(fault, false);
+        }
+        assert_eq!(m.health.state(), HealthState::Degraded);
+        m.health.update(fault, false);
+        assert_eq!(m.health.state(), HealthState::Faulted);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! it is deterministic, so campaign runs with fault injection stay
 //! bit-identical across thread counts.
 
+use crate::clock::TickClock;
 use crate::faults::FaultFlags;
 
 /// The instrument's aggregate health, reported in every
@@ -105,14 +106,12 @@ pub struct HealthMonitor {
     fault_limit: u64,
     /// Clean ticks required to advance one recovery stage.
     recover_hold: u64,
-    /// Total state transitions (diagnostic).
-    transitions: u64,
     /// One-shot latch: pulsed drive already requested this episode.
     pulsed_engaged: bool,
     /// One-shot latch: re-zero already requested this episode.
     rezeroed: bool,
     /// Last state handed out by [`take_transition`](Self::take_transition);
-    /// lets observers see edges without hooking `set_state`.
+    /// lets observers see edges without hooking every state change.
     observed_state: HealthState,
 }
 
@@ -127,11 +126,17 @@ impl HealthMonitor {
             degraded_streak: 0,
             fault_limit: fault_limit.max(1),
             recover_hold: recover_hold.max(1),
-            transitions: 0,
             pulsed_engaged: false,
             rezeroed: false,
             observed_state: HealthState::Healthy,
         }
+    }
+
+    /// The firmware's supervisor on `clock`, shared by every meter:
+    /// escalates `Degraded` → `Faulted` after 5 s of continuous fault, and
+    /// each recovery stage needs 0.5 s of quiet monitors.
+    pub fn firmware(clock: TickClock) -> Self {
+        HealthMonitor::new(clock.ticks_in(5.0), clock.ticks_in(0.5))
     }
 
     /// The current state.
@@ -140,18 +145,11 @@ impl HealthMonitor {
         self.state
     }
 
-    fn set_state(&mut self, next: HealthState) {
-        if self.state != next {
-            self.state = next;
-            self.transitions += 1;
-        }
-    }
-
     /// Returns `Some((from, to))` if the state changed since the last call
     /// (or since construction), `None` otherwise.
     ///
     /// The edge is computed against the last *observed* state, not the last
-    /// internal transition, so multiple `set_state` calls within one control
+    /// internal transition, so several state changes within one control
     /// tick collapse into a single edge — and a change that nets out back to
     /// the observed state reports nothing. Callers poll this once per tick
     /// to turn the supervisor's state into observability events; polling is
@@ -175,7 +173,7 @@ impl HealthMonitor {
             // priority over the slower fault reactions.
             self.clean_streak = 0;
             self.degraded_streak = 0;
-            self.set_state(HealthState::Recovering);
+            self.state = HealthState::Recovering;
             return RecoveryAction::SoftReset;
         }
         if faults.any() {
@@ -183,9 +181,9 @@ impl HealthMonitor {
             if self.state != HealthState::Faulted {
                 self.degraded_streak += 1;
                 if self.degraded_streak >= self.fault_limit {
-                    self.set_state(HealthState::Faulted);
+                    self.state = HealthState::Faulted;
                 } else {
-                    self.set_state(HealthState::Degraded);
+                    self.state = HealthState::Degraded;
                 }
             }
             if faults.bubble_activity && !self.pulsed_engaged {
@@ -208,10 +206,10 @@ impl HealthMonitor {
                         // instrument announces it is coming back before
                         // declaring itself healthy again.
                         HealthState::Degraded | HealthState::Faulted => {
-                            self.set_state(HealthState::Recovering);
+                            self.state = HealthState::Recovering;
                         }
                         HealthState::Recovering => {
-                            self.set_state(HealthState::Healthy);
+                            self.state = HealthState::Healthy;
                             // Full recovery re-arms the one-shot reactions
                             // for the next episode.
                             self.pulsed_engaged = false;
@@ -230,7 +228,7 @@ impl HealthMonitor {
     /// `Recovering` excursion so telemetry surfaces the event.
     pub fn note_eeprom_fallback(&mut self) {
         self.clean_streak = 0;
-        self.set_state(HealthState::Recovering);
+        self.state = HealthState::Recovering;
     }
 
     /// Records an unrecoverable error (e.g. every calibration copy corrupt):
@@ -238,7 +236,7 @@ impl HealthMonitor {
     pub fn note_unrecoverable(&mut self) {
         self.clean_streak = 0;
         self.degraded_streak = 0;
-        self.set_state(HealthState::Faulted);
+        self.state = HealthState::Faulted;
     }
 }
 
@@ -267,7 +265,6 @@ mod tests {
             assert_eq!(h.update(FaultFlags::default(), false), RecoveryAction::None);
         }
         assert_eq!(h.state(), HealthState::Healthy);
-        assert_eq!(h.transitions, 0);
     }
 
     #[test]

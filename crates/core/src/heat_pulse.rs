@@ -387,7 +387,6 @@ impl HeatPulseMeter {
         let mut eeprom = CalibrationStore::new();
         let factory = HeatPulseCalibration::design();
         factory.store(&mut eeprom)?;
-        let control_rate = 1.0 / hp.control_period_s;
         let clock = TickClock::new(config.control_period());
         let ticks = |seconds| clock.ticks_in(seconds) as u32;
         Ok(HeatPulseMeter {
@@ -411,9 +410,7 @@ impl HeatPulseMeter {
             bubble_coverage: 0.0,
             amp_ewma: 0.0,
             amp_reference: 0.0,
-            // Same supervisor tuning as the CTA meter: escalate after 5 s
-            // of continuous fault, 0.5 s of quiet per recovery stage.
-            health: HealthMonitor::new((5.0 * control_rate) as u64, (0.5 * control_rate) as u64),
+            health: HealthMonitor::firmware(clock),
             fault_latch: FaultFlags::default(),
             adc_fault: None,
             frozen_streak: 0,

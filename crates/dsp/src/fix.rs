@@ -13,7 +13,7 @@
 //! assert_eq!(gain.raw(), 1 << 14);
 //! // Saturation instead of wrap-around (Q16.16 tops out at 32768):
 //! let big = Q16::from_f64(1.0e6);
-//! assert_eq!(big, Q16::MAX);
+//! assert_eq!(big.raw(), i32::MAX);
 //! ```
 
 /// A fixed-point number with `FRAC` fractional bits stored in an `i32`.
@@ -29,15 +29,6 @@ pub type Q16 = Fx<16>;
 pub type Q30 = Fx<30>;
 
 impl<const FRAC: u32> Fx<FRAC> {
-    /// The largest representable value.
-    pub const MAX: Self = Fx(i32::MAX);
-    /// The smallest (most negative) representable value.
-    pub const MIN: Self = Fx(i32::MIN);
-    /// Zero.
-    pub const ZERO: Self = Fx(0);
-    /// One (saturates to `MAX` if `FRAC == 31`).
-    pub const ONE: Self = Fx(if FRAC >= 31 { i32::MAX } else { 1 << FRAC });
-
     /// The raw two's-complement word.
     #[inline]
     pub const fn raw(self) -> i32 {
@@ -98,13 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn one_constant() {
-        assert_eq!(Fx::<15>::ONE.raw(), 1 << 15);
-        assert!((Fx::<15>::ONE.to_f64() - 1.0).abs() < 1e-12);
-        assert_eq!(Fx::<31>::ONE.raw(), i32::MAX);
-    }
-
-    #[test]
     fn from_f64_nan_saturates_to_zero() {
         // Regression: NaN used to quantize silently (`NaN.round() as i32`
         // → 0). It still maps to zero, but explicitly — and debug builds
@@ -116,15 +100,15 @@ mod tests {
         }
         #[cfg(not(debug_assertions))]
         {
-            assert_eq!(Fx::<15>::from_f64(f64::NAN), Fx::<15>::ZERO);
-            assert_eq!(Fx::<0>::from_f64(f64::NAN), Fx::<0>::ZERO);
+            assert_eq!(Fx::<15>::from_f64(f64::NAN).raw(), 0);
+            assert_eq!(Fx::<0>::from_f64(f64::NAN).raw(), 0);
         }
     }
 
     #[test]
     fn from_f64_saturates() {
-        assert_eq!(Fx::<15>::from_f64(1e9), Fx::<15>::MAX);
-        assert_eq!(Fx::<15>::from_f64(-1e9), Fx::<15>::MIN);
+        assert_eq!(Fx::<15>::from_f64(1e9).raw(), i32::MAX);
+        assert_eq!(Fx::<15>::from_f64(-1e9).raw(), i32::MIN);
     }
 
     #[test]

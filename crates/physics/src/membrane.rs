@@ -324,7 +324,7 @@ mod tests {
         let mut state = MembraneState::at_equilibrium(fluid);
         for _ in 0..100 {
             state.step(
-                Seconds::from_micros(10.0),
+                Seconds::new(10.0 * 1e-6),
                 Watts::ZERO,
                 &params,
                 &king,
@@ -347,7 +347,7 @@ mod tests {
         // Run 10 ms — far beyond the ~60 µs time constant.
         for _ in 0..1000 {
             state.step(
-                Seconds::from_micros(10.0),
+                Seconds::new(10.0 * 1e-6),
                 p,
                 &params,
                 &king,
@@ -495,7 +495,7 @@ mod tests {
             bubble_coverage: 0.2,
             fouling_resistance: ThermalResistance::new(10.0),
         };
-        let dt = Seconds::from_micros(4.0);
+        let dt = Seconds::new(4.0 * 1e-6);
         for i in 0..500 {
             // Vary the drive so t_inf moves while (dt, G_tot) stays cached.
             let p = Watts::new(0.01 + 1e-4 * (i % 7) as f64);

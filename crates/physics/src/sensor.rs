@@ -202,7 +202,7 @@ impl HeaterChannel {
 /// let env = SensorEnvironment::still_water();
 /// let cold = die.heater_resistance(hotwire_physics::sensor::HeaterId::A);
 /// for _ in 0..100 {
-///     die.step(Seconds::from_micros(10.0), Watts::new(0.005), Watts::new(0.005), env, &mut rng);
+///     die.step(Seconds::new(10.0 * 1e-6), Watts::new(0.005), Watts::new(0.005), env, &mut rng);
 /// }
 /// assert!(die.heater_resistance(hotwire_physics::sensor::HeaterId::A) > cold);
 /// ```
@@ -559,7 +559,7 @@ mod tests {
     fn settle(die: &mut MafDie, p: Watts, env: SensorEnvironment, rng: &mut rand::rngs::StdRng) {
         // 20 ms at 10 µs steps ≫ thermal τ.
         for _ in 0..2000 {
-            die.step(Seconds::from_micros(10.0), p, p, env, rng);
+            die.step(Seconds::new(10.0 * 1e-6), p, p, env, rng);
         }
     }
 
@@ -641,7 +641,7 @@ mod tests {
         // 0.5 s ≫ 40 ms reference lag.
         for _ in 0..5000 {
             die.step(
-                Seconds::from_micros(100.0),
+                Seconds::new(100.0 * 1e-6),
                 Watts::ZERO,
                 Watts::ZERO,
                 warm,
@@ -668,7 +668,7 @@ mod tests {
             velocity: MetersPerSecond::new(0.5),
             ..SensorEnvironment::still_water()
         };
-        let (dt, p) = (Seconds::from_micros(10.0), Watts::new(0.01));
+        let (dt, p) = (Seconds::new(10.0 * 1e-6), Watts::new(0.01));
         // Settle first, so the film temperature stops re-deriving King's law.
         for _ in 0..2000 {
             die.step_thermal(dt, p, p, env);

@@ -63,7 +63,7 @@ proptest! {
         let vv = MetersPerSecond::new(v);
         let t_ss = MembraneState::steady_state(p, &params, &king, vv, surface, f, f);
         let mut state = MembraneState::at_equilibrium(t_ss);
-        state.step(Seconds::from_micros(10.0), p, &params, &king, vv, surface, f, f);
+        state.step(Seconds::new(10.0 * 1e-6), p, &params, &king, vv, surface, f, f);
         prop_assert!((state.temperature() - t_ss).abs().get() < 1e-9);
         // And the wire is never colder than the fluid under positive drive.
         prop_assert!(t_ss >= f);
@@ -123,7 +123,7 @@ proptest! {
             };
             let p = Watts::new(p_mw * 1e-3);
             for _ in 0..400 {
-                die.step(Seconds::from_micros(50.0), p, p, env, &mut rng);
+                die.step(Seconds::new(50.0 * 1e-6), p, p, env, &mut rng);
             }
             die.heater_temperature(hotwire_physics::sensor::HeaterId::A).get()
         };
@@ -149,7 +149,7 @@ proptest! {
         };
         let (mut whole, mut whole_rng) = build();
         let (mut split, mut split_rng) = build();
-        let dt = Seconds::from_micros(dt_us);
+        let dt = Seconds::new(dt_us * 1e-6);
         let (p_a, p_b) = (Watts::new(p_a_mw * 1e-3), Watts::new(p_b_mw * 1e-3));
         let env = SensorEnvironment {
             velocity: MetersPerSecond::new(v),
@@ -208,7 +208,7 @@ proptest! {
         let mut walked = MafDie::in_potable_water(MafParams::worst_case());
         walked.inject_bubble_burst(coverage);
         walked.deposit_fouling(fouling_um);
-        let dt = Seconds::from_micros(dt_us);
+        let dt = Seconds::new(dt_us * 1e-6);
         let mut env = SensorEnvironment {
             velocity: MetersPerSecond::new(v),
             fluid_temperature: Celsius::new(fluid),

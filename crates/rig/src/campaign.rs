@@ -805,8 +805,6 @@ impl RunSpec {
             reduced,
             meter,
             maintenance: tail.maintenance,
-            settle_s: self.windows.settle_s,
-            measure_s: self.windows.measure_s,
         })
     }
 }
@@ -831,10 +829,6 @@ pub struct RunOutcome {
     /// Maintenance-policy actions taken during the run (all zero unless
     /// the spec carried an active [`Maintenance`] config).
     pub maintenance: MaintenanceCounters,
-    /// The spec's settling time (for the settled-window statistics).
-    pub settle_s: f64,
-    /// The spec's measurement-window length (`0.0` = to the end).
-    pub measure_s: f64,
 }
 
 impl RunOutcome {

@@ -15,9 +15,9 @@
 //!
 //! The observability layer leans on this same guarantee: `rig::obs` merges
 //! per-run snapshots by walking the returned `Vec` in order, so the merged
-//! counters, histograms and labelled event logs are in deterministic spec
-//! order — and therefore bit-identical across job counts — precisely
-//! because this function returns index-ordered results.
+//! counters and histograms fold in deterministic spec order — and are
+//! therefore bit-identical across job counts — precisely because this
+//! function returns index-ordered results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

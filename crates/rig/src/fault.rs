@@ -498,6 +498,34 @@ mod tests {
         TickClock::new(FlowMeterConfig::test_profile().control_period())
     }
 
+    /// The checkpoint codec rebuilds fault names through `intern_name`'s
+    /// own list; a kind missing there would make every checkpoint that
+    /// holds it fail to resume.
+    #[test]
+    fn every_fault_name_interns_to_itself() {
+        let kinds = [
+            FaultKind::AdcStuck { code: 0 },
+            FaultKind::AdcOffset { codes: 0 },
+            FaultKind::SupplyBrownout { fraction: 0.5 },
+            FaultKind::DacElementFail { span_loss: 0.1 },
+            FaultKind::EepromBitFlip { slot: 0, byte: 0 },
+            FaultKind::UartCorruption {
+                flip_per_byte: 0.0,
+                drop_per_byte: 0.0,
+            },
+            FaultKind::BubbleBurst { coverage: 0.1 },
+            FaultKind::SteppedFouling { microns: 1.0 },
+        ];
+        let mut names: Vec<&str> = kinds.iter().map(FaultKind::name).collect();
+        for &name in &names {
+            assert_eq!(FaultKind::intern_name(name), Some(name));
+        }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), kinds.len(), "two kinds share a name");
+        assert_eq!(FaultKind::intern_name("adc"), None);
+    }
+
     /// Onsets and ends move to the first 2-ms frame that starts at or
     /// after them; an impulse clears at its onset, whatever its window.
     #[test]

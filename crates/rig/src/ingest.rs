@@ -49,7 +49,7 @@ use crate::campaign::RunSpec;
 use crate::exec;
 use crate::fleet::FleetSpec;
 use crate::record::{HealthCensus, PolicyRecorder, RecordPolicy};
-use hotwire_core::{CoreError, HealthState, RecordDecodeStats, TelemetryRecord};
+use hotwire_core::{CoreError, HealthState, RecordDecodeStats, TelemetryRecord, TickClock};
 use hotwire_isif::uart::{FrameDecoder, FrameEvent, LinkStats};
 use std::collections::VecDeque;
 
@@ -102,13 +102,13 @@ impl Default for IngestConfig {
 impl IngestConfig {
     /// A config whose expected tick gap is derived from the fleet's sample
     /// cadence and control rate (the records of a healthy line are spaced
-    /// by one trace sample, i.e. `sample_period / control_dt` control
-    /// ticks).
+    /// by one trace sample, i.e. the sample period in whole control ticks,
+    /// rounded as the runner rounds it: [`TickClock::ticks_in`]).
     pub fn for_fleet(spec: &FleetSpec) -> Self {
-        let control_dt = spec.config.control_period().get();
-        let gap = (spec.sample_period_s / control_dt).round().max(1.0) as u32;
+        let clock = TickClock::new(spec.config.control_period());
+        let gap = clock.ticks_in(spec.sample_period_s);
         IngestConfig {
-            nominal_tick_gap: gap,
+            nominal_tick_gap: u32::try_from(gap).unwrap_or(u32::MAX),
             ..IngestConfig::default()
         }
     }

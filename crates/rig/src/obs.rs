@@ -366,7 +366,7 @@ impl Default for RunObs {
 }
 
 /// Campaign-wide merged observability: every run's counters and histogram
-/// folded in spec order, plus the concatenated labelled event logs.
+/// folded in spec order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsSnapshot {
     /// Runs that carried observability data.
@@ -375,9 +375,6 @@ pub struct ObsSnapshot {
     pub counters: Counters,
     /// Merged PI-output distribution.
     pub pi_output: Histogram,
-    /// Every run's events, labelled with the run's spec label, in spec
-    /// order then event order.
-    pub events: Vec<(String, ObsEvent)>,
 }
 
 impl Default for ObsSnapshot {
@@ -386,19 +383,16 @@ impl Default for ObsSnapshot {
             runs: 0,
             counters: Counters::default(),
             pi_output: pi_output_histogram(),
-            events: Vec::new(),
         }
     }
 }
 
 impl ObsSnapshot {
     /// Folds one run's observability data in, counting it as one run.
-    pub fn absorb_run(&mut self, label: &str, obs: &RunObs) {
+    pub fn absorb_run(&mut self, obs: &RunObs) {
         self.runs += 1;
         self.counters.merge(&obs.counters);
         self.pi_output.merge(&obs.pi_output);
-        self.events
-            .extend(obs.events.iter().map(|&e| (label.to_string(), e)));
     }
 }
 
@@ -413,7 +407,7 @@ pub fn merge_outcomes<'a>(outcomes: impl IntoIterator<Item = &'a RunOutcome>) ->
     let mut snapshot = ObsSnapshot::default();
     for outcome in outcomes {
         if let Some(obs) = &outcome.trace.obs {
-            snapshot.absorb_run(&outcome.label, obs);
+            snapshot.absorb_run(obs);
         }
     }
     snapshot
@@ -676,20 +670,15 @@ mod tests {
         let mut run_a = RunObs::default();
         run_a.counters.control_ticks = 10;
         run_a.pi_output.record(100);
-        run_a.events.push(event(1, EventKind::PiSaturationEnter));
         let mut run_b = RunObs::default();
         run_b.counters.control_ticks = 20;
-        run_b.events.push(event(2, EventKind::PiSaturationExit));
 
         let mut snap = ObsSnapshot::default();
-        snap.absorb_run("a", &run_a);
-        snap.absorb_run("b", &run_b);
+        snap.absorb_run(&run_a);
+        snap.absorb_run(&run_b);
         assert_eq!(snap.runs, 2);
         assert_eq!(snap.counters.control_ticks, 30);
         assert_eq!(snap.pi_output.total, 1);
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.events[0].0, "a");
-        assert_eq!(snap.events[1].0, "b");
     }
 
     #[test]

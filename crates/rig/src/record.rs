@@ -11,10 +11,10 @@
 //!   store with cheap per-channel slices and `partition_point` window
 //!   lookups (samples are time-ordered by construction);
 //! * [`RunReductions`] — streaming reducers: settled-window Welford
-//!   statistics, extra per-window Welfords, min/max/last, supply-code and
-//!   physics peaks, error statistics against truth, and a bounded
-//!   [`SeriesReducer`] window for rise-time analysis — everything the
-//!   experiments consume, computed in O(1) memory per sample;
+//!   statistics, extra per-window Welfords, the supply-code and bubble
+//!   peaks, fault and health counts, error statistics against truth, and a
+//!   bounded [`SeriesReducer`] window for rise-time analysis — everything
+//!   the experiments consume, computed in O(1) memory per sample;
 //! * [`CsvSink`] — renders rows as they arrive, without materializing.
 //!
 //! [`PolicyRecorder`] combines a [`TraceStore`] and [`RunReductions`]
@@ -216,11 +216,6 @@ impl TraceStore {
     /// The worst-heater bubble-coverage column (0..=1).
     pub fn bubble(&self) -> &[f64] {
         &self.bubble_coverage
-    }
-
-    /// The worst-heater fouling-thickness column (µm).
-    pub fn fouling(&self) -> &[f64] {
-        &self.fouling_um
     }
 
     /// The per-sample fault-flag column.
@@ -482,16 +477,10 @@ pub struct RunReductions {
     pub settled: Welford,
     /// DUT statistics over each of the plan's extra windows, in order.
     pub windows: Vec<Welford>,
-    /// Smallest DUT reading seen (`+∞` when no samples).
-    pub dut_min: f64,
-    /// Largest DUT reading seen (`−∞` when no samples).
-    pub dut_max: f64,
     /// Largest supply-DAC code commanded.
     pub supply_code_max: u32,
     /// Peak worst-heater bubble coverage (0..=1).
     pub bubble_peak: f64,
-    /// Peak worst-heater CaCO₃ thickness, µm.
-    pub fouling_peak: f64,
     /// Number of samples with any fault flag raised.
     pub fault_samples: u64,
     /// Per-[`HealthState`] sample census over the whole run.
@@ -502,8 +491,6 @@ pub struct RunReductions {
     pub err_max_abs: f64,
     err_sq_sum: f64,
     err_count: u64,
-    /// The last recorded sample, if any.
-    pub last: Option<TraceSample>,
 }
 
 impl RunReductions {
@@ -515,18 +502,14 @@ impl RunReductions {
             samples: 0,
             settled: Welford::new(),
             windows,
-            dut_min: f64::INFINITY,
-            dut_max: f64::NEG_INFINITY,
             supply_code_max: 0,
             bubble_peak: 0.0,
-            fouling_peak: 0.0,
             fault_samples: 0,
             health_census: HealthCensus::default(),
             series: SeriesReducer::default(),
             err_max_abs: 0.0,
             err_sq_sum: 0.0,
             err_count: 0,
-            last: None,
         }
     }
 
@@ -563,11 +546,8 @@ impl Recorder for RunReductions {
                 w.push(s.dut_cm_s);
             }
         }
-        self.dut_min = self.dut_min.min(s.dut_cm_s);
-        self.dut_max = self.dut_max.max(s.dut_cm_s);
         self.supply_code_max = self.supply_code_max.max(s.supply_code);
         self.bubble_peak = self.bubble_peak.max(s.bubble_coverage);
-        self.fouling_peak = self.fouling_peak.max(s.fouling_um);
         self.fault_samples += u64::from(s.fault);
         self.health_census.record(s.health);
         if let Some((t0, t1)) = self.plan.series {
@@ -584,7 +564,6 @@ impl Recorder for RunReductions {
                 self.err_count += 1;
             }
         }
-        self.last = Some(*s);
     }
 }
 
@@ -732,7 +711,6 @@ mod tests {
         assert_eq!(red.err_rms().to_bits(), rms.to_bits());
         assert_eq!(red.err_count(), pairs.len() as u64);
         assert_eq!(red.samples, samples.len() as u64);
-        assert_eq!(red.last, samples.last().copied());
     }
 
     #[test]

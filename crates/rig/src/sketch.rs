@@ -23,9 +23,8 @@
 //! Because bucketization is monotone, the rank walk lands in the bucket
 //! that contains the true nearest-rank value, so the sketch's
 //! nearest-rank quantile carries the same α bound (pinned by proptest
-//! against the exact fold). Magnitudes outside
-//! `[`[`MIN_MAGNITUDE`]`, `[`MAX_MAGNITUDE`]`]` clamp to the edge
-//! buckets; the tracked min/max stay exact regardless.
+//! against the exact fold). Magnitudes outside `[1e-9, 1e9]` clamp to the
+//! edge buckets; the tracked min/max stay exact regardless.
 //!
 //! # NaN
 //!
@@ -40,14 +39,6 @@ use crate::fleet::Percentiles;
 
 /// Geometric bucket ratio. `α = (γ−1)/(γ+1) ≈ 0.0099`.
 pub const GAMMA: f64 = 1.02;
-
-/// Smallest magnitude resolved by its own bucket; below this (but
-/// non-zero) values clamp into the lowest bucket.
-pub const MIN_MAGNITUDE: f64 = 1e-9;
-
-/// Largest magnitude resolved by its own bucket; above this values clamp
-/// into the highest bucket.
-pub const MAX_MAGNITUDE: f64 = 1e9;
 
 /// A deterministic mergeable quantile sketch over `f64` values.
 ///
@@ -70,7 +61,8 @@ pub struct QuantileSketch {
     max: f64,
 }
 
-/// Bucket key bound matching [`MAX_MAGNITUDE`] (`ceil(log_γ 1e9)`).
+/// Bucket key bound: `ceil(log_γ 1e9)`, so magnitudes above 1e9 (and
+/// non-zero ones below 1e-9) clamp into the edge buckets.
 const MAX_KEY: i32 = 1047;
 
 // Bit-exact equality: the empty sketch carries `NaN` extrema, which the
@@ -93,7 +85,7 @@ impl Eq for QuantileSketch {}
 
 impl QuantileSketch {
     /// Guaranteed relative error of a quantile query for magnitudes within
-    /// `[MIN_MAGNITUDE, MAX_MAGNITUDE]`: `(γ−1)/(γ+1)`.
+    /// `[1e-9, 1e9]`: `(γ−1)/(γ+1)`.
     pub const RELATIVE_ERROR: f64 = (GAMMA - 1.0) / (GAMMA + 1.0);
 
     /// An empty sketch.

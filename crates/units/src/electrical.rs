@@ -1,4 +1,4 @@
-//! Electrical quantities: resistance, voltage, current, power, capacitance.
+//! Electrical quantities: resistance, voltage, current, power.
 
 quantity! {
     /// Electrical resistance in ohms (Ω).
@@ -33,11 +33,6 @@ quantity! {
     Watts, "W"
 }
 
-quantity! {
-    /// Capacitance in farads (F).
-    Farads, "F"
-}
-
 relation!(Volts / Ohms = Amps);
 relation!(Watts / Volts = Amps);
 
@@ -59,6 +54,12 @@ impl Watts {
     pub fn from_voltage_across(voltage: Volts, resistance: Ohms) -> Self {
         Watts::new(voltage.get() * voltage.get() / resistance.get())
     }
+
+    /// Returns the value in milliwatts.
+    #[inline]
+    pub fn to_milliwatts(self) -> f64 {
+        self.get() * 1e3
+    }
 }
 
 impl Volts {
@@ -66,34 +67,6 @@ impl Volts {
     #[inline]
     pub fn from_millivolts(mv: f64) -> Self {
         Volts::new(mv * 1e-3)
-    }
-
-    /// Returns the value in millivolts.
-    #[inline]
-    pub fn to_millivolts(self) -> f64 {
-        self.get() * 1e3
-    }
-}
-
-impl Amps {
-    /// Converts milliamperes to amperes.
-    #[inline]
-    pub fn from_milliamps(ma: f64) -> Self {
-        Amps::new(ma * 1e-3)
-    }
-}
-
-impl Watts {
-    /// Converts milliwatts to watts.
-    #[inline]
-    pub fn from_milliwatts(mw: f64) -> Self {
-        Watts::new(mw * 1e-3)
-    }
-
-    /// Returns the value in milliwatts.
-    #[inline]
-    pub fn to_milliwatts(self) -> f64 {
-        self.get() * 1e3
     }
 }
 
@@ -154,9 +127,7 @@ mod tests {
     #[test]
     fn milli_conversions() {
         assert!((Volts::from_millivolts(1500.0).get() - 1.5).abs() < 1e-12);
-        assert!((Volts::new(1.5).to_millivolts() - 1500.0).abs() < 1e-9);
-        assert!((Amps::from_milliamps(20.0).get() - 0.02).abs() < 1e-12);
-        assert!((Watts::from_milliwatts(250.0).get() - 0.25).abs() < 1e-12);
+        assert!((Watts::new(0.25).to_milliwatts() - 250.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Flow and hydraulic quantities: velocity, length, pressure, volume flow.
+//! Flow and hydraulic quantities: velocity, length, pressure.
 
 use crate::Seconds;
 
@@ -18,11 +18,6 @@ quantity! {
 }
 
 quantity! {
-    /// Flow speed in centimetres per second (cm/s) — the paper's unit.
-    CentimetersPerSecond, "cm/s"
-}
-
-quantity! {
     /// Length in metres (m).
     Meters, "m"
 }
@@ -30,16 +25,6 @@ quantity! {
 quantity! {
     /// Pressure in pascals (Pa).
     Pascals, "Pa"
-}
-
-quantity! {
-    /// Pressure in bar (1 bar = 100 kPa) — the paper's unit for line pressure.
-    Bar, "bar"
-}
-
-quantity! {
-    /// Volume flow in litres per minute (L/min).
-    LitersPerMinute, "L/min"
 }
 
 relation!(Meters / Seconds = MetersPerSecond);
@@ -56,69 +41,14 @@ impl MetersPerSecond {
     pub fn to_cm_per_s(self) -> f64 {
         self.get() * 1e2
     }
-
-    /// Converts to the [`CentimetersPerSecond`] newtype.
-    #[inline]
-    pub fn to_centimeters_per_second(self) -> CentimetersPerSecond {
-        CentimetersPerSecond::new(self.to_cm_per_s())
-    }
-}
-
-impl CentimetersPerSecond {
-    /// Converts to the canonical [`MetersPerSecond`] newtype.
-    #[inline]
-    pub fn to_meters_per_second(self) -> MetersPerSecond {
-        MetersPerSecond::from_cm_per_s(self.get())
-    }
-}
-
-impl From<CentimetersPerSecond> for MetersPerSecond {
-    #[inline]
-    fn from(v: CentimetersPerSecond) -> Self {
-        v.to_meters_per_second()
-    }
-}
-
-impl From<MetersPerSecond> for CentimetersPerSecond {
-    #[inline]
-    fn from(v: MetersPerSecond) -> Self {
-        v.to_centimeters_per_second()
-    }
 }
 
 impl Pascals {
-    /// Builds a pressure from bar.
+    /// Builds a pressure from bar (1 bar = 100 kPa), the paper's unit for
+    /// line pressure.
     #[inline]
     pub fn from_bar(bar: f64) -> Self {
         Pascals::new(bar * 1e5)
-    }
-
-    /// Returns the value in bar.
-    #[inline]
-    pub fn to_bar(self) -> Bar {
-        Bar::new(self.get() * 1e-5)
-    }
-}
-
-impl Bar {
-    /// Converts to the canonical [`Pascals`] newtype.
-    #[inline]
-    pub fn to_pascals(self) -> Pascals {
-        Pascals::from_bar(self.get())
-    }
-}
-
-impl From<Bar> for Pascals {
-    #[inline]
-    fn from(p: Bar) -> Self {
-        p.to_pascals()
-    }
-}
-
-impl From<Pascals> for Bar {
-    #[inline]
-    fn from(p: Pascals) -> Self {
-        p.to_bar()
     }
 }
 
@@ -134,33 +64,6 @@ impl Meters {
     pub fn from_micrometers(um: f64) -> Self {
         Meters::new(um * 1e-6)
     }
-
-    /// Returns the value in millimetres.
-    #[inline]
-    pub fn to_millimeters(self) -> f64 {
-        self.get() * 1e3
-    }
-}
-
-impl LitersPerMinute {
-    /// Volume flow through a circular pipe of the given inner diameter at the
-    /// given mean velocity.
-    ///
-    /// ```
-    /// use hotwire_units::{LitersPerMinute, Meters, MetersPerSecond};
-    /// let q = LitersPerMinute::from_pipe_velocity(
-    ///     Meters::from_millimeters(50.0),
-    ///     MetersPerSecond::new(1.0),
-    /// );
-    /// // A = π·0.025² ≈ 1.963e-3 m², Q = 1.963e-3 m³/s ≈ 117.8 L/min
-    /// assert!((q.get() - 117.8).abs() < 0.1);
-    /// ```
-    pub fn from_pipe_velocity(inner_diameter: Meters, mean_velocity: MetersPerSecond) -> Self {
-        let radius = inner_diameter.get() / 2.0;
-        let area = core::f64::consts::PI * radius * radius;
-        let m3_per_s = area * mean_velocity.get();
-        LitersPerMinute::new(m3_per_s * 1000.0 * 60.0)
-    }
 }
 
 #[cfg(test)]
@@ -172,27 +75,18 @@ mod tests {
         let v = MetersPerSecond::from_cm_per_s(250.0);
         assert!((v.get() - 2.5).abs() < 1e-12);
         assert!((v.to_cm_per_s() - 250.0).abs() < 1e-9);
-        let c: CentimetersPerSecond = v.into();
-        assert!((c.get() - 250.0).abs() < 1e-9);
-        let back: MetersPerSecond = c.into();
-        assert!((back.get() - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn pressure_unit_conversions() {
         let p = Pascals::from_bar(3.0);
         assert!((p.get() - 3.0e5).abs() < 1e-6);
-        let b: Bar = p.into();
-        assert!((b.get() - 3.0).abs() < 1e-12);
-        let p2: Pascals = Bar::new(7.0).into();
-        assert!((p2.get() - 7.0e5).abs() < 1e-6);
     }
 
     #[test]
     fn length_conversions() {
         assert!((Meters::from_millimeters(2.0).get() - 2e-3).abs() < 1e-15);
         assert!((Meters::from_micrometers(2.0).get() - 2e-6).abs() < 1e-18);
-        assert!((Meters::new(0.05).to_millimeters() - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -201,15 +95,5 @@ mod tests {
         assert_eq!(d.get(), 6.0);
         let v: MetersPerSecond = Meters::new(6.0) / Seconds::new(3.0);
         assert_eq!(v.get(), 2.0);
-    }
-
-    #[test]
-    fn pipe_volume_flow() {
-        let q = LitersPerMinute::from_pipe_velocity(
-            Meters::from_millimeters(100.0),
-            MetersPerSecond::new(0.5),
-        );
-        // A = π·0.05² = 7.853981e-3 m²; Q = 3.92699e-3 m³/s = 235.62 L/min
-        assert!((q.get() - 235.62).abs() < 0.05);
     }
 }

@@ -42,9 +42,7 @@ mod flow;
 mod thermal;
 mod time;
 
-pub use electrical::{Amps, Farads, Ohms, Volts, Watts};
-pub use flow::{Bar, CentimetersPerSecond, LitersPerMinute, Meters, MetersPerSecond, Pascals};
-pub use thermal::{
-    Celsius, HeatCapacity, Kelvin, KelvinDelta, ThermalConductance, ThermalResistance,
-};
+pub use electrical::{Amps, Ohms, Volts, Watts};
+pub use flow::{Meters, MetersPerSecond, Pascals};
+pub use thermal::{Celsius, HeatCapacity, KelvinDelta, ThermalConductance, ThermalResistance};
 pub use time::{Hertz, Seconds};

@@ -39,27 +39,6 @@ quantity! {
 relation!(Watts / KelvinDelta = ThermalConductance);
 relation!(HeatCapacity / ThermalConductance = Seconds);
 
-impl ThermalConductance {
-    /// The reciprocal thermal resistance.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic, but returns an infinite resistance for zero
-    /// conductance.
-    #[inline]
-    pub fn to_resistance(self) -> ThermalResistance {
-        ThermalResistance::new(1.0 / self.get())
-    }
-}
-
-impl ThermalResistance {
-    /// The reciprocal thermal conductance.
-    #[inline]
-    pub fn to_conductance(self) -> ThermalConductance {
-        ThermalConductance::new(1.0 / self.get())
-    }
-}
-
 /// A temperature point on the Celsius scale (°C).
 ///
 /// ```
@@ -77,9 +56,6 @@ impl ThermalResistance {
 pub struct Celsius(f64);
 
 impl Celsius {
-    /// 0 °C.
-    pub const ZERO: Self = Self(0.0);
-
     /// Wraps a raw value in degrees Celsius.
     #[inline]
     pub const fn new(value: f64) -> Self {
@@ -90,52 +66,6 @@ impl Celsius {
     #[inline]
     pub const fn get(self) -> f64 {
         self.0
-    }
-
-    /// Converts to the Kelvin scale.
-    #[inline]
-    pub fn to_kelvin(self) -> Kelvin {
-        Kelvin::new(self.0 + 273.15)
-    }
-
-    /// Clamps the temperature into `[lo, hi]`.
-    #[inline]
-    pub fn clamp(self, lo: Self, hi: Self) -> Self {
-        Self(self.0.clamp(lo.0, hi.0))
-    }
-
-    /// Returns `true` if the value is finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
-    }
-}
-
-/// A temperature point on the Kelvin scale (K).
-#[derive(
-    Debug, Clone, Copy, PartialEq, PartialOrd, Default, serde::Serialize, serde::Deserialize,
-)]
-#[repr(transparent)]
-#[serde(transparent)]
-pub struct Kelvin(f64);
-
-impl Kelvin {
-    /// Wraps a raw value in kelvin.
-    #[inline]
-    pub const fn new(value: f64) -> Self {
-        Self(value)
-    }
-
-    /// Returns the raw value in kelvin.
-    #[inline]
-    pub const fn get(self) -> f64 {
-        self.0
-    }
-
-    /// Converts to the Celsius scale.
-    #[inline]
-    pub fn to_celsius(self) -> Celsius {
-        Celsius::new(self.0 - 273.15)
     }
 }
 
@@ -170,22 +100,6 @@ impl core::ops::AddAssign<KelvinDelta> for Celsius {
     }
 }
 
-impl core::ops::Sub for Kelvin {
-    type Output = KelvinDelta;
-    #[inline]
-    fn sub(self, rhs: Self) -> KelvinDelta {
-        KelvinDelta::new(self.0 - rhs.0)
-    }
-}
-
-impl core::ops::Add<KelvinDelta> for Kelvin {
-    type Output = Kelvin;
-    #[inline]
-    fn add(self, rhs: KelvinDelta) -> Kelvin {
-        Kelvin::new(self.0 + rhs.get())
-    }
-}
-
 impl core::fmt::Display for Celsius {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         if let Some(precision) = f.precision() {
@@ -196,27 +110,9 @@ impl core::fmt::Display for Celsius {
     }
 }
 
-impl core::fmt::Display for Kelvin {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        if let Some(precision) = f.precision() {
-            write!(f, "{:.*} K", precision, self.0)
-        } else {
-            write!(f, "{} K", self.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn celsius_kelvin_round_trip() {
-        let c = Celsius::new(15.0);
-        let k = c.to_kelvin();
-        assert!((k.get() - 288.15).abs() < 1e-12);
-        assert!((k.to_celsius().get() - 15.0).abs() < 1e-12);
-    }
 
     #[test]
     fn affine_arithmetic() {
@@ -229,22 +125,6 @@ mod tests {
         let mut t = fluid;
         t += KelvinDelta::new(5.0);
         assert_eq!(t.get(), 20.0);
-    }
-
-    #[test]
-    fn kelvin_point_arithmetic() {
-        let a = Kelvin::new(300.0);
-        let b = Kelvin::new(290.0);
-        assert_eq!((a - b).get(), 10.0);
-        assert_eq!((b + KelvinDelta::new(10.0)).get(), 300.0);
-    }
-
-    #[test]
-    fn conductance_resistance_reciprocal() {
-        let g = ThermalConductance::new(2.0e-3);
-        let r = g.to_resistance();
-        assert!((r.get() - 500.0).abs() < 1e-9);
-        assert!((r.to_conductance().get() - 2.0e-3).abs() < 1e-15);
     }
 
     #[test]
@@ -268,7 +148,6 @@ mod tests {
     #[test]
     fn displays() {
         assert_eq!(format!("{:.1}", Celsius::new(15.04)), "15.0 °C");
-        assert_eq!(format!("{:.0}", Kelvin::new(288.15)), "288 K");
         assert_eq!(format!("{:.1}", KelvinDelta::new(20.0)), "20.0 K");
     }
 }

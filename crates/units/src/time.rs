@@ -16,24 +16,6 @@ impl Seconds {
     pub fn from_millis(ms: f64) -> Self {
         Seconds::new(ms * 1e-3)
     }
-
-    /// Builds a duration from microseconds.
-    #[inline]
-    pub fn from_micros(us: f64) -> Self {
-        Seconds::new(us * 1e-6)
-    }
-
-    /// Returns the value in milliseconds.
-    #[inline]
-    pub fn to_millis(self) -> f64 {
-        self.get() * 1e3
-    }
-
-    /// The frequency whose period is this duration (`f = 1/T`).
-    #[inline]
-    pub fn to_frequency(self) -> Hertz {
-        Hertz::new(1.0 / self.get())
-    }
 }
 
 impl Hertz {
@@ -41,12 +23,6 @@ impl Hertz {
     #[inline]
     pub fn from_kilohertz(khz: f64) -> Self {
         Hertz::new(khz * 1e3)
-    }
-
-    /// Builds a frequency from megahertz.
-    #[inline]
-    pub fn from_megahertz(mhz: f64) -> Self {
-        Hertz::new(mhz * 1e6)
     }
 
     /// The period of one cycle (`T = 1/f`).
@@ -65,14 +41,10 @@ mod tests {
         let f = Hertz::from_kilohertz(256.0);
         let t = f.period();
         assert!((t.get() - 1.0 / 256_000.0).abs() < 1e-18);
-        assert!((t.to_frequency().get() - 256_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn sub_second_conversions() {
         assert!((Seconds::from_millis(2.5).get() - 2.5e-3).abs() < 1e-15);
-        assert!((Seconds::from_micros(4.0).get() - 4.0e-6).abs() < 1e-18);
-        assert!((Seconds::new(0.25).to_millis() - 250.0).abs() < 1e-9);
-        assert!((Hertz::from_megahertz(1.0).get() - 1e6).abs() < 1e-6);
     }
 }

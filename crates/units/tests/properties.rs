@@ -3,7 +3,7 @@
 //! dimensional relations must be self-consistent.
 
 use hotwire_units::{
-    Amps, Bar, Celsius, Hertz, KelvinDelta, MetersPerSecond, Ohms, Pascals, Seconds, Volts, Watts,
+    Amps, Celsius, Hertz, KelvinDelta, MetersPerSecond, Ohms, Seconds, Volts, Watts,
 };
 use proptest::prelude::*;
 
@@ -64,8 +64,6 @@ proptest! {
         let delta = KelvinDelta::new(d);
         prop_assert!((((point + delta) - point).get() - d).abs() <= 1e-9);
         prop_assert!(((point + delta) - delta - point).get().abs() <= 1e-9);
-        // Celsius→Kelvin→Celsius round-trip.
-        prop_assert!((point.to_kelvin().to_celsius().get() - t).abs() <= 1e-9);
     }
 
     #[test]
@@ -76,18 +74,9 @@ proptest! {
     }
 
     #[test]
-    fn pressure_bar_round_trip(p in 0.0f64..1.0e7) {
-        let pa = Pascals::new(p);
-        let bar: Bar = pa.into();
-        let back: Pascals = bar.into();
-        prop_assert!((back - pa).abs().get() <= 1e-6 * (1.0 + p));
-    }
-
-    #[test]
     fn frequency_period_round_trip(f in 1.0e-3f64..1.0e9) {
-        let hz = Hertz::new(f);
-        let back = hz.period().to_frequency();
-        prop_assert!((back - hz).abs().get() <= 1e-9 * f);
+        let back = 1.0 / Hertz::new(f).period().get();
+        prop_assert!((back - f).abs() <= 1e-9 * f);
     }
 
     #[test]

