@@ -10,6 +10,41 @@
 use crate::error::{ensure_in_range, ensure_positive};
 use crate::AfeError;
 use hotwire_units::Volts;
+use std::sync::OnceLock;
+
+/// The narrowest supported resolution, in bits.
+const MIN_BITS: u32 = 4;
+/// The widest supported resolution, in bits.
+const MAX_BITS: u32 = 14;
+
+#[allow(clippy::declare_interior_mutable_const)] // only an array initialiser
+const UNBUILT: OnceLock<Box<[f64]>> = OnceLock::new();
+
+/// One running-sum table per supported width, built on first use and shared
+/// by every DAC of that width.
+static TABLES: [OnceLock<Box<[f64]>>; (MAX_BITS - MIN_BITS + 1) as usize] =
+    [UNBUILT; (MAX_BITS - MIN_BITS + 1) as usize];
+
+/// The output fraction of every code of a `bits`-wide DAC, `table[c]` for
+/// code `c`. Each element switches in one equal share of full scale, and
+/// the table is the running sum of those shares, not `code × share`: the
+/// two differ in the last bit at most 12-bit codes, and the pinned digests
+/// hold the sum's. The sum depends on the width alone, so it is built once
+/// per width.
+fn running_sum(bits: u32) -> &'static [f64] {
+    TABLES[(bits - MIN_BITS) as usize].get_or_init(|| {
+        let elements = (1usize << bits) - 1;
+        let share = 1.0 / elements as f64;
+        let mut cumulative = Vec::with_capacity(elements + 1);
+        cumulative.push(0.0);
+        let mut acc = 0.0;
+        for _ in 0..elements {
+            acc += share;
+            cumulative.push(acc);
+        }
+        cumulative.into_boxed_slice()
+    })
+}
 
 /// An ideal thermometer-coded DAC.
 ///
@@ -28,8 +63,8 @@ pub struct ThermometerDac {
     bits: u32,
     vref: Volts,
     /// Cumulative element weights, pre-summed: `cumulative[c]` = output
-    /// fraction at code `c`.
-    cumulative: Vec<f64>,
+    /// fraction at code `c` (the width's shared [`running_sum`]).
+    cumulative: &'static [f64],
 }
 
 impl ThermometerDac {
@@ -41,25 +76,12 @@ impl ThermometerDac {
     /// Returns [`AfeError`] for unsupported bit widths (4..=14) or a
     /// non-positive reference.
     pub fn ideal(bits: u32, vref: Volts) -> Result<Self, AfeError> {
-        ensure_in_range("bits", bits as f64, 4.0, 14.0)?;
+        ensure_in_range("bits", bits as f64, MIN_BITS as f64, MAX_BITS as f64)?;
         ensure_positive("vref", vref.get())?;
-        let elements = (1usize << bits) - 1;
-        // Each element switches in one equal share of full scale. The table
-        // is the running sum of those shares, not `code × share`: the two
-        // differ in the last bit at most 12-bit codes, and the pinned
-        // digests hold the sum's.
-        let share = 1.0 / elements as f64;
-        let mut cumulative = Vec::with_capacity(elements + 1);
-        cumulative.push(0.0);
-        let mut acc = 0.0;
-        for _ in 0..elements {
-            acc += share;
-            cumulative.push(acc);
-        }
         Ok(ThermometerDac {
             bits,
             vref,
-            cumulative,
+            cumulative: running_sum(bits),
         })
     }
 
@@ -82,6 +104,7 @@ impl ThermometerDac {
     }
 
     /// Converts a code to the output voltage. Codes above full scale clamp.
+    #[inline]
     pub fn convert(&self, code: u32) -> Volts {
         let c = (code.min(self.max_code())) as usize;
         self.vref * self.cumulative[c]
@@ -107,6 +130,30 @@ mod tests {
         for code in 0..=dac.max_code() {
             let err = dac.convert(code).get() - 2.0 * code as f64 / n;
             assert!(err.abs() < 1e-12, "code {code}: {err}");
+        }
+    }
+
+    /// Every width's shared table is the running sum summed afresh, bit
+    /// for bit, and DACs of one width share it whatever their reference.
+    #[test]
+    fn shared_tables_equal_a_fresh_running_sum() {
+        for bits in MIN_BITS..=MAX_BITS {
+            let elements = (1usize << bits) - 1;
+            let share = 1.0 / elements as f64;
+            let mut fresh = vec![0.0_f64];
+            let mut acc = 0.0;
+            for _ in 0..elements {
+                acc += share;
+                fresh.push(acc);
+            }
+            let dac = ThermometerDac::ideal(bits, Volts::new(5.0)).unwrap();
+            let bits_of = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits_of(dac.cumulative), bits_of(&fresh), "{bits} bits");
+            let other = ThermometerDac::ideal(bits, Volts::new(1.25)).unwrap();
+            assert!(
+                std::ptr::eq(dac.cumulative, other.cumulative),
+                "{bits} bits"
+            );
         }
     }
 

@@ -225,6 +225,7 @@ impl InstrumentationAmp {
     /// pole dynamics. The fast AFE tier uses this to map a quasi-static
     /// bridge voltage straight to the output level the full chain would
     /// settle to.
+    #[inline]
     pub fn dc_output(&self, v_diff: Volts, chip_overtemp_k: f64, noise: f64) -> Volts {
         let offset =
             self.config.input_offset.get() + self.config.offset_drift_per_k * chip_overtemp_k;

@@ -6,14 +6,12 @@
 //! cannot settle in 2 s, so burst firmware conditions differently: it lets
 //! the CTA loop settle (tens of milliseconds — the thermal loop is fast),
 //! then *boxcar-averages* the instantaneous King decode over the remainder
-//! of the burst. This module implements that schedule and accounts for the
-//! energy each burst costs.
+//! of the burst. This module implements that schedule.
 
 use crate::flow_meter::FlowMeter;
-use crate::meter::Meter;
 use crate::CoreError;
 use hotwire_physics::SensorEnvironment;
-use hotwire_units::{MetersPerSecond, Seconds, Watts};
+use hotwire_units::{MetersPerSecond, Seconds};
 
 /// Burst schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -22,20 +20,17 @@ pub struct BurstConfig {
     pub settle: Seconds,
     /// Averaging window after settling.
     pub measure: Seconds,
-    /// Electronics draw while awake, on top of the bridge power.
-    pub electronics_active: Watts,
 }
 
 impl BurstConfig {
-    /// The §7 profile: 0.3 s settle + 0.7 s averaging (a 1 s burst) and
-    /// 12 mW awake electronics. The CTA loop settles in tens of
-    /// milliseconds, so a 1 s burst is generous; keeping it short matters
-    /// because the two driven bridges burn ~150 mW while awake.
+    /// The §7 profile: 0.3 s settle + 0.7 s averaging (a 1 s burst). The
+    /// CTA loop settles in tens of milliseconds, so a 1 s burst is
+    /// generous; keeping it short matters because the two driven bridges
+    /// burn ~150 mW while awake.
     pub fn asic_default() -> Self {
         BurstConfig {
             settle: Seconds::new(0.3),
             measure: Seconds::new(0.7),
-            electronics_active: Watts::new(0.012),
         }
     }
 
@@ -65,13 +60,6 @@ impl Default for BurstConfig {
 pub struct BurstReading {
     /// Boxcar-averaged speed over the measurement window.
     pub speed: MetersPerSecond,
-    /// Standard deviation of the instantaneous decode inside the window
-    /// (turbulence + noise at full bandwidth).
-    pub spread: MetersPerSecond,
-    /// Energy consumed by the burst (bridges + awake electronics), joules.
-    pub energy_j: f64,
-    /// Burst duration.
-    pub duration: Seconds,
 }
 
 /// Burst-mode wrapper around a [`FlowMeter`].
@@ -100,34 +88,15 @@ impl BurstController {
 
     /// Executes one wake→settle→measure→sleep burst at the given
     /// environment and returns the reading. Each window runs the whole
-    /// control frames it holds, each frame costing the bridge power in force
-    /// when it starts; panics as [`FlowMeter::run`] does.
+    /// control frames it holds; panics as [`FlowMeter::run`] does.
     pub fn measure_once(&mut self, env: SensorEnvironment) -> BurstReading {
-        let frame_s = self.meter.control_period().get();
-        let mut power = self.meter.power_draw().get();
-        let mut energy = 0.0;
-        self.meter.drive(self.config.settle.get(), env, |meter| {
-            energy += power * frame_s;
-            power = meter.power_draw().get();
-        });
+        self.meter.drive(self.config.settle.get(), env, |_| {});
         let mut sum = 0.0;
-        let mut sum2 = 0.0;
         let n = self.meter.drive(self.config.measure.get(), env, |meter| {
-            energy += power * frame_s;
-            power = meter.power_draw().get();
-            let v = meter.instantaneous_speed().get();
-            sum += v;
-            sum2 += v * v;
+            sum += meter.instantaneous_speed().get();
         });
-        let duration = self.config.settle + self.config.measure;
-        energy += self.config.electronics_active.get() * duration.get();
-        let mean = sum / n.max(1) as f64;
-        let var = (sum2 / n.max(1) as f64 - mean * mean).max(0.0);
         BurstReading {
-            speed: MetersPerSecond::new(mean),
-            spread: MetersPerSecond::new(var.sqrt()),
-            energy_j: energy,
-            duration,
+            speed: MetersPerSecond::new(sum / n.max(1) as f64),
         }
     }
 }
@@ -136,6 +105,7 @@ impl BurstController {
 mod tests {
     use super::*;
     use crate::config::FlowMeterConfig;
+    use crate::meter::Meter;
     use hotwire_physics::MafParams;
 
     fn controller() -> BurstController {
@@ -160,21 +130,6 @@ mod tests {
             (cm - 100.0).abs() < 20.0,
             "2 s burst read {cm:.1} cm/s at 100 true"
         );
-        assert!(reading.spread.get() >= 0.0);
-    }
-
-    #[test]
-    fn burst_energy_is_tens_of_millijoules() {
-        let mut c = controller();
-        let reading = c.measure_once(env(100.0));
-        // ~1 s × (two bridges ~150 mW + 12 mW electronics) → 0.1–0.25 J.
-        assert!(
-            (0.05..0.3).contains(&reading.energy_j),
-            "burst energy {} J",
-            reading.energy_j
-        );
-        let avg = reading.energy_j / reading.duration.get();
-        assert!((0.05..0.3).contains(&avg), "burst avg power {avg} W");
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::pulsed::{PulsePhase, PulsedScheduler};
 use crate::CoreError;
 use hotwire_afe::bridge::BridgeConfig;
 use hotwire_afe::ThermometerDac;
+use hotwire_dsp::fix::{round_i64, saturate_i32};
 use hotwire_isif::channel::{ChannelConfig, InputChannel};
 use hotwire_isif::IsifPlatform;
 use hotwire_physics::kings_law::KingsLaw;
@@ -265,10 +266,13 @@ pub struct FlowMeter {
     /// Supply code held across pulsed-off phases.
     last_on_code: u32,
     last_measurement: Option<Undecoded>,
-    /// Conductance from the most recent *valid* (settled, driven) control
-    /// tick — what calibration and burst averaging consume. Pulsed-off
-    /// phases hold the previous value instead of reading a dead bridge.
-    instant_conductance: ThermalConductance,
+    /// The supply voltage and fluid estimate of the most recent *valid*
+    /// (settled, driven) CT control tick, from which
+    /// [`instantaneous_conductance`](Self::instantaneous_conductance) —
+    /// what calibration and burst averaging consume — is evaluated where
+    /// it is read. Pulsed-off phases hold the previous tick's instead of
+    /// reading a dead bridge; `None` before the first.
+    instant_drive: Option<(Volts, Celsius)>,
     fault_latch: FaultFlags,
     /// Control ticks to ignore for fault latching (startup transient).
     fault_warmup_ticks: u64,
@@ -422,7 +426,7 @@ impl FlowMeter {
             volts_per_code: volts_per_code.get(),
             last_on_code: config.supply_code_min,
             last_measurement: None,
-            instant_conductance: ThermalConductance::ZERO,
+            instant_drive: None,
             fault_latch: FaultFlags::default(),
             fault_warmup_ticks: clock.ticks_in(3.0),
             settled_streak: 0,
@@ -651,9 +655,11 @@ impl FlowMeter {
 
     /// The fast-tier frame: one bridge solve pair, one coarse die step
     /// spanning the frame (exponential Euler is exact for constant drive),
-    /// and one quasi-static DC code per channel. Each `dc_code` call draws
-    /// one noise sample, so codes stay dithered and the frozen-code watchdog
-    /// discriminator still sees a live front end.
+    /// and one quasi-static DC code per channel. Each code carries one noise
+    /// sample, so codes stay dithered and the frozen-code watchdog
+    /// discriminator still sees a live front end: after the die step one
+    /// batch draws the six normals in the order three `dc_code` calls
+    /// would — direction, temperature, control, each white then flicker.
     fn step_frame_fast(&mut self, env: SensorEnvironment) -> Undecoded {
         let supply = self.platform.supply_voltage();
         let rh_a = self.die.heater_resistance(HeaterId::A);
@@ -674,29 +680,25 @@ impl FlowMeter {
         let temp_diff = out_a.reference_mid - supply * self.ref_ratio_cal;
         let overtemp = env.fluid_temperature.get() - 25.0;
 
-        let dir_code = {
-            let chan = self
-                .platform
-                .channel_mut(DIR_CHANNEL)
-                .expect("configured in new()");
-            chan.dc_code(dir_diff, overtemp, &mut self.rng)
-        };
-        self.last_dir_code = dir_code;
-        let temp_code = {
-            let chan = self
-                .platform
-                .channel_mut(TEMP_CHANNEL)
-                .expect("configured in new()");
-            chan.dc_code(temp_diff, overtemp, &mut self.rng)
-        };
-        self.last_temp_code = temp_code;
-        let code = {
-            let chan = self
-                .platform
-                .channel_mut(CTRL_CHANNEL)
-                .expect("configured in new()");
-            chan.dc_code(ctrl_diff, overtemp, &mut self.rng)
-        };
+        let mut normals = [0.0; NORMALS_PER_TICK];
+        StandardNormal::fill(&mut self.rng, &mut normals);
+        let [dir_white, dir_flicker, temp_white, temp_flicker, ctrl_white, ctrl_flicker] = normals;
+        let dir = self
+            .platform
+            .channel_mut(DIR_CHANNEL)
+            .expect("configured in new()");
+        self.last_dir_code = dir.dc_code_from_normals(dir_diff, overtemp, dir_white, dir_flicker);
+        let temp = self
+            .platform
+            .channel_mut(TEMP_CHANNEL)
+            .expect("configured in new()");
+        self.last_temp_code =
+            temp.dc_code_from_normals(temp_diff, overtemp, temp_white, temp_flicker);
+        let ctrl = self
+            .platform
+            .channel_mut(CTRL_CHANNEL)
+            .expect("configured in new()");
+        let code = ctrl.dc_code_from_normals(ctrl_diff, overtemp, ctrl_white, ctrl_flicker);
         let code = match self.adc_fault {
             Some(fault) => fault.apply(code),
             None => code,
@@ -786,17 +788,13 @@ impl FlowMeter {
 
         // The fluid-temperature estimate and the instantaneous conductance
         // only update on trustworthy (settled, driven) ticks — pulse
-        // transients would poison them.
+        // transients would poison them. The conductance is evaluated where
+        // it is read; the tick keeps what it needs.
         if measure_now {
             self.update_fluid_estimate(supply);
             if self.config.mode == OperatingMode::ConstantTemperature {
                 let u = self.platform.supply_dac().convert(supply_code);
-                self.instant_conductance = if self.config.temperature_compensation {
-                    self.estimator
-                        .conductance_at_ambient(u, self.fluid_temperature_estimate())
-                } else {
-                    self.estimator.conductance(u)
-                };
+                self.instant_drive = Some((u, self.fluid_temperature_estimate()));
             }
         }
 
@@ -841,12 +839,7 @@ impl FlowMeter {
                     .platform
                     .supply_dac()
                     .convert(conditioned.clamp(0, SUPPLY_CODE_MAX) as u32);
-                let g = if self.config.temperature_compensation {
-                    self.estimator
-                        .conductance_at_ambient(u, self.fluid_temperature_estimate())
-                } else {
-                    self.estimator.conductance(u)
-                };
+                let g = self.supply_conductance(u, self.fluid_temperature_estimate());
                 (g, self.estimator.heater_power(u))
             }
             _ => {
@@ -873,7 +866,7 @@ impl FlowMeter {
         let direction = if measure_now {
             let u = supply.get().max(0.2);
             let metric = self.last_dir_code as f64 / u - self.dir_offset_per_volt;
-            self.direction.update(metric.round() as i32)
+            self.direction.update(saturate_i32(round_i64(metric)))
         } else {
             self.direction.direction()
         };
@@ -1006,11 +999,30 @@ impl FlowMeter {
         (frames > 0).then(|| self.last_measurement()).flatten()
     }
 
+    /// The wire-to-fluid conductance a CT supply voltage `u` implies, at
+    /// the fluid estimate `fluid` when the meter compensates for it.
+    fn supply_conductance(&self, u: Volts, fluid: Celsius) -> ThermalConductance {
+        if self.config.temperature_compensation {
+            self.estimator.conductance_at_ambient(u, fluid)
+        } else {
+            self.estimator.conductance(u)
+        }
+    }
+
+    /// The conductance the last settled CT tick's supply implied (zero
+    /// before one).
+    fn instant_conductance(&self) -> ThermalConductance {
+        self.instant_drive
+            .map_or(ThermalConductance::ZERO, |(u, fluid)| {
+                self.supply_conductance(u, fluid)
+            })
+    }
+
     /// The instantaneous (unconditioned) conductance implied by the present
     /// supply code — used by calibration, which averages externally.
     pub fn instantaneous_conductance(&self) -> ThermalConductance {
         match self.config.mode {
-            OperatingMode::ConstantTemperature => self.instant_conductance,
+            OperatingMode::ConstantTemperature => self.instant_conductance(),
             _ => self
                 .last_measurement
                 .map(|u| u.measurement.conductance)
@@ -1200,7 +1212,7 @@ impl FlowMeter {
             self.dir_offset_per_volt.to_bits(),
             self.fluid_temp_estimate.to_bits(),
             self.temp_estimate_offset.to_bits(),
-            self.instant_conductance.get().to_bits(),
+            self.instant_conductance().get().to_bits(),
             m.map_or(0, |m| m.velocity.get().to_bits()),
             m.map_or(0, |m| m.supply_code as u64),
             m.map_or(0, |m| m.conditioned_code as i64 as u64),
@@ -2285,6 +2297,13 @@ mod tests {
     #[test]
     fn supply_hooks_save_and_restore() {
         let mut m = meter(3);
+        let voltages = |m: &mut FlowMeter| {
+            let dac = m.platform_mut().supply_dac();
+            (0..=dac.max_code())
+                .map(|code| dac.convert(code).get().to_bits())
+                .collect::<Vec<_>>()
+        };
+        let nominal_codes = voltages(&mut m);
         let nominal = m.platform_mut().supply_dac().vref().get();
         let saved = m.degrade_supply(0.5);
         assert!(saved.is_some());
@@ -2292,6 +2311,7 @@ mod tests {
         assert!((sagged - nominal * 0.5).abs() < 1e-12);
         m.restore_supply(saved);
         assert_eq!(m.platform_mut().supply_dac().vref().get(), nominal);
+        assert_eq!(voltages(&mut m), nominal_codes, "every code's voltage");
         // The None case must leave the rail untouched (matches the
         // injector's historical `if let Some` revert).
         m.restore_supply(None);

@@ -21,10 +21,6 @@ use hotwire_units::{Celsius, Ohms, ThermalConductance, Volts, Watts};
 /// Firmware-side estimate of the wire's electrical/thermal state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireState {
-    /// Estimated heater resistance.
-    pub resistance: Ohms,
-    /// Estimated wire temperature (from the nominal RTD law).
-    pub temperature: Celsius,
     /// Estimated electrical power in the wire.
     pub power: Watts,
     /// Estimated wire-to-fluid conductance, using the *assumed* fluid
@@ -92,12 +88,7 @@ impl WireStateEstimator {
         } else {
             ThermalConductance::ZERO
         };
-        Some(WireState {
-            resistance: rh,
-            temperature,
-            power,
-            conductance,
-        })
+        Some(WireState { power, conductance })
     }
 }
 
@@ -195,32 +186,27 @@ mod tests {
     #[test]
     fn estimator_recovers_balanced_state() {
         let (cfg, _bridge, rh_star, est) = setup();
-        // At balance the code is zero and the wire sits at Rh*.
+        // At balance the code is zero and the wire sits at Rh*, the design
+        // overheat above the calibration temperature.
         let state = est.estimate(0, Volts::new(3.0)).unwrap();
-        assert!(
-            (state.resistance - rh_star).abs().get() < 0.01,
-            "Rh {} vs {}",
-            state.resistance,
-            rh_star
-        );
-        let t_expected = cfg.calibration_temperature + cfg.overheat;
-        assert!((state.temperature.get() - t_expected.get()).abs() < 0.1);
         // Power: equal arms → U²/(4Rh*).
         let p_expected = 9.0 / (4.0 * rh_star.get());
         assert!((state.power.get() - p_expected).abs() / p_expected < 0.01);
         // Conductance = P/ΔT.
-        assert!((state.conductance.get() - p_expected / 15.0).abs() / (p_expected / 15.0) < 0.05);
+        let g_expected = p_expected / cfg.overheat.get();
+        assert!((state.conductance.get() - g_expected).abs() / g_expected < 0.05);
     }
 
     #[test]
     fn estimator_sees_off_balance_codes() {
-        let (_, _, rh_star, est) = setup();
-        // A positive code means a hotter (higher-R) wire.
+        let (.., est) = setup();
+        // A positive code means a hotter (higher-R) wire: more overheat at
+        // nearly the same power, so less conductance.
         let hot = est.estimate(4000, Volts::new(3.0)).unwrap();
+        let balanced = est.estimate(0, Volts::new(3.0)).unwrap();
         let cold = est.estimate(-4000, Volts::new(3.0)).unwrap();
-        assert!(hot.resistance > rh_star);
-        assert!(cold.resistance < rh_star);
-        assert!(hot.temperature > cold.temperature);
+        assert!(hot.conductance < balanced.conductance);
+        assert!(balanced.conductance < cold.conductance);
     }
 
     #[test]

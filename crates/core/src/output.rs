@@ -43,6 +43,7 @@ impl OutputPipeline {
     }
 
     /// Pushes one control-rate supply code; returns the conditioned code.
+    #[inline]
     pub fn push(&mut self, code: i32) -> i32 {
         let despiked = self.median.push(code);
         self.despiked = despiked;

@@ -28,6 +28,7 @@ impl Median5 {
 
     /// Pushes a sample and returns the median of the last five (during
     /// warm-up, the upper median of the samples so far).
+    #[inline]
     pub fn push(&mut self, x: i32) -> i32 {
         self.window[self.head] = x;
         self.head += 1;

@@ -76,6 +76,35 @@ pub fn saturate_i32(x: i64) -> i32 {
     x.clamp(i32::MIN as i64, i32::MAX as i64) as i32
 }
 
+/// `x.round() as i64` for every `f64` — half away from zero, saturating at
+/// the `i64` rails, `NaN` to 0 — without branches.
+///
+/// On the x86-64 baseline `f64::round` is a library call into a generic
+/// software `round`; this form is a truncating conversion, one exact
+/// subtraction and two range tests. Wherever the truncation `t` did not
+/// saturate, `x − t` is exact (Sterbenz) and lies in (−1, 1), so the half
+/// tests decide the rounding; where it saturated, `x − t` is 0, at least
+/// 2048 in magnitude, or infinite, and for `NaN` it is `NaN`: neither test
+/// admits those, so the sum cannot overflow.
+///
+/// ```
+/// use hotwire_dsp::fix::round_i64;
+///
+/// assert_eq!(round_i64(2.5), 3);
+/// assert_eq!(round_i64(-2.5), -3);
+/// assert_eq!(round_i64(0.49999999999999994), 0);
+/// assert_eq!(round_i64(f64::NAN), 0);
+/// assert_eq!(round_i64(f64::INFINITY), i64::MAX);
+/// ```
+#[inline]
+pub fn round_i64(x: f64) -> i64 {
+    let t = x as i64;
+    let frac = x - t as f64;
+    let up = (0.5..1.0).contains(&frac);
+    let down = (0.5..1.0).contains(&-frac);
+    t + i64::from(up) - i64::from(down)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +145,46 @@ mod tests {
         assert_eq!(saturate_i32(i64::MAX), i32::MAX);
         assert_eq!(saturate_i32(i64::MIN), i32::MIN);
         assert_eq!(saturate_i32(42), 42);
+    }
+
+    #[test]
+    fn round_i64_matches_round_at_the_edges() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let two63 = 9_223_372_036_854_775_808.0_f64;
+        let named = [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two63,
+            two63 - 1024.0,
+            two63 + 2048.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+        ];
+        for &x in &named {
+            for v in [x, -x] {
+                // Each edge and its neighbours in the bit order, ties' too.
+                let bits = v.to_bits();
+                for w in [bits.wrapping_sub(1), bits, bits.wrapping_add(1)].map(f64::from_bits) {
+                    assert_eq!(round_i64(w), w.round() as i64, "{w:e} ({:#x})", w.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

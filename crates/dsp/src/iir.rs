@@ -50,6 +50,7 @@ impl SinglePoleLp {
     }
 
     /// Pushes one sample; returns the smoothed output.
+    #[inline]
     pub fn push(&mut self, x: i32) -> i32 {
         let x_ext = (x as i64) << 30;
         let err = x_ext - self.state;

@@ -71,6 +71,7 @@ impl PiController {
 
     /// Runs one control step on error `e` (setpoint − measurement) and
     /// returns the clamped actuator command.
+    #[inline]
     pub fn update(&mut self, e: i32) -> i32 {
         let p = self.kp.raw() as i64 * e as i64; // Q16.16
         let i_step = self.ki.raw() as i64 * e as i64;

@@ -3,7 +3,7 @@
 
 use hotwire_dsp::cic::CicDecimator;
 use hotwire_dsp::despike::Median5;
-use hotwire_dsp::fix::Fx;
+use hotwire_dsp::fix::{round_i64, Fx};
 use hotwire_dsp::iir::SinglePoleLp;
 use hotwire_dsp::pi::PiController;
 use proptest::prelude::*;
@@ -99,5 +99,19 @@ proptest! {
             let u = pi.update(e);
             prop_assert!((0..=4095).contains(&u));
         }
+    }
+
+    #[test]
+    fn round_i64_is_round_as_i64_for_every_bit_pattern(bits in any::<u64>()) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_i64(x), x.round() as i64, "{:e} ({:#x})", x, bits);
+    }
+
+    #[test]
+    fn round_i64_is_round_as_i64_near_halves(k in -(1i64 << 53)..(1i64 << 53), step in -2i64..=2) {
+        // The halves between integers and their nearest doubles.
+        let half = k as f64 + 0.5;
+        let x = f64::from_bits(half.to_bits().wrapping_add_signed(step));
+        prop_assert_eq!(round_i64(x), x.round() as i64, "{:e}", x);
     }
 }

@@ -17,7 +17,9 @@ use hotwire_afe::adc::SigmaDeltaModulator;
 use hotwire_afe::filter::AntiAliasFilter;
 use hotwire_afe::inamp::{InAmpConfig, InstrumentationAmp};
 use hotwire_dsp::cic::CicDecimator;
+use hotwire_dsp::fix::round_i64;
 use hotwire_units::{Hertz, Volts};
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 /// Static channel configuration.
@@ -59,6 +61,9 @@ pub struct InputChannel {
     cic: CicDecimator,
     /// Scale factor turning the CIC's raw output into a signed 16-bit word.
     norm_shift: u32,
+    /// The CIC's DC gain as the fast tier scales by it
+    /// ([`dc_code`](Self::dc_code)).
+    dc_gain: f64,
     /// Reusable buffer for the CIC's raw block outputs (no per-frame
     /// allocation on the block path).
     cic_scratch: Vec<i64>,
@@ -84,6 +89,7 @@ impl InputChannel {
             inamp,
             antialias,
             modulator,
+            dc_gain: cic.gain() as f64,
             cic,
             norm_shift,
             cic_scratch: Vec::new(),
@@ -220,10 +226,27 @@ impl InputChannel {
         chip_overtemp_k: f64,
         rng: &mut R,
     ) -> i32 {
-        let noise = self.inamp.draw_noise(rng);
+        let white = rng.sample(StandardNormal);
+        let flicker = rng.sample(StandardNormal);
+        self.dc_code_from_normals(v_diff, chip_overtemp_k, white, flicker)
+    }
+
+    /// [`dc_code`](Self::dc_code) on its two standard normals, white then
+    /// flicker, drawn by the caller — a frame that draws all its channels'
+    /// normals in one batch in `dc_code`'s order gets the same codes and
+    /// leaves each flicker filter in the same state.
+    #[inline]
+    pub fn dc_code_from_normals(
+        &mut self,
+        v_diff: Volts,
+        chip_overtemp_k: f64,
+        white: f64,
+        flicker: f64,
+    ) -> i32 {
+        let noise = self.inamp.noise_from_normals(white, flicker);
         let v = self.inamp.dc_output(v_diff, chip_overtemp_k, noise);
         let u = (v.get() / self.config.vref.get()).clamp(-0.9, 0.9);
-        let raw = ((u * self.cic.gain() as f64).round() as i64) >> self.norm_shift;
+        let raw = round_i64(u * self.dc_gain) >> self.norm_shift;
         raw.clamp(-32768, 32767) as i32
     }
 
@@ -420,6 +443,37 @@ mod tests {
             assert_eq!(single_words[l], expected[l], "lane {l}");
             assert_eq!(state(&lanes[l]), state(&scalars[l]), "lane {l}");
             assert_eq!(state(&singles[l]), state(&scalars[l]), "lane {l}");
+        }
+    }
+
+    /// Three channels fed one batch of six normals (each channel's white
+    /// then flicker, in channel order) through `dc_code_from_normals` give
+    /// the codes, flicker states and generator state of three `dc_code`
+    /// calls in the same order — the fast frame's draw.
+    #[test]
+    fn dc_code_from_normals_matches_dc_code() {
+        let fs = Hertz::from_kilohertz(256.0);
+        let config = ChannelConfig::maf_bridge();
+        let mut drawn: [InputChannel; 3] =
+            core::array::from_fn(|_| InputChannel::new(config, fs).unwrap());
+        let mut batched: [InputChannel; 3] =
+            core::array::from_fn(|_| InputChannel::new(config, fs).unwrap());
+        let (mut r_drawn, mut r_batched) = (rng(), rng());
+        let mut normals = [0.0; 6];
+        for k in 0..2000 {
+            let v = 0.04 * (k as f64 * 0.37).sin();
+            StandardNormal::fill(&mut r_batched, &mut normals);
+            for l in 0..3 {
+                let input = Volts::new(v * (l as f64 - 1.0));
+                let expected = drawn[l].dc_code(input, 2.0, &mut r_drawn);
+                let got =
+                    batched[l].dc_code_from_normals(input, 2.0, normals[2 * l], normals[2 * l + 1]);
+                assert_eq!(got, expected, "frame {k}, channel {l}");
+            }
+        }
+        assert_eq!(r_batched, r_drawn);
+        for l in 0..3 {
+            assert_eq!(state(&batched[l]), state(&drawn[l]), "channel {l}");
         }
     }
 

@@ -14,11 +14,11 @@ pub const SLOT_CAPACITY: usize = 64;
 /// CRC-16/CCITT generator polynomial.
 const CRC16_POLY: u16 = 0x1021;
 
-/// Slice-by-4 tables for [`crc16_ccitt`], built at compile time:
+/// Slice-by-16 tables for [`crc16_ccitt`], built at compile time:
 /// `CRC16_TABLES[k][i]` is the CRC contribution of byte `i` followed by
 /// `k` zero bytes, i.e. `i·x^(16+8k) mod P`.
-static CRC16_TABLES: [[u16; 256]; 4] = {
-    let mut tables = [[0u16; 256]; 4];
+static CRC16_TABLES: [[u16; 256]; 16] = {
+    let mut tables = [[0u16; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = (i as u16) << 8;
@@ -35,7 +35,7 @@ static CRC16_TABLES: [[u16; 256]; 4] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 4 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -49,21 +49,31 @@ static CRC16_TABLES: [[u16; 256]; 4] = {
 
 /// Computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
 ///
-/// Four bytes per step through independent table lookups (slice-by-4),
-/// then one byte per step for the tail.
+/// Sixteen bytes per step through independent table lookups
+/// (slice-by-16: a telemetry payload is one step), then four bytes per
+/// step (slice-by-4), then one byte per step for the tail.
 pub fn crc16_ccitt(data: &[u8]) -> u16 {
-    let [t0, t1, t2, t3] = &CRC16_TABLES;
+    let t = &CRC16_TABLES;
     let mut crc: u16 = 0xFFFF;
-    let mut words = data.chunks_exact(4);
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let [hi, lo] = crc.to_be_bytes();
+        let mut next = t[15][(hi ^ block[0]) as usize] ^ t[14][(lo ^ block[1]) as usize];
+        for (table, &byte) in t[..14].iter().rev().zip(&block[2..]) {
+            next ^= table[byte as usize];
+        }
+        crc = next;
+    }
+    let mut words = blocks.remainder().chunks_exact(4);
     for w in &mut words {
         let [hi, lo] = crc.to_be_bytes();
-        crc = t3[(hi ^ w[0]) as usize]
-            ^ t2[(lo ^ w[1]) as usize]
-            ^ t1[w[2] as usize]
-            ^ t0[w[3] as usize];
+        crc = t[3][(hi ^ w[0]) as usize]
+            ^ t[2][(lo ^ w[1]) as usize]
+            ^ t[1][w[2] as usize]
+            ^ t[0][w[3] as usize];
     }
     for &byte in words.remainder() {
-        crc = (crc << 8) ^ t0[((crc >> 8) as u8 ^ byte) as usize];
+        crc = (crc << 8) ^ t[0][((crc >> 8) as u8 ^ byte) as usize];
     }
     crc
 }

@@ -66,6 +66,7 @@ impl IsifPlatform {
     ///
     /// Returns [`IsifError::NoSuchChannel`] if the slot is out of range or
     /// unconfigured.
+    #[inline]
     pub fn channel_mut(&mut self, index: usize) -> Result<&mut InputChannel, IsifError> {
         self.channels
             .get_mut(index)
@@ -105,6 +106,7 @@ impl IsifPlatform {
     }
 
     /// Writes the bridge-supply DAC code.
+    #[inline]
     pub fn set_supply_code(&mut self, code: u32) {
         self.supply_code = code.min(self.supply_dac.max_code());
     }
@@ -116,6 +118,7 @@ impl IsifPlatform {
     }
 
     /// The analog bridge-supply voltage for the current code.
+    #[inline]
     pub fn supply_voltage(&self) -> Volts {
         self.supply_dac.convert(self.supply_code)
     }

@@ -118,6 +118,7 @@ impl BubbleLayer {
     /// [`Water::bubble_onset_temperature`](crate::fluid::Water::bubble_onset_temperature)).
     ///
     /// Returns `true` if a detachment event fired during this step.
+    #[inline]
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         dt: Seconds,

@@ -84,6 +84,7 @@ impl Water {
     /// given absolute pressure: above this wall temperature the water
     /// releases bubbles onto the heater (outgassing well below boiling for
     /// air-saturated water).
+    #[inline]
     pub fn bubble_onset_temperature(&self, pressure: Pascals) -> Celsius {
         // Outgassing onset: air-saturated water sheds dissolved gas onto a
         // heated wall well below boiling. Henry's law: solubility scales with

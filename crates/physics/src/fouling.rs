@@ -111,6 +111,11 @@ pub struct FoulingLayer {
     params: FoulingParams,
     passivation: Passivation,
     thickness_um: f64,
+    /// Memo of the deposition rate's constant prefactor
+    /// `base/3600 · sticking · hardness/30`, keyed on the hardness's bit
+    /// pattern (the water's hardness is fixed, so the memo nearly always
+    /// hits).
+    scale_cache: Option<(u64, f64)>,
 }
 
 impl FoulingLayer {
@@ -120,6 +125,7 @@ impl FoulingLayer {
             params,
             passivation,
             thickness_um: 0.0,
+            scale_cache: None,
         }
     }
 
@@ -139,21 +145,33 @@ impl FoulingLayer {
 
     /// Advances deposition by `dt` at the given wall temperature, water
     /// hardness (°f) and instantaneous bubble coverage.
+    #[inline]
     pub fn step(&mut self, dt: Seconds, wall: Celsius, hardness_f: f64, bubble_coverage: f64) {
         if hardness_f <= 0.0 {
             return;
         }
-        let sticking = self.passivation.sticking_factor();
-        let hardness_factor = hardness_f / 30.0;
         let temp_factor = ((wall.get() - 25.0) / self.params.temperature_scale_k).exp();
         let bubble_factor =
             1.0 + (self.params.bubble_enhancement - 1.0) * bubble_coverage.clamp(0.0, 1.0);
-        let rate_um_per_s = self.params.base_rate_um_per_hour / 3600.0
-            * sticking
-            * hardness_factor
-            * temp_factor
-            * bubble_factor;
+        let rate_um_per_s = self.rate_scale(hardness_f) * temp_factor * bubble_factor;
         self.thickness_um += rate_um_per_s * dt.get();
+    }
+
+    /// The rate's prefactor at `hardness_f`, through the bit-keyed memo; a
+    /// hit returns the exact value a recomputation would, so the rate keeps
+    /// its left-to-right product.
+    fn rate_scale(&mut self, hardness_f: f64) -> f64 {
+        let bits = hardness_f.to_bits();
+        match self.scale_cache {
+            Some((key, scale)) if key == bits => scale,
+            _ => {
+                let scale = self.params.base_rate_um_per_hour / 3600.0
+                    * self.passivation.sticking_factor()
+                    * (hardness_f / 30.0);
+                self.scale_cache = Some((bits, scale));
+                scale
+            }
+        }
     }
 
     /// Advances deposition by a coarse interval at (assumed constant)
@@ -270,6 +288,31 @@ mod tests {
         slow.advance_hours(10.0, Celsius::new(45.0), 30.0, 0.0);
         fast.advance_hours(10.0, Celsius::new(45.0), 30.0, 0.0);
         assert!(fast.thickness_um() > 10.0 * slow.thickness_um());
+    }
+
+    /// The memoised prefactor keeps every step's bits, through hardness
+    /// changes (memo misses) and repeats (hits), on both finishes.
+    #[test]
+    fn memoised_step_keeps_the_left_to_right_rate() {
+        for passivation in [Passivation::Bare, Passivation::SiliconNitride] {
+            let params = FoulingParams::accelerated();
+            let mut l = FoulingLayer::new(params, passivation);
+            let mut thickness = 0.0;
+            for k in 0..400 {
+                let hardness = [30.0, 30.0, 12.5, 45.0][k % 4];
+                let wall = 25.0 + (k as f64 * 0.37).sin() * 20.0;
+                let coverage = (k as f64 * 0.11).cos().abs();
+                let dt = 1e-3 * (1 + k % 7) as f64;
+                l.step(Seconds::new(dt), Celsius::new(wall), hardness, coverage);
+                let rate = params.base_rate_um_per_hour / 3600.0
+                    * passivation.sticking_factor()
+                    * (hardness / 30.0)
+                    * ((wall - 25.0) / params.temperature_scale_k).exp()
+                    * (1.0 + (params.bubble_enhancement - 1.0) * coverage);
+                thickness += rate * dt;
+                assert_eq!(l.thickness_um().to_bits(), thickness.to_bits(), "step {k}");
+            }
+        }
     }
 
     #[test]

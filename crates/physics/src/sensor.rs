@@ -353,6 +353,7 @@ impl MafDie {
     /// Advances the thermal state by one step of `dt` at constant heater
     /// powers, with the surface layers held: the one-tick instance of
     /// [`step_thermal_with`](Self::step_thermal_with). Draws no RNG.
+    #[inline]
     pub fn step_thermal(
         &mut self,
         dt: Seconds,
@@ -502,6 +503,7 @@ impl MafDie {
     ///
     /// These are the die's only RNG draws (bubble detachment), and none
     /// are made while both faces are bubble-free.
+    #[inline]
     pub fn step_surfaces<R: Rng + ?Sized>(&mut self, dt: Seconds, pressure: Pascals, rng: &mut R) {
         let onset = self.fluid.bubble_onset_temperature(pressure);
         let hardness = self.fluid.hardness_f;

@@ -58,6 +58,7 @@ impl OrnsteinUhlenbeck {
     /// Advances the process by `dt` using the exact discrete-time update
     /// `x' = ρ·x + σ·√(1−ρ²)·ξ` with `ρ = exp(−dt/τ)`, and returns the new
     /// value.
+    #[inline]
     pub fn step<R: Rng + ?Sized>(&mut self, dt: Seconds, rng: &mut R) -> f64 {
         let dt_bits = dt.get().to_bits();
         let (rho, innovation) = match self.coefficients {

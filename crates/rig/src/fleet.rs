@@ -871,7 +871,6 @@ impl FleetSpec {
             self.scenario.duration_s * self.lines as f64,
         );
         FleetOutcome {
-            label: self.label.clone(),
             aggregates,
             lines: acc.summaries,
         }
@@ -1359,16 +1358,12 @@ impl core::fmt::Display for FleetAggregates {
 /// only the O(shard) aggregates).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetOutcome {
-    /// The fleet's label.
-    pub label: String,
     /// Population aggregates (line-order fold; jobs-invariant).
     pub aggregates: FleetAggregates,
     /// Per-line summaries, in line order; empty above the exact
     /// threshold.
     pub lines: Vec<LineSummary>,
 }
-
-impl FleetOutcome {}
 
 #[cfg(test)]
 mod tests {

@@ -68,6 +68,7 @@ impl WaterLine {
 
     /// Advances the line by `dt` and returns the probe environment for the
     /// new instant.
+    #[inline]
     pub fn step(&mut self, dt: Seconds) -> SensorEnvironment {
         self.ticks += 1;
         self.dt = dt.get();

@@ -253,6 +253,7 @@ impl MaintenanceEngine {
     /// One policy evaluation — call exactly once per produced measurement
     /// (= one control tick). Never draws RNG; any action runs at this
     /// frame boundary, between the meter's RNG-consuming steps.
+    #[inline]
     pub fn service<M: Meter + ?Sized>(&mut self, meter: &mut M) {
         self.tick += 1;
         if self.cfg.policy == Policy::None {

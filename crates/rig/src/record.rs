@@ -55,11 +55,23 @@ pub const MAX_RESERVED_ROWS: usize = 1 << 20;
 pub trait Recorder {
     /// Receives one recorded sample.
     fn record(&mut self, sample: &TraceSample);
+
+    /// Whether this sink reads the reference channels
+    /// ([`TraceSample::promag_cm_s`], [`TraceSample::turbine_cm_s`]). A run
+    /// into a sink that does not steps neither reference meter and records
+    /// both channels as `NaN`.
+    fn reads_references(&self) -> bool {
+        true
+    }
 }
 
 impl<R: Recorder + ?Sized> Recorder for &mut R {
     fn record(&mut self, sample: &TraceSample) {
         (**self).record(sample);
+    }
+
+    fn reads_references(&self) -> bool {
+        (**self).reads_references()
     }
 }
 
@@ -463,8 +475,6 @@ pub struct SeriesReducer {
     pub ys: Vec<f64>,
 }
 
-impl SeriesReducer {}
-
 /// Streaming reductions over one run — every statistic the experiments
 /// consume, folded sample-by-sample in recording order so each is
 /// bit-identical to the same reduction over a full stored trace.
@@ -536,6 +546,11 @@ impl Default for RunReductions {
 }
 
 impl Recorder for RunReductions {
+    /// No reduction reads a reference channel.
+    fn reads_references(&self) -> bool {
+        false
+    }
+
     fn record(&mut self, s: &TraceSample) {
         self.samples += 1;
         if s.t >= self.plan.settle.0 && s.t < self.plan.settle.1 {
@@ -607,6 +622,11 @@ impl Recorder for PolicyRecorder {
         if self.policy == RecordPolicy::Full {
             self.store.push(s);
         }
+    }
+
+    /// Only a stored trace reads the reference channels.
+    fn reads_references(&self) -> bool {
+        self.policy == RecordPolicy::Full
     }
 }
 

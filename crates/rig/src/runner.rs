@@ -3,7 +3,9 @@
 //! The runner drives one device under test (any [`Meter`]) and both
 //! commercial references through a [`Scenario`] on *shared true flow* —
 //! the semantics of the paper's evaluation line, where the MAF prototype
-//! and the Promag 50 see the same water.
+//! and the Promag 50 see the same water. The references run only when the
+//! run's [`Recorder`] reads them ([`Recorder::reads_references`]): a
+//! metrics-only run reduces the device under test alone.
 //!
 //! A run counts control ticks ([`hotwire_core::clock`]): it steps the
 //! frames that start inside `[0, duration]` and records the sample after
@@ -34,9 +36,11 @@ pub struct TraceSample {
     pub true_cm_s: f64,
     /// Device-under-test conditioned velocity, cm/s (signed).
     pub dut_cm_s: f64,
-    /// Promag 50 reading, cm/s (signed).
+    /// Promag 50 reading, cm/s (signed); `NaN` when the run's recorder
+    /// does not read the references ([`Recorder::reads_references`]).
     pub promag_cm_s: f64,
-    /// Turbine reading, cm/s (unsigned).
+    /// Turbine reading, cm/s (unsigned); `NaN` when the run's recorder does
+    /// not read the references.
     pub turbine_cm_s: f64,
     /// Supply-DAC code commanded by the loop.
     pub supply_code: u32,
@@ -233,7 +237,9 @@ impl<M: Meter> LineRunner<M> {
     /// least one; see [`hotwire_core::clock`]). The line and reference meters
     /// advance at the control rate (the probe environment is held between
     /// control ticks — turbulence above the control bandwidth is invisible
-    /// to every instrument on the line).
+    /// to every instrument on the line); the references only when
+    /// `recorder` [reads them](Recorder::reads_references), and otherwise
+    /// every sample's reference channels are `NaN`.
     ///
     /// # Panics
     ///
@@ -272,6 +278,9 @@ impl<M: Meter> LineRunner<M> {
         let observing = self.meter.has_observer();
         let mut run_obs = observing.then(RunObs::default);
         let frame_ticks = u64::from(self.meter.ticks_per_frame());
+        // The reference meters run only for a recorder that reads them; they
+        // draw on their own generator, so skipping them moves no other bit.
+        let references = recorder.reads_references();
         // The next frame whose sample is due: 0, P, 2P, ….
         let mut next_due = 0;
         for frame in 0..frames {
@@ -308,8 +317,13 @@ impl<M: Meter> LineRunner<M> {
             // Control tick: refresh environment and references.
             self.env = self.line.step(self.control_dt);
             let bulk = self.line.bulk_velocity();
-            let promag = self.promag.step(self.control_dt, bulk, &mut self.ref_rng);
-            let turbine = self.turbine.step(self.control_dt, bulk);
+            let (promag_cm_s, turbine_cm_s) = if references {
+                let promag = self.promag.step(self.control_dt, bulk, &mut self.ref_rng);
+                let turbine = self.turbine.step(self.control_dt, bulk);
+                (promag.to_cm_per_s(), turbine.to_cm_per_s())
+            } else {
+                (f64::NAN, f64::NAN)
+            };
 
             if due {
                 let m = m.expect("the frame before a due sample is read");
@@ -323,8 +337,8 @@ impl<M: Meter> LineRunner<M> {
                     t: self.line.time(),
                     true_cm_s: bulk.to_cm_per_s(),
                     dut_cm_s: m.velocity.to_cm_per_s(),
-                    promag_cm_s: promag.to_cm_per_s(),
-                    turbine_cm_s: turbine.to_cm_per_s(),
+                    promag_cm_s,
+                    turbine_cm_s,
                     supply_code: m.supply_code,
                     bubble_coverage: self.meter.worst_bubble_coverage(),
                     fouling_um: self.meter.worst_fouling_um(),

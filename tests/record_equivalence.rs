@@ -13,7 +13,10 @@ use hotwire::rig::campaign::derive_seed;
 use hotwire::rig::fault::{FaultKind, FaultSchedule};
 use hotwire::rig::metrics;
 use hotwire::rig::scenario::{Scenario, Schedule};
-use hotwire::rig::{Campaign, LineConfig, RecordPolicy, RunOutcome, RunSpec, TraceStore, Windows};
+use hotwire::rig::{
+    Campaign, Channel, CsvSink, LineConfig, PolicyRecorder, RecordPolicy, Recorder, RunOutcome,
+    RunReductions, RunSpec, TraceSample, TraceStore, Windows,
+};
 
 /// Bit-level f64 equality (same-NaN counts as equal, unlike `==`).
 #[track_caller]
@@ -184,6 +187,76 @@ fn reductions_are_policy_and_jobs_invariant() {
             outcome.label
         );
     }
+}
+
+/// A full trace that answers it does not read the references.
+struct BlindStore(TraceStore);
+
+impl Recorder for BlindStore {
+    fn record(&mut self, sample: &TraceSample) {
+        self.0.record(sample);
+    }
+
+    fn reads_references(&self) -> bool {
+        false
+    }
+}
+
+/// The reference meters run only for a recorder that reads them: the
+/// recorders answer by what they keep, a MetricsOnly run reduces exactly
+/// as a Full run of the same spec, the Full run's reference columns are
+/// readings, and a run into a sink that does not read them records every
+/// other column with the same bits and the references as `NaN`.
+#[test]
+fn references_run_only_for_recorders_that_read_them() {
+    let plan = step_spec(RecordPolicy::Full).reduction_plan();
+    let mut metrics_only = PolicyRecorder::new(RecordPolicy::MetricsOnly, plan.clone());
+    assert!(!metrics_only.reads_references());
+    let forwarded = &mut metrics_only;
+    assert!(!Recorder::reads_references(&forwarded), "`&mut R` forwards");
+    assert!(PolicyRecorder::new(RecordPolicy::Full, plan.clone()).reads_references());
+    assert!(!RunReductions::new(plan).reads_references());
+    assert!(TraceStore::new().reads_references());
+    assert!(CsvSink::new().reads_references());
+
+    let specs = [
+        step_spec(RecordPolicy::Full),
+        step_spec(RecordPolicy::MetricsOnly),
+    ];
+    let outcomes = Campaign::with_jobs(2).run(&specs).expect("campaign runs");
+    assert_eq!(outcomes[0].reduced, outcomes[1].reduced, "reductions");
+    let full = &outcomes[0].trace.samples;
+    assert!(!full.is_empty());
+    for channel in [Channel::Promag, Channel::Turbine] {
+        assert!(
+            full.channel(channel).iter().all(|v| v.is_finite()),
+            "{channel:?} column of the Full run"
+        );
+    }
+
+    let mut blind = BlindStore(TraceStore::new());
+    specs[0].execute_with(&mut blind).expect("run");
+    let blind = blind.0;
+    assert_eq!(blind.len(), full.len());
+    for channel in [Channel::Promag, Channel::Turbine] {
+        assert!(
+            blind.channel(channel).iter().all(|v| v.is_nan()),
+            "{channel:?}"
+        );
+    }
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for channel in [Channel::Truth, Channel::Dut] {
+        assert_eq!(
+            bits(blind.channel(channel)),
+            bits(full.channel(channel)),
+            "{channel:?}"
+        );
+    }
+    assert_eq!(bits(blind.ts()), bits(full.ts()), "times");
+    assert_eq!(blind.supply_codes(), full.supply_codes());
+    assert_eq!(bits(blind.bubble()), bits(full.bubble()), "bubble coverage");
+    assert_eq!(blind.faults(), full.faults());
+    assert_eq!(blind.health(), full.health());
 }
 
 /// Endurance: half an hour of simulated deployment under
